@@ -11,8 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from math import inf
 
 import numpy as np
 
@@ -35,11 +33,10 @@ from .surface import (
     ProblemInstance,
     enumerate_prime_points,
     error_term,
-    gamma_member_mask,
     gamma_membership,
     hua_ratio,
     omega_hat,
-    rep_count_array,
+    sample_admissible_lams,
     singular_series,
     _mu_infinity,
 )
@@ -227,17 +224,6 @@ def _cmd_arcs(args):
     return scalars, (["index", "a", "q", "abs_err"], rows)
 
 
-def _sample_lams(k, n, lo, hi, count, table):
-    """Evenly spaced admissible lam in [lo, hi) with at least one solution."""
-    counts = rep_count_array(k, n, hi - 1, table)
-    lams = np.arange(lo, hi)
-    ok = lams[(counts[lo:hi] > 0) & gamma_member_mask(k, n, lams)]
-    if len(ok) == 0:
-        return []
-    idx = np.unique(np.linspace(0, len(ok) - 1, min(count, len(ok))).round().astype(int))
-    return [int(v) for v in ok[idx]]
-
-
 def _cmd_approx(args):
     rng = np.random.default_rng(args.seed)
     xi_sample = rng.random((args.xi_count, args.n))
@@ -247,7 +233,7 @@ def _cmd_approx(args):
 
     def block_stats(j):
         lo, hi = args.lam_min * 2**j, args.lam_min * 2 ** (j + 1)
-        lams = _sample_lams(args.k, args.n, lo, hi, args.per_block, table)
+        lams = sample_admissible_lams(args.k, args.n, lo, hi, args.per_block, table)
         errs, zeros = [], []
         for lam in lams:
             inst = ProblemInstance(k=args.k, n=args.n, lam=lam)
@@ -261,8 +247,7 @@ def _cmd_approx(args):
         z = float(max(zeros)) if zeros else 0.0
         return [lo, hi, len(lams), med, mx, z]
 
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        rows = list(pool.map(block_stats, range(args.blocks)))
+    rows = [block_stats(j) for j in range(args.blocks)]
     medians = [row[3] for row in rows]
     scalars = {
         "medians_non_increasing": int(
@@ -276,7 +261,7 @@ def _cmd_approx(args):
 
 def _cmd_hua(args):
     table = sieve_primes(max(2, int_kth_root(args.hi, args.k)))
-    lams = _sample_lams(args.k, args.n, args.lo, args.hi, args.samples, table)
+    lams = sample_admissible_lams(args.k, args.n, args.lo, args.hi, args.samples, table)
     cache = _cache_dir(args)
 
     def one(lam):
@@ -286,8 +271,7 @@ def _cmd_hua(args):
         ratio = hua_ratio(measure, Qsing=args.qsing)
         return [lam, measure.r, measure.R, series.value.real, ratio]
 
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        rows = list(pool.map(one, lams))
+    rows = [one(lam) for lam in lams]
     ratios = [row[4] for row in rows]
     in_band = [r for r in ratios if 0.7 <= r <= 1.3]
     scalars = {
@@ -301,7 +285,7 @@ def _cmd_hua(args):
 
 def _cmd_maximal(args):
     lams = _parse_ints(args.lams)
-    ps = [inf if v in ("inf", "Inf") else float(v) for v in args.p.split(",")]
+    ps = _parse_floats(args.p)
     table = sieve_primes(max(2, int_kth_root(max(lams), args.k)))
     measures = [
         enumerate_prime_points(
@@ -334,9 +318,14 @@ def _cmd_maximal(args):
 
 
 def _cmd_delta_probe(args):
+    ps = _parse_floats(args.p)
+    if len(ps) != 1:
+        raise InputError("--p must be a single exponent")
+    if args.exp_lo > args.exp_hi:
+        raise InputError("--exp-lo must not exceed --exp-hi")
+    p = ps[0]
     lam_values = [2**e for e in range(args.exp_lo, args.exp_hi + 1)]
     table = sieve_primes(max(2, int_kth_root(max(lam_values), args.k)))
-    p = inf if args.p in ("inf", "Inf") else float(args.p)
     report = delta_scaling_probe(args.k, args.n, p, lam_values, table)
     scalars = {"slope": report.slope if report.slope is not None else 0.0, "p": float(p)}
     rows = [[lam, norm] for lam, norm in zip(report.lam_values, report.norms)]
@@ -420,7 +409,6 @@ def _add_common(sub):
     sub.add_argument("--output", default=None, help="write payload to this path instead of stdout")
     sub.add_argument("--plot", action="store_true", help="also write an SVG chart next to --output")
     sub.add_argument("--cache-dir", default=None, help="enumeration cache (WG_CACHE_DIR overrides default)")
-    sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--seed", type=int, default=7)
 
 
@@ -529,12 +517,16 @@ def main(argv=None) -> int:
         else _emit_csv(config, scalars, table)
     )
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        if args.plot:
-            base, _ = os.path.splitext(args.output)
-            with open(base + ".svg", "w") as fh:
-                fh.write(_emit_svg(table, args.command))
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+            if args.plot:
+                base, _ = os.path.splitext(args.output)
+                with open(base + ".svg", "w") as fh:
+                    fh.write(_emit_svg(table, args.command))
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
         if args.plot:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .errors import InputError, UndefinedMeasureError
 from .numtheory import PrimeTable
@@ -87,9 +87,12 @@ def _convolve_fft(f: GridFunction, reps, weights) -> np.ndarray:
     K, n = f.K, f.n
     kern = np.zeros((4 * K + 1,) * n, dtype=float)
     np.add.at(kern, tuple((reps + 2 * K).T), weights)
-    full = fftconvolve(f.values, kern, mode="full")
+    real = f.values.dtype.kind != "c"
+    shape = [sp_fft.next_fast_len(6 * K + 1, real)] * n
+    fft, ifft = (sp_fft.rfftn, sp_fft.irfftn) if real else (sp_fft.fftn, sp_fft.ifftn)
+    full = ifft(fft(f.values, shape) * fft(kern, shape), shape)
     window = (slice(2 * K, 4 * K + 1),) * n
-    return full[window]
+    return full[window].copy()
 
 
 def convolve(

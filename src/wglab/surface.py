@@ -125,38 +125,35 @@ def _local_unit_sum_masks(k: int, n: int) -> tuple:
     return tuple(pairs)
 
 
-def gamma_membership(instance: ProblemInstance) -> GammaVerdict:
-    """Admissibility of lam for (k, n).
+# (k, n) -> (modulus, residue) of the explicitly known even-k progressions
+_EXACT_PROGRESSIONS = {(2, 5): (24, 5), (4, 17): (240, 17)}
+
+
+def gamma_member_mask(k: int, n: int, lams: np.ndarray) -> np.ndarray:
+    """Admissibility of every lam in an array for (k, n).
 
     Exact for odd k (parity), for (k, n) = (2, 5) (residue 5 mod 24) and
     for (k, n) = (4, 17) (residue 17 mod 240).  Every other case is a
     congruence-solubility heuristic over sums of unit k-th powers modulo
-    small prime powers, and is labeled as such.
+    small prime powers.
     """
-    k, n, lam = instance.k, instance.n, instance.lam
-    if k % 2 == 1:
-        return GammaVerdict(member=(lam - n) % 2 == 0, exact=True)
-    if (k, n) == (2, 5):
-        return GammaVerdict(member=lam % 24 == 5, exact=True)
-    if (k, n) == (4, 17):
-        return GammaVerdict(member=lam % 240 == 17, exact=True)
-    ok = all(mask[lam % m] for m, mask in _local_unit_sum_masks(k, n))
-    return GammaVerdict(member=ok, exact=False)
-
-
-def gamma_member_mask(k: int, n: int, lams: np.ndarray) -> np.ndarray:
-    """Vectorized admissibility over an array of lam values."""
     lams = np.asarray(lams, dtype=np.int64)
     if k % 2 == 1:
         return (lams - n) % 2 == 0
-    if (k, n) == (2, 5):
-        return lams % 24 == 5
-    if (k, n) == (4, 17):
-        return lams % 240 == 17
+    if (k, n) in _EXACT_PROGRESSIONS:
+        m, residue = _EXACT_PROGRESSIONS[(k, n)]
+        return lams % m == residue
     mask = np.ones(len(lams), dtype=bool)
     for m, reach in _local_unit_sum_masks(k, n):
         mask &= reach[lams % m]
     return mask
+
+
+def gamma_membership(instance: ProblemInstance) -> GammaVerdict:
+    """Admissibility of lam for (k, n), labeled heuristic outside the exact cases."""
+    k, n = instance.k, instance.n
+    member = bool(gamma_member_mask(k, n, np.array([instance.lam]))[0])
+    return GammaVerdict(member=member, exact=k % 2 == 1 or (k, n) in _EXACT_PROGRESSIONS)
 
 
 @dataclass(frozen=True)
@@ -215,11 +212,13 @@ def _mitm_solutions(values: np.ndarray, n: int, k: int, lam: int) -> np.ndarray:
     Meet in the middle: tabulate the partial sums of the first ceil(n/2)
     coordinates, then join against the complementary sums.
     """
+    n_a = (n + 1) // 2
+    n_b = n - n_a
+    if n_a * lam > np.iinfo(np.int64).max:
+        raise InputError(f"lam = {lam} is too large: half-sums up to {n_a}*lam overflow int64")
     values = np.asarray(values, dtype=np.int64)
     if len(values) == 0:
         return np.empty((0, n), dtype=np.int64)
-    n_a = (n + 1) // 2
-    n_b = n - n_a
     if len(values) ** n_a > 80_000_000:
         raise InputError("enumeration table too large; reduce lam or the prime bound")
     powers = values**k
@@ -509,14 +508,13 @@ def hua_ratio(measure: SurfaceMeasure, Qsing: int = 100) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _fft_size(length: int) -> int:
+    """Smallest power of two >= length."""
+    return 1 << (length - 1).bit_length()
+
+
 def _fft_selfconv(arr: np.ndarray, n: int, out_len: int) -> np.ndarray:
-    full = n * (len(arr) - 1) + 1
-    size = 1
-    while size < full:
-        size *= 2
-    if np.iscomplexobj(arr):
-        spectrum = np.fft.fft(arr, size)
-        return np.fft.ifft(spectrum**n)[:out_len]
+    size = _fft_size(n * (len(arr) - 1) + 1)
     spectrum = np.fft.rfft(arr, size)
     return np.fft.irfft(spectrum**n, size)[:out_len]
 
@@ -546,17 +544,11 @@ def fourier_numerator_array(k: int, n: int, lam_max: int, table: PrimeTable, xi)
     xi = np.asarray(xi, dtype=float)
     if len(xi) != n:
         raise InputError("xi must have length n")
-    full = n * lam_max + 1
-    size = 1
-    while size < full:
-        size *= 2
+    size = _fft_size(n * lam_max + 1)
     spectrum = np.ones(size, dtype=complex)
-    for j in range(n):
-        primes = table.primes_leq(int_kth_root(lam_max, k))
-        arr = np.zeros(lam_max + 1, dtype=complex)
-        ph = primes * xi[j]
-        arr[primes**k] = np.log(primes.astype(np.float64)) * np.exp(
-            2j * np.pi * (ph - np.rint(ph))
+    for x in xi:
+        arr = _coordinate_array(
+            k, lam_max, table, lambda p: np.log(p) * np.exp(2j * np.pi * (p * x - np.rint(p * x)))
         )
         spectrum *= np.fft.fft(arr, size)
     return np.fft.ifft(spectrum)[: lam_max + 1]
@@ -578,3 +570,14 @@ def max_weight_array(k: int, n: int, lam_max: int, table: PrimeTable) -> np.ndar
             nxt[v:] = np.maximum(nxt[v:], acc[: lam_max + 1 - v] + w)
         acc = nxt
     return np.exp(acc)
+
+
+def sample_admissible_lams(k: int, n: int, lo: int, hi: int, count: int, table: PrimeTable) -> list[int]:
+    """Up to ``count`` evenly spaced admissible lam in [lo, hi) with at least one prime solution."""
+    counts = rep_count_array(k, n, hi - 1, table)
+    lams = np.arange(lo, hi)
+    ok = lams[(counts[lo:hi] > 0) & gamma_member_mask(k, n, lams)]
+    if len(ok) == 0:
+        return []
+    idx = np.unique(np.linspace(0, len(ok) - 1, min(count, len(ok))).round().astype(int))
+    return [int(v) for v in ok[idx]]

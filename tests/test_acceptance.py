@@ -28,10 +28,9 @@ from wglab.surface import (
     ProblemInstance,
     enumerate_prime_points,
     error_term,
-    gamma_member_mask,
     hua_ratio,
     omega_hat,
-    rep_count_array,
+    sample_admissible_lams,
 )
 
 
@@ -44,14 +43,6 @@ def report(idx: int, name: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def table():
     return sieve_primes(400)
-
-
-def _sample_lams(k, n, lo, hi, count, table):
-    counts = rep_count_array(k, n, hi - 1, table)
-    lams = np.arange(lo, hi)
-    ok = lams[(counts[lo:hi] > 0) & gamma_member_mask(k, n, lams)]
-    idx = np.unique(np.linspace(0, len(ok) - 1, min(count, len(ok))).round().astype(int))
-    return [int(v) for v in ok[idx]]
 
 
 def test_criterion_01_reduction_identity_and_aggregate_bound():
@@ -102,7 +93,7 @@ def test_criterion_02_enumeration_oracle(table):
 
 
 def test_criterion_03_count_prediction_ratio(table):
-    lams = _sample_lams(2, 5, 10_000, 100_000, 50, table)
+    lams = sample_admissible_lams(2, 5, 10_000, 100_000, 50, table)
     assert len(lams) >= 50
     ratios = []
     for lam in lams:
@@ -125,7 +116,7 @@ def test_criterion_04_error_decay(table):
     medians, zero_errs = [], []
     for j in range(5):
         lo, hi = 4096 * 2**j, 4096 * 2 ** (j + 1)
-        lams = _sample_lams(2, 5, lo, hi, 6, table)
+        lams = sample_admissible_lams(2, 5, lo, hi, 6, table)
         errs = []
         for lam in lams:
             inst = ProblemInstance(2, 5, lam)

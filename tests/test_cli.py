@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -203,7 +206,7 @@ def test_approx_sweep_small(capsys, tmp_path):
     doc = run_json(
         capsys, "approx", "--k", "2", "--n", "5", "--lambda-min", "512",
         "--blocks", "2", "--per-block", "2", "--xi-count", "2",
-        "--cache-dir", str(tmp_path), "--threads", "2",
+        "--cache-dir", str(tmp_path),
     )
     assert len(doc["table"]["rows"]) == 2
     assert doc["scalars"]["medians_non_increasing"] in (0, 1)
@@ -217,3 +220,48 @@ def test_hua_sweep_small(capsys):
     assert doc["scalars"]["n_samples"] == 4
     for row in doc["table"]["rows"]:
         assert row[4] > 0  # ratios are positive
+
+
+def test_cli_import_skips_scipy_signal():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, wglab.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta-probe", "--k", "2", "--n", "5", "--p", "abc"],
+    ["delta-probe", "--k", "2", "--n", "5", "--p", "1.2,2"],
+    ["delta-probe", "--k", "2", "--n", "5", "--exp-lo", "5", "--exp-hi", "3"],
+    ["maximal", "--k", "2", "--n", "5", "--lams", "77", "--p", "x"],
+    ["points", "--k", "5", "--n", "3", "--lambda", "10000000000000000000"],
+])
+def test_bad_values_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_p_accepts_inf_spellings(capsys):
+    doc = run_json(
+        capsys, "maximal", "--k", "2", "--n", "5", "--lams", "77", "--p", "Inf,2",
+    )
+    assert set(doc["scalars"]) == {"maximal_norm_pinf", "maximal_norm_p2"}
+    doc = run_json(
+        capsys, "delta-probe", "--k", "2", "--n", "5", "--p", "inf",
+        "--exp-lo", "9", "--exp-hi", "9",
+    )
+    assert doc["config"]["p"] == "inf"
+    assert doc["table"]["rows"][0][1] <= 1.0
+
+
+def test_output_into_missing_directory(capsys, tmp_path):
+    out = tmp_path / "missing" / "probe.json"
+    code = main(["gsum", "--a", "1", "--q", "2", "--b", "1", "--r", "4", "--k", "2",
+                 "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

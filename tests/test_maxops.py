@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from wglab.errors import InputError, UndefinedMeasureError
 from wglab.maxops import (
     GridFunction,
     OperatorReport,
+    _convolve_fft,
+    _pruned,
     convolve,
     delta_scaling_probe,
     lp_norm,
@@ -66,6 +69,22 @@ def test_convolve_paths_agree(table, measure77):
         a = convolve(f, measure, method="direct")
         b = convolve(f, measure, method="fft")
         assert np.abs(a.values - b.values).max() < 1e-10
+
+
+def test_convolve_fft_matches_scipy_fftconvolve(measure77):
+    # fftconvolve is the reference: same transform sizes, so bit-identical output
+    rng = np.random.default_rng(3)
+    K, n = 4, measure77.instance.n
+    reps, weights = _pruned(measure77, K)
+    kern = np.zeros((4 * K + 1,) * n)
+    np.add.at(kern, tuple((reps + 2 * K).T), weights)
+    window = (slice(2 * K, 4 * K + 1),) * n
+    real = rng.standard_normal((2 * K + 1,) * n)
+    for values in (real + 1j * rng.standard_normal(real.shape), real):
+        f = GridFunction(K=K, values=values)
+        got = _convolve_fft(f, reps, weights)
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, fftconvolve(f.values, kern, mode="full")[window])
 
 
 def test_convolve_linearity(measure77):

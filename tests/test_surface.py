@@ -29,6 +29,7 @@ from wglab.surface import (
     omega_hat,
     rep_count_array,
     rep_weight_array,
+    sample_admissible_lams,
     singular_series,
 )
 
@@ -123,6 +124,15 @@ def test_enumeration_matches_naive(table):
             got = enumerate_prime_points(ProblemInstance(k, n, lam), table)
             want = naive_solutions(table.primes_leq(int(lam ** (1 / k)) + 1), n, k, lam)
             assert np.array_equal(got.representations, want)
+
+
+def test_lam_beyond_int64_half_sums_is_refused():
+    # n = 5 tabulates half-sums of 3 coordinates, up to 3 * lam
+    limit = np.iinfo(np.int64).max
+    with pytest.raises(InputError, match="overflow int64"):
+        enumerate_integer_points(ProblemInstance(5, 5, limit // 3 + 1))
+    with pytest.raises(InputError, match="overflow int64"):
+        enumerate_prime_points(ProblemInstance(5, 3, 10**19), sieve_primes(7000))
 
 
 def test_prime_table_too_small(table):
@@ -408,6 +418,16 @@ def test_value_arrays_match_enumeration(table):
             assert numer[lam] / m.R == pytest.approx(
                 omega_hat(m, xi), abs=1e-8
             )
+
+
+def test_sample_admissible_lams(table):
+    lams = sample_admissible_lams(2, 5, 2000, 4000, 4, table)
+    assert len(lams) == 4 and lams == sorted(lams)
+    for lam in lams:
+        assert gamma_membership(ProblemInstance(2, 5, lam)).member
+        assert enumerate_prime_points(ProblemInstance(2, 5, lam), table).r > 0
+    # below n * 2^k = 20 no lam has a prime solution
+    assert sample_admissible_lams(2, 5, 1, 20, 4, table) == []
 
 
 def test_max_weight_array(table):
