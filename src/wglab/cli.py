@@ -34,7 +34,7 @@ from .surface import (
     enumerate_prime_points,
     error_term,
     gamma_membership,
-    hua_ratio,
+    hua_series_ratio,
     omega_hat,
     sample_admissible_lams,
     singular_series,
@@ -267,9 +267,8 @@ def _cmd_hua(args):
     def one(lam):
         inst = ProblemInstance(k=args.k, n=args.n, lam=lam)
         measure = enumerate_prime_points(inst, table, cache_dir=cache)
-        series = singular_series(inst, [0] * args.n, [1] * args.n, args.qsing)
-        ratio = hua_ratio(measure, Qsing=args.qsing)
-        return [lam, measure.r, measure.R, series.value.real, ratio]
+        series, ratio = hua_series_ratio(measure, Qsing=args.qsing)
+        return [lam, measure.r, measure.R, series.real, ratio]
 
     rows = [one(lam) for lam in lams]
     ratios = [row[4] for row in rows]
@@ -285,6 +284,8 @@ def _cmd_hua(args):
 
 def _cmd_maximal(args):
     lams = _parse_ints(args.lams)
+    if not lams:
+        raise InputError("--lams needs at least one lam")
     ps = _parse_floats(args.p)
     table = sieve_primes(max(2, int_kth_root(max(lams), args.k)))
     measures = [
@@ -321,8 +322,8 @@ def _cmd_delta_probe(args):
     ps = _parse_floats(args.p)
     if len(ps) != 1:
         raise InputError("--p must be a single exponent")
-    if args.exp_lo > args.exp_hi:
-        raise InputError("--exp-lo must not exceed --exp-hi")
+    if not 0 <= args.exp_lo <= args.exp_hi:
+        raise InputError("need 0 <= --exp-lo <= --exp-hi")
     p = ps[0]
     lam_values = [2**e for e in range(args.exp_lo, args.exp_hi + 1)]
     table = sieve_primes(max(2, int_kth_root(max(lam_values), args.k)))

@@ -171,8 +171,8 @@ def discrepancy(points, num_boxes: int = 10_000, seed: int = 0) -> float:
     is exponential in the dimension.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float)) % 1.0
-    if points.size == 0:
-        raise InputError("discrepancy needs a nonempty point set")
+    if points.size == 0 or num_boxes < 1:
+        raise InputError("discrepancy needs a nonempty point set and num_boxes >= 1")
     m, n = points.shape
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -10,8 +10,8 @@ x_1^k + ... + x_n^k = lam0} by the coordinate cube,
     ds(eta) = integral over R of { prod_j I_1(theta, eta_j) } e(-lam0 theta) dtheta.
 
 Quadrature is panel Gauss-Legendre with panel widths chosen so each panel
-sees O(1) oscillations; degree-2 inner integrals use an exact Fresnel form
-and zero-linear-frequency inner integrals use an asymptotic series, which
+sees O(1) oscillations; degree-2 inner integrals use an exact Faddeeva-function
+form and zero-linear-frequency inner integrals use an asymptotic series, which
 keeps the theta-truncation radius affordable.
 """
 
@@ -20,13 +20,12 @@ from math import ceil, gamma, pi
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import fresnel
+from scipy.special import wofz
 
 from .errors import InputError, NumericError
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
-_FRESNEL_MIN_THETA = 0.75  # below this the quadratic closed form loses digits
 _SERIES_MIN_THETA = 8.0  # asymptotic series cutoff for the eta = 0 inner integral
 _SERIES_TERMS = 12
 
@@ -127,19 +126,22 @@ def osc_integral(query: OscQuery, tol: float = None) -> OscResult:
         prev = cur
 
 
-def _i1_fresnel(thetas: np.ndarray, eta: float) -> np.ndarray:
-    """Exact I_1(theta, eta) for k = 2 via Fresnel integrals (theta != 0)."""
+def _i1_quadratic(thetas: np.ndarray, eta: float) -> np.ndarray:
+    """Exact I_1(theta, eta) for k = 2 through the Faddeeva function w (theta != 0).
+
+    Completing the square, with s = sqrt(2 pi theta) e^(-i pi/4) and c = eta / (2 theta):
+    I_1 = sqrt(pi) / (2 s) * [w(i s c) - e(theta + eta) w(i s (1 + c))].  Negative theta
+    uses I_1(-theta, -eta) = conj I_1(theta, eta); for c < -1/2 the reflection x -> 1 - x
+    negates the bracket and both w arguments, which keeps them where |w| <= 1.
+    """
     th = np.asarray(thetas, dtype=float)
-    sign = np.sign(th)
-    mag = np.abs(th)
-    scale = 2.0 * np.sqrt(mag)
-    c = eta / (2.0 * th)
-    s1, c1 = fresnel(scale * (1.0 + c))
-    s0, c0 = fresnel(scale * c)
-    f_upper = c1 + 1j * sign * s1
-    f_lower = c0 + 1j * sign * s0
-    prefactor = _osc_phase_exp(-(eta * eta) / (4.0 * th))
-    return prefactor * (f_upper - f_lower) / scale
+    t, e = np.abs(th), np.where(th < 0, -eta, eta)
+    sign = np.where(e < -t, -1.0, 1.0)  # c < -1/2
+    s = np.sqrt(2.0 * pi * t) * np.exp(-0.25j * pi)
+    z0 = 1j * sign * s * e / (2.0 * t)
+    bracket = wofz(z0) - _osc_phase_exp(t + e) * wofz(z0 + 1j * sign * s)
+    val = sign * np.sqrt(pi) / (2.0 * s) * bracket
+    return np.where(th < 0, np.conj(val), val)
 
 
 def _i1_series_eta0(thetas: np.ndarray, k: int) -> np.ndarray:
@@ -194,17 +196,14 @@ def _i1_adaptive(thetas: np.ndarray, eta: float, k: int, oversample: int) -> np.
 def _i1_batch(thetas: np.ndarray, eta: float, k: int, oversample: int = 1) -> np.ndarray:
     """I_1(theta, eta) for an array of thetas, picking the cheapest route."""
     th = np.asarray(thetas, dtype=float)
-    out = np.empty(len(th), dtype=complex)
     if k == 2:
-        closed = np.abs(th) >= _FRESNEL_MIN_THETA
-        out[closed] = _i1_fresnel(th[closed], eta)
-        out[~closed] = _i1_adaptive(th[~closed], eta, k, oversample)
-    elif eta == 0.0:
-        closed = np.abs(th) >= _SERIES_MIN_THETA
-        out[closed] = _i1_series_eta0(th[closed], k)
-        out[~closed] = _i1_adaptive(th[~closed], eta, k, oversample)
-    else:
-        out[:] = _i1_adaptive(th, eta, k, oversample)
+        return _i1_quadratic(th, eta)
+    if eta != 0.0:
+        return _i1_adaptive(th, eta, k, oversample)
+    out = np.empty(len(th), dtype=complex)
+    closed = np.abs(th) >= _SERIES_MIN_THETA
+    out[closed] = _i1_series_eta0(th[closed], k)
+    out[~closed] = _i1_adaptive(th[~closed], eta, k, oversample)
     return out
 
 
@@ -212,13 +211,7 @@ def _inner_cost(query: SurfaceQuery, hi: float) -> float:
     """Rough inner-node count per outer node for a shell reaching |theta| = hi."""
     if query.k == 2:
         return 16.0 * query.n
-    per_coord = []
-    for eta_j in query.eta:
-        if eta_j == 0.0:
-            per_coord.append(16.0)
-        else:
-            per_coord.append(16.0 * (hi + abs(eta_j) + 12.0))
-    return float(sum(per_coord))
+    return float(sum(16.0 if v == 0.0 else 16.0 * (hi + abs(v) + 12.0) for v in query.eta))
 
 
 def _shell_value(

@@ -487,17 +487,21 @@ def _mu_infinity(n: int, k: int) -> float:
     return singular_integral(n, k, 1.0)
 
 
-def hua_ratio(measure: SurfaceMeasure, Qsing: int = 100) -> float:
-    """Weighted count over its predicted size S_trunc * mu_inf * lam^(n/k - 1)."""
+def hua_series_ratio(measure: SurfaceMeasure, Qsing: int = 100) -> tuple[complex, float]:
+    """Zero-center series S_trunc and the ratio R / (S_trunc * mu_inf * lam^(n/k - 1))."""
     if measure.R <= 0:
         raise UndefinedMeasureError("measure has zero mass")
     inst = measure.instance
     n, k, lam = inst.n, inst.k, inst.lam
-    series = singular_series(inst, [0] * n, [1] * n, Qsing)
-    sval = series.value
+    sval = singular_series(inst, [0] * n, [1] * n, Qsing).value
     if abs(sval.imag) > 1e-8 * (1.0 + abs(sval)):
         raise NumericError(f"singular series came out non-real: {sval!r}")
-    return measure.R / (sval.real * _mu_infinity(n, k) * lam ** (n / k - 1.0))
+    return sval, measure.R / (sval.real * _mu_infinity(n, k) * lam ** (n / k - 1.0))
+
+
+def hua_ratio(measure: SurfaceMeasure, Qsing: int = 100) -> float:
+    """Weighted count over its predicted size S_trunc * mu_inf * lam^(n/k - 1)."""
+    return hua_series_ratio(measure, Qsing)[1]
 
 
 # ---------------------------------------------------------------------------

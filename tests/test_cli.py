@@ -239,6 +239,9 @@ def test_cli_import_skips_scipy_signal():
     ["delta-probe", "--k", "2", "--n", "5", "--exp-lo", "5", "--exp-hi", "3"],
     ["maximal", "--k", "2", "--n", "5", "--lams", "77", "--p", "x"],
     ["points", "--k", "5", "--n", "3", "--lambda", "10000000000000000000"],
+    ["maximal", "--k", "2", "--n", "5", "--lams", ","],
+    ["equidist", "--k", "2", "--n", "5", "--lambda", "77", "--alpha", "1,1,1,1,1", "--boxes", "0"],
+    ["delta-probe", "--k", "2", "--n", "5", "--exp-lo", "-2", "--exp-hi", "1"],
 ])
 def test_bad_values_are_usage_errors(capsys, argv):
     assert main(argv) == 2

@@ -160,6 +160,12 @@ def test_discrepancy_empty_set():
         discrepancy(np.zeros((0, 3)))
 
 
+def test_discrepancy_needs_a_box():
+    # no sampled box is no estimate, not a perfect 0.0
+    with pytest.raises(InputError):
+        discrepancy(np.array([[0.37, 0.41]]), num_boxes=0)
+
+
 def test_torus_system_validation():
     with pytest.raises(InputError):
         TorusSystem(alpha=())

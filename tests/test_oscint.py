@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -6,7 +7,7 @@ from wglab.oscint import (
     OscQuery,
     SurfaceQuery,
     _i1_adaptive,
-    _i1_fresnel,
+    _i1_quadratic,
     _i1_series_eta0,
     osc_integral,
     singular_integral,
@@ -106,12 +107,32 @@ def test_tail_warning_flag():
 # --- closed-form inner routes vs the panel integrator ------------------------
 
 
-def test_fresnel_route_matches_adaptive():
-    thetas = np.array([0.8, 1.5, 7.0, 40.0, -3.3, -100.0, 311.7])
-    for eta in (0.0, 2.5, -20.0, 61.0):
-        closed = _i1_fresnel(thetas, eta)
-        panel = _i1_adaptive(thetas, eta, 2, 4)
-        assert np.abs(closed - panel).max() < 1e-12
+def _i1_mpmath(theta: float, eta: float) -> complex:
+    """I_1(theta, eta) for k = 2 from mpmath's erf at 30 digits, no reflection.
+
+    With c = eta / (2 theta) and r = sqrt(-2 pi i theta) (principal branch),
+    I_1 = e(-theta c^2) * sqrt(pi) / (2 r) * [erf(r (1 + c)) - erf(r c)].
+    """
+    with mp.workdps(30):
+        th, et = mp.mpf(theta), mp.mpf(eta)
+        c = et / (2 * th)
+        r = mp.sqrt(-2j * mp.pi * th)
+        val = mp.sqrt(mp.pi) / (2 * r) * (mp.erf(r * (1 + c)) - mp.erf(r * c))
+        return complex(val * mp.expjpi(-2 * th * c * c))
+
+
+def test_quadratic_route_matches_mpmath():
+    thetas = [1e-4, -1e-4, 0.3, -0.6, 2.0, -7.5, 40.0, -311.7, 1799.3, -1800.0]
+    for th in thetas:
+        # -1.5 * th puts c = eta / (2 theta) at -3/4, on the reflected branch
+        for eta in (0.0, 2.5, -20.0, 60.0, -59.0, -1.5 * th):
+            got = _i1_quadratic(np.array([th]), eta)[0]
+            assert abs(got - _i1_mpmath(th, eta)) <= 1e-13, (th, eta)
+    # small |theta| against the panel integrator, a reference outside mpmath
+    small = np.array([1e-4, -1e-4, 0.05, -0.2, 0.5, -0.74, 0.749])
+    for eta in (0.0, 2.5, -0.3, -20.0, 61.0):
+        panel = _i1_adaptive(small, eta, 2, 4)
+        assert np.abs(_i1_quadratic(small, eta) - panel).max() < 1e-12
 
 
 def test_series_route_matches_adaptive():
