@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, takewhile
 from math import ceil, floor, gcd
 from typing import Optional
 
@@ -60,34 +61,31 @@ def torus_distance(x: float) -> float:
     return abs(x - round(x))
 
 
-def _cf_terms(x: Fraction) -> list[int]:
-    """Continued-fraction expansion of an exact rational (finite)."""
-    terms = []
-    num, den = x.numerator, x.denominator
-    while den:
-        a = num // den
-        terms.append(a)
-        num, den = den, num - a * den
-    return terms
+def _convergent_pairs(theta: float):
+    """(p, q) of each continued-fraction convergent of theta reduced to [0, 1), in order.
+
+    Every float is rational, so the expansion is exact and finite.
+    """
+    x = Fraction(theta)
+    num, den = x.numerator % x.denominator, x.denominator
+    p_prev, q_prev, p, q = 1, 0, 0, 1
+    yield p, q
+    while num:
+        a = den // num
+        num, den = den - a * num, num
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        yield p, q
 
 
 def convergents(xi: float, count: int) -> list[RationalPoint]:
     """First ``count`` continued-fraction convergents of xi reduced to [0, 1).
 
-    A rational xi (every float is one) has a finite expansion, so the list
-    may be shorter than requested.  Each returned b/r obeys |r*xi - b| < 1/r.
+    The expansion is finite, so the list may be shorter than requested.
+    Each returned b/r obeys |r*xi - b| < 1/r.
     """
     if not 1 <= count <= 64:
         raise InputError("convergent count must be between 1 and 64")
-    x = Fraction(xi)
-    x -= x.numerator // x.denominator
-    terms = _cf_terms(x)
-    out = [RationalPoint(terms[0], 1)]
-    p_prev, q_prev, p, q = 1, 0, terms[0], 1
-    for a in terms[1:count]:
-        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
-        out.append(RationalPoint(p, q))
-    return out
+    return [RationalPoint(p, q) for p, q in islice(_convergent_pairs(xi), count)]
 
 
 def dirichlet_approx(theta: float, Qbound: float) -> RationalPoint:
@@ -100,34 +98,40 @@ def dirichlet_approx(theta: float, Qbound: float) -> RationalPoint:
     """
     if Qbound < 1:
         raise InputError("dirichlet_approx needs Qbound >= 1")
-    x = Fraction(theta)
-    x -= x.numerator // x.denominator
-    terms = _cf_terms(x)
-    p_prev, q_prev, p, q = 1, 0, terms[0], 1
-    for a in terms[1:]:
-        p_next, q_next = a * p + p_prev, a * q + q_prev
-        if q_next > Qbound:
-            break
-        p_prev, q_prev, p, q = p, q, p_next, q_next
+    *_, (p, q) = takewhile(lambda c: c[1] <= Qbound, _convergent_pairs(theta))
     return RationalPoint(p % q, q)
+
+
+def _arc_center(theta: float, Q: float, halfwidth: float) -> Optional[tuple[RationalPoint, float]]:
+    """Smallest q <= Q, then the nearest a, with |q*theta - a| <= halfwidth and gcd(a, q) = 1.
+
+    Returns the reduced center (a mod q)/q and the signed offset q*theta - a,
+    or None.  Two a at the same distance go to the smaller one.
+    """
+    for q in range(1, floor(Q) + 1):
+        t = q * theta
+        candidates = sorted(
+            range(ceil(t - halfwidth), floor(t + halfwidth) + 1),
+            key=lambda a: (abs(t - a), a),
+        )
+        for a in candidates:
+            if gcd(a % q, q) == 1:  # gcd(0, 1) = 1 covers the central 0/1 arc
+                return RationalPoint(a % q, q), t - a
+    return None
 
 
 def major_arc_membership(theta: float, system: ArcSystem) -> Optional[RationalPoint]:
     """The center a/q of the arc containing theta, or None on the minor arcs.
 
     Overlaps (possible when 2Q >= X) resolve to the smallest q, then the
-    smallest a.  theta is reduced to [0, 1) and distances are measured on
-    the torus, so the central arc wraps around 0.
+    nearest a.  That is also the smallest a: below halfwidth 1/2 a window
+    |q*theta - a| <= Q/X holds at most one integer, and from 1/2 on the
+    q = 1 window covers every theta and gives 0/1.  theta is reduced to
+    [0, 1) and distances are measured on the torus, so the central arc
+    wraps around 0.
     """
-    theta = theta % 1.0
-    w = system.halfwidth
-    for q in range(1, floor(system.Q) + 1):
-        t = q * theta
-        for a in range(ceil(t - w), floor(t + w) + 1):
-            a_mod = a % q
-            if gcd(a_mod, q) == 1:  # gcd(0, 1) = 1 covers the central 0/1 arc
-                return RationalPoint(a_mod, q)
-    return None
+    hit = _arc_center(theta % 1.0, system.Q, system.halfwidth)
+    return hit[0] if hit else None
 
 
 def major_arcs_measure(system: ArcSystem) -> float:

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .arcs import ArcSystem, convergents, dirichlet_approx, major_arc_membership
+from .arcs import ArcSystem, convergents, dirichlet_approx, major_arc_membership, torus_distance
 from .errors import InputError, NumericError, UndefinedMeasureError
 from .expsums import GSumQuery, count_vinogradov_system, g_sum, g_via_lemma
 from .ergodic import (
@@ -64,18 +64,11 @@ def _round_payload(obj):
     return obj
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind) -> list:
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        return [kind(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
-        raise InputError(f"could not parse float list {text!r}") from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise InputError(f"could not parse integer list {text!r}") from exc
+        raise InputError(f"could not parse {kind.__name__} list {text!r}") from exc
 
 
 def _emit_json(config, scalars, table) -> str:
@@ -145,18 +138,22 @@ def _complex_scalars(prefix: str, z: complex) -> dict:
 
 
 def _cache_dir(args) -> str | None:
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get("WG_CACHE_DIR") or None
+    return args.cache_dir or os.environ.get("WG_CACHE_DIR") or None
+
+
+def _measures(args, lams):
+    """Prime points of each lam at --k/--n, from one sieve to max(lams)^(1/k)."""
+    insts = [ProblemInstance(k=args.k, n=args.n, lam=lam) for lam in lams]
+    table = sieve_primes(max(2, int_kth_root(max(lams), args.k)))
+    return [enumerate_prime_points(inst, table, cache_dir=_cache_dir(args)) for inst in insts]
 
 
 # --- subcommand implementations -------------------------------------------
 
 
 def _cmd_points(args):
-    inst = ProblemInstance(k=args.k, n=args.n, lam=args.lam)
-    table = sieve_primes(max(2, int_kth_root(inst.lam, inst.k)))
-    measure = enumerate_prime_points(inst, table, cache_dir=_cache_dir(args))
+    [measure] = _measures(args, [args.lam])
+    inst = measure.instance
     scalars = {"r": measure.r, "R": measure.R, "gamma": gamma_membership(inst).label()}
     columns = [f"x{i + 1}" for i in range(inst.n)]
     rows = [[int(v) for v in row] for row in measure.representations]
@@ -164,12 +161,10 @@ def _cmd_points(args):
 
 
 def _cmd_fourier(args):
-    inst = ProblemInstance(k=args.k, n=args.n, lam=args.lam)
-    xi = _parse_floats(args.xi)
-    if len(xi) != inst.n:
+    xi = _parse_list(args.xi, float)
+    if len(xi) != args.n:
         raise InputError("--xi must have n entries")
-    table = sieve_primes(max(2, int_kth_root(inst.lam, inst.k)))
-    measure = enumerate_prime_points(inst, table, cache_dir=_cache_dir(args))
+    [measure] = _measures(args, [args.lam])
     value = omega_hat(measure, xi)
     scalars = {"r": measure.r, "R": measure.R, **_complex_scalars("omega_hat", value)}
     return scalars, (["field", "value"], [])
@@ -183,15 +178,15 @@ def _cmd_gsum(args):
 
 def _cmd_singular(args):
     inst = ProblemInstance(k=args.k, n=args.n, lam=args.lam)
-    avec = _parse_ints(args.avec) if args.avec else [0] * inst.n
-    qvec = _parse_ints(args.qvec) if args.qvec else [1] * inst.n
+    avec = _parse_list(args.avec, int) if args.avec else [0] * inst.n
+    qvec = _parse_list(args.qvec, int) if args.qvec else [1] * inst.n
     res = singular_series(inst, avec, qvec, args.qsing)
     scalars = {**_complex_scalars("series", res.value), "tail_estimate": res.tail_estimate}
     return scalars, (["q", "unused"], [])
 
 
 def _cmd_surface(args):
-    eta = _parse_floats(args.eta)
+    eta = _parse_list(args.eta, float)
     res = surface_transform(SurfaceQuery(n=args.n, k=args.k, lam0=args.lam0, eta=tuple(eta)))
     scalars = {
         **_complex_scalars("value", res.value),
@@ -207,24 +202,23 @@ def _cmd_arcs(args):
     system = ArcSystem(X=args.X, Q=args.Q)
     center = major_arc_membership(args.theta, system)
     approx = dirichlet_approx(args.theta, args.Q)
-    convs = convergents(args.theta % 1.0, args.count)
+    theta = args.theta % 1.0
+    convs = convergents(theta, args.count)
     scalars = {
         "major": int(center is not None),
         "center_a": center.a if center else -1,
         "center_q": center.q if center else -1,
         "dirichlet_a": approx.a,
         "dirichlet_q": approx.q,
-        "dirichlet_err": abs(
-            approx.q * (args.theta % 1.0) - round(approx.q * (args.theta % 1.0))
-        ),
+        "dirichlet_err": torus_distance(approx.q * theta),
     }
-    rows = [
-        [i, c.a, c.q, abs(c.q * (args.theta % 1.0) - c.a)] for i, c in enumerate(convs)
-    ]
+    rows = [[i, c.a, c.q, abs(c.q * theta - c.a)] for i, c in enumerate(convs)]
     return scalars, (["index", "a", "q", "abs_err"], rows)
 
 
 def _cmd_approx(args):
+    if args.blocks < 1 or args.xi_count < 1:
+        raise InputError("--blocks and --xi-count must be >= 1")
     rng = np.random.default_rng(args.seed)
     xi_sample = rng.random((args.xi_count, args.n))
     lam_top = args.lam_min * 2**args.blocks
@@ -253,7 +247,7 @@ def _cmd_approx(args):
         "medians_non_increasing": int(
             all(medians[i + 1] <= medians[i] for i in range(len(medians) - 1))
         ),
-        "max_err_at_zero": max((row[5] for row in rows), default=0.0),
+        "max_err_at_zero": max(row[5] for row in rows),
     }
     columns = ["lam_lo", "lam_hi", "n_lams", "median_abs_err", "max_abs_err", "max_err_zero"]
     return scalars, (columns, rows)
@@ -262,6 +256,8 @@ def _cmd_approx(args):
 def _cmd_hua(args):
     table = sieve_primes(max(2, int_kth_root(args.hi, args.k)))
     lams = sample_admissible_lams(args.k, args.n, args.lo, args.hi, args.samples, table)
+    if not lams:
+        raise UndefinedMeasureError(f"no admissible lam with a prime solution in [{args.lo}, {args.hi})")
     cache = _cache_dir(args)
 
     def one(lam):
@@ -276,25 +272,20 @@ def _cmd_hua(args):
     scalars = {
         "mu_inf": _mu_infinity(args.n, args.k),
         "n_samples": len(rows),
-        "band_fraction": len(in_band) / len(ratios) if ratios else 0.0,
-        "median_ratio": float(np.median(ratios)) if ratios else 0.0,
+        "band_fraction": len(in_band) / len(ratios),
+        "median_ratio": float(np.median(ratios)),
     }
     return scalars, (["lambda", "r", "R", "series_re", "ratio"], rows)
 
 
 def _cmd_maximal(args):
-    lams = _parse_ints(args.lams)
+    if args.K < 1:
+        raise InputError("--K must be >= 1")
+    lams = _parse_list(args.lams, int)
     if not lams:
         raise InputError("--lams needs at least one lam")
-    ps = _parse_floats(args.p)
-    table = sieve_primes(max(2, int_kth_root(max(lams), args.k)))
-    measures = [
-        enumerate_prime_points(
-            ProblemInstance(k=args.k, n=args.n, lam=lam), table, cache_dir=_cache_dir(args)
-        )
-        for lam in lams
-    ]
-    measures = [m for m in measures if m.R > 0]
+    ps = _parse_list(args.p, float)
+    measures = [m for m in _measures(args, lams) if m.R > 0]
     if not measures:
         raise UndefinedMeasureError("no lam in the list has prime solutions")
     if args.input == "delta":
@@ -319,7 +310,7 @@ def _cmd_maximal(args):
 
 
 def _cmd_delta_probe(args):
-    ps = _parse_floats(args.p)
+    ps = _parse_list(args.p, float)
     if len(ps) != 1:
         raise InputError("--p must be a single exponent")
     if not 0 <= args.exp_lo <= args.exp_hi:
@@ -334,14 +325,12 @@ def _cmd_delta_probe(args):
 
 
 def _cmd_ergodic(args):
-    inst = ProblemInstance(k=args.k, n=args.n, lam=args.lam)
-    alpha = _parse_floats(args.alpha)
-    m = _parse_ints(args.m)
-    x = _parse_floats(args.x)
-    if not len(alpha) == len(m) == len(x) == inst.n:
+    alpha = _parse_list(args.alpha, float)
+    m = _parse_list(args.m, int)
+    x = _parse_list(args.x, float)
+    if not len(alpha) == len(m) == len(x) == args.n:
         raise InputError("--alpha, --m, --x must each have n entries")
-    table = sieve_primes(max(2, int_kth_root(inst.lam, inst.k)))
-    measure = enumerate_prime_points(inst, table, cache_dir=_cache_dir(args))
+    [measure] = _measures(args, [args.lam])
     system = TorusSystem(alpha=tuple(alpha))
     f = TrigPolynomial.harmonic(m)
     value = ergodic_average(system, f, measure, x)
@@ -355,7 +344,7 @@ def _cmd_ergodic(args):
 
 
 def _cmd_weyl(args):
-    xi = _parse_floats(args.xi)
+    xi = _parse_list(args.xi, float)
     lam_top = args.lam_min * 2**args.blocks
     table = sieve_primes(max(2, int_kth_root(lam_top, args.k)))
     blocks = weyl_decay_scan(args.k, args.n, xi, args.lam_min, args.blocks, table)
@@ -369,12 +358,10 @@ def _cmd_weyl(args):
 
 
 def _cmd_equidist(args):
-    inst = ProblemInstance(k=args.k, n=args.n, lam=args.lam)
-    alpha = _parse_floats(args.alpha)
-    if len(alpha) != inst.n:
+    alpha = _parse_list(args.alpha, float)
+    if len(alpha) != args.n:
         raise InputError("--alpha must have n entries")
-    table = sieve_primes(max(2, int_kth_root(inst.lam, inst.k)))
-    measure = enumerate_prime_points(inst, table, cache_dir=_cache_dir(args))
+    [measure] = _measures(args, [args.lam])
     if measure.r == 0:
         raise UndefinedMeasureError("no solutions; nothing to equidistribute")
     pts = orbit_points(measure, alpha)
@@ -387,30 +374,92 @@ def _cmd_meanvalue(args):
     return {"count": count}, (["field", "value"], [])
 
 
+def _arg(*flags, **kwargs):
+    """One add_argument call, kept as data."""
+    return flags, kwargs
+
+
+_K = _arg("--k", type=int, required=True)
+_N = _arg("--n", type=int, required=True)
+_KN = (_K, _N)
+_INSTANCE = (_K, _N, _arg("--lambda", dest="lam", type=int, required=True))
+_XI = _arg("--xi", required=True, help="comma-separated, n entries")
+_QSING = _arg("--qsing", type=int, default=100)
+_COMMON = (
+    _arg("--format", choices=["json", "csv"], default="json"),
+    _arg("--output", default=None, help="write payload to this path instead of stdout"),
+    _arg("--plot", action="store_true", help="also write an SVG chart next to --output"),
+    _arg("--cache-dir", default=None, help="enumeration cache (WG_CACHE_DIR overrides default)"),
+    _arg("--seed", type=int, default=7),
+)
+
+# name -> (handler, help text, arguments beyond _COMMON)
 _COMMANDS = {
-    "points": (_cmd_points, "enumerate prime solutions; columns x1..xn"),
-    "fourier": (_cmd_fourier, "transform of the solution measure at --xi"),
-    "gsum": (_cmd_gsum, "complete unit-group exponential sum g(a,q;b,r)"),
-    "singular": (_cmd_singular, "truncated singular series at a center"),
-    "surface": (_cmd_surface, "surface transform at --eta, with error/tail report"),
-    "arcs": (_cmd_arcs, "arc membership, best rational, convergents; columns index,a,q,abs_err"),
-    "approx": (_cmd_approx, "error-term block sweep; columns lam_lo,lam_hi,n_lams,median_abs_err,max_abs_err,max_err_zero"),
-    "hua": (_cmd_hua, "count/prediction ratio sweep; columns lambda,r,R,series_re,ratio"),
-    "maximal": (_cmd_maximal, "maximal function norms; columns lambda,r,norm_p*"),
-    "delta-probe": (_cmd_delta_probe, "norm growth of the delta maximal probe; columns lambda_max,norm"),
-    "ergodic": (_cmd_ergodic, "torus rotation average of one harmonic"),
-    "weyl": (_cmd_weyl, "dyadic block maxima of |transform|; columns lam_lo,lam_hi,count,max_abs,argmax_lam"),
-    "equidist": (_cmd_equidist, "star-discrepancy estimate of the scaled solution set"),
-    "meanvalue": (_cmd_meanvalue, "brute-force power-sum system count"),
+    "points": (_cmd_points, "enumerate prime solutions; columns x1..xn", _INSTANCE),
+    "fourier": (_cmd_fourier, "transform of the solution measure at --xi", _INSTANCE + (_XI,)),
+    "gsum": (_cmd_gsum, "complete unit-group exponential sum g(a,q;b,r)", (
+        _arg("--a", type=int, required=True), _arg("--q", type=int, required=True),
+        _arg("--b", type=int, required=True), _arg("--r", type=int, required=True),
+        _K,
+        _arg("--via-lemma", action="store_true"),
+    )),
+    "singular": (_cmd_singular, "truncated singular series at a center", _INSTANCE + (
+        _QSING,
+        _arg("--avec", default=None, help="comma-separated numerators"),
+        _arg("--qvec", default=None, help="comma-separated denominators"),
+    )),
+    "surface": (_cmd_surface, "surface transform at --eta, with error/tail report", (
+        _N, _K,
+        _arg("--lambda0", dest="lam0", type=float, default=1.0),
+        _arg("--eta", required=True, help="comma-separated, n entries"),
+    )),
+    "arcs": (_cmd_arcs, "arc membership, best rational, convergents; columns index,a,q,abs_err", (
+        _arg("--theta", type=float, required=True),
+        _arg("--X", type=float, required=True), _arg("--Q", type=float, required=True),
+        _arg("--count", type=int, default=8),
+    )),
+    "approx": (_cmd_approx, "error-term block sweep; columns lam_lo,lam_hi,n_lams,median_abs_err,max_abs_err,max_err_zero", _KN + (
+        _arg("--lambda-min", dest="lam_min", type=int, default=4096),
+        _arg("--blocks", type=int, default=5),
+        _arg("--per-block", dest="per_block", type=int, default=6),
+        _arg("--xi-count", dest="xi_count", type=int, default=32),
+        _arg("--C", type=float, default=2.0), _arg("--B", type=float, default=1.0),
+        _QSING,
+    )),
+    "hua": (_cmd_hua, "count/prediction ratio sweep; columns lambda,r,R,series_re,ratio", _KN + (
+        _arg("--lo", type=int, default=10_000), _arg("--hi", type=int, default=100_000),
+        _arg("--samples", type=int, default=50),
+        _QSING,
+    )),
+    "maximal": (_cmd_maximal, "maximal function norms; columns lambda,r,norm_p*", _KN + (
+        _arg("--lams", required=True, help="comma-separated lam list"),
+        _arg("--K", type=int, default=4),
+        _arg("--p", default="2,inf", help="comma-separated exponents"),
+        _arg("--input", choices=["delta", "random"], default="delta"),
+    )),
+    "delta-probe": (_cmd_delta_probe, "norm growth of the delta maximal probe; columns lambda_max,norm", _KN + (
+        _arg("--p", default="1.2"),
+        _arg("--exp-lo", dest="exp_lo", type=int, default=12),
+        _arg("--exp-hi", dest="exp_hi", type=int, default=16),
+    )),
+    "ergodic": (_cmd_ergodic, "torus rotation average of one harmonic", _INSTANCE + (
+        _arg("--alpha", required=True, help="rotation vector, n entries"),
+        _arg("--m", required=True, help="harmonic frequency, n integers"),
+        _arg("--x", required=True, help="base point, n entries"),
+    )),
+    "weyl": (_cmd_weyl, "dyadic block maxima of |transform|; columns lam_lo,lam_hi,count,max_abs,argmax_lam", _KN + (
+        _XI,
+        _arg("--lambda-min", dest="lam_min", type=int, default=1000),
+        _arg("--blocks", type=int, default=7),
+    )),
+    "equidist": (_cmd_equidist, "star-discrepancy estimate of the scaled solution set", _INSTANCE + (
+        _arg("--alpha", required=True, help="scaling vector, n entries"),
+        _arg("--boxes", type=int, default=10_000),
+    )),
+    "meanvalue": (_cmd_meanvalue, "brute-force power-sum system count", (
+        _arg("--N", type=int, required=True), _arg("--s", type=int, required=True), _K,
+    )),
 }
-
-
-def _add_common(sub):
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
-    sub.add_argument("--output", default=None, help="write payload to this path instead of stdout")
-    sub.add_argument("--plot", action="store_true", help="also write an SVG chart next to --output")
-    sub.add_argument("--cache-dir", default=None, help="enumeration cache (WG_CACHE_DIR overrides default)")
-    sub.add_argument("--seed", type=int, default=7)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,90 +468,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Batch runner for the prime-point surface laboratory.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, arguments) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text, description=help_text)
-        _add_common(sub)
-        if name in ("points", "fourier", "singular", "ergodic", "equidist"):
-            sub.add_argument("--k", type=int, required=True)
-            sub.add_argument("--n", type=int, required=True)
-            sub.add_argument("--lambda", dest="lam", type=int, required=True)
-        if name == "fourier":
-            sub.add_argument("--xi", required=True, help="comma-separated, n entries")
-        if name == "gsum":
-            sub.add_argument("--a", type=int, required=True)
-            sub.add_argument("--q", type=int, required=True)
-            sub.add_argument("--b", type=int, required=True)
-            sub.add_argument("--r", type=int, required=True)
-            sub.add_argument("--k", type=int, required=True)
-            sub.add_argument("--via-lemma", action="store_true")
-        if name == "singular":
-            sub.add_argument("--qsing", type=int, default=100)
-            sub.add_argument("--avec", default=None, help="comma-separated numerators")
-            sub.add_argument("--qvec", default=None, help="comma-separated denominators")
-        if name == "surface":
-            sub.add_argument("--n", type=int, required=True)
-            sub.add_argument("--k", type=int, required=True)
-            sub.add_argument("--lambda0", dest="lam0", type=float, default=1.0)
-            sub.add_argument("--eta", required=True, help="comma-separated, n entries")
-        if name == "arcs":
-            sub.add_argument("--theta", type=float, required=True)
-            sub.add_argument("--X", type=float, required=True)
-            sub.add_argument("--Q", type=float, required=True)
-            sub.add_argument("--count", type=int, default=8)
-        if name == "approx":
-            sub.add_argument("--k", type=int, required=True)
-            sub.add_argument("--n", type=int, required=True)
-            sub.add_argument("--lambda-min", dest="lam_min", type=int, default=4096)
-            sub.add_argument("--blocks", type=int, default=5)
-            sub.add_argument("--per-block", dest="per_block", type=int, default=6)
-            sub.add_argument("--xi-count", dest="xi_count", type=int, default=32)
-            sub.add_argument("--C", type=float, default=2.0)
-            sub.add_argument("--B", type=float, default=1.0)
-            sub.add_argument("--qsing", type=int, default=100)
-        if name == "hua":
-            sub.add_argument("--k", type=int, required=True)
-            sub.add_argument("--n", type=int, required=True)
-            sub.add_argument("--lo", type=int, default=10_000)
-            sub.add_argument("--hi", type=int, default=100_000)
-            sub.add_argument("--samples", type=int, default=50)
-            sub.add_argument("--qsing", type=int, default=100)
-        if name == "maximal":
-            sub.add_argument("--k", type=int, required=True)
-            sub.add_argument("--n", type=int, required=True)
-            sub.add_argument("--lams", required=True, help="comma-separated lam list")
-            sub.add_argument("--K", type=int, default=4)
-            sub.add_argument("--p", default="2,inf", help="comma-separated exponents")
-            sub.add_argument("--input", choices=["delta", "random"], default="delta")
-        if name == "delta-probe":
-            sub.add_argument("--k", type=int, required=True)
-            sub.add_argument("--n", type=int, required=True)
-            sub.add_argument("--p", default="1.2")
-            sub.add_argument("--exp-lo", dest="exp_lo", type=int, default=12)
-            sub.add_argument("--exp-hi", dest="exp_hi", type=int, default=16)
-        if name == "ergodic":
-            sub.add_argument("--alpha", required=True, help="rotation vector, n entries")
-            sub.add_argument("--m", required=True, help="harmonic frequency, n integers")
-            sub.add_argument("--x", required=True, help="base point, n entries")
-        if name == "weyl":
-            sub.add_argument("--k", type=int, required=True)
-            sub.add_argument("--n", type=int, required=True)
-            sub.add_argument("--xi", required=True, help="comma-separated, n entries")
-            sub.add_argument("--lambda-min", dest="lam_min", type=int, default=1000)
-            sub.add_argument("--blocks", type=int, default=7)
-        if name == "equidist":
-            sub.add_argument("--alpha", required=True, help="scaling vector, n entries")
-            sub.add_argument("--boxes", type=int, default=10_000)
-        if name == "meanvalue":
-            sub.add_argument("--N", type=int, required=True)
-            sub.add_argument("--s", type=int, required=True)
-            sub.add_argument("--k", type=int, required=True)
+        for flags, kwargs in _COMMON + arguments:
+            sub.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler, _ = _COMMANDS[args.command]
+    handler = _COMMANDS[args.command][0]
     config = {k: v for k, v in sorted(vars(args).items())}
     try:
         scalars, table = handler(args)

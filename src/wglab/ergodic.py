@@ -9,10 +9,9 @@ from .errors import InputError, NumericError, UndefinedMeasureError
 from .numtheory import PrimeTable
 from .surface import (
     SurfaceMeasure,
+    admissible_mask,
     fourier_numerator_array,
-    gamma_member_mask,
     omega_hat,
-    rep_count_array,
     rep_weight_array,
 )
 
@@ -138,9 +137,7 @@ def weyl_decay_scan(
     lam_max = lam_min * 2**num_blocks - 1
     numer = fourier_numerator_array(k, n, lam_max, table, xi)
     weights = rep_weight_array(k, n, lam_max, table)
-    counts = rep_count_array(k, n, lam_max, table)
-    lams = np.arange(lam_max + 1)
-    valid = (counts > 0) & gamma_member_mask(k, n, lams)
+    valid = admissible_mask(k, n, lam_max, table)
     blocks = []
     for j in range(num_blocks):
         lo, hi = lam_min * 2**j, lam_min * 2 ** (j + 1)

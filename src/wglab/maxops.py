@@ -10,9 +10,8 @@ from .errors import InputError, UndefinedMeasureError
 from .numtheory import PrimeTable
 from .surface import (
     SurfaceMeasure,
-    gamma_member_mask,
+    admissible_mask,
     max_weight_array,
-    rep_count_array,
     rep_weight_array,
 )
 
@@ -176,9 +175,7 @@ def delta_scaling_probe(
     lam_values = sorted(int(v) for v in lam_values)
     lam_max = lam_values[-1]
     weight_tot = rep_weight_array(k, n, lam_max, table)
-    counts = rep_count_array(k, n, lam_max, table)
-    lams = np.arange(lam_max + 1)
-    gate = (counts > 0) & gamma_member_mask(k, n, lams)
+    gate = admissible_mask(k, n, lam_max, table)
     if np.isinf(p):
         ratio = np.zeros(lam_max + 1)
         maxw = max_weight_array(k, n, lam_max, table)

@@ -28,6 +28,9 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
 _SERIES_MIN_THETA = 8.0  # asymptotic series cutoff for the eta = 0 inner integral
 _SERIES_TERMS = 12
+_REL_TOL = 1e-6  # surface_transform stops once two shells fall below this share of the total
+_MAX_SHELLS = 16
+_WORK_BUDGET = 40_000_000  # estimated integrand evaluations per surface_transform
 
 
 @dataclass(frozen=True)
@@ -193,7 +196,7 @@ def _i1_adaptive(thetas: np.ndarray, eta: float, k: int, oversample: int) -> np.
     return out
 
 
-def _i1_batch(thetas: np.ndarray, eta: float, k: int, oversample: int = 1) -> np.ndarray:
+def _i1_batch(thetas: np.ndarray, eta: float, k: int, oversample: int) -> np.ndarray:
     """I_1(theta, eta) for an array of thetas, picking the cheapest route."""
     th = np.asarray(thetas, dtype=float)
     if k == 2:
@@ -238,13 +241,7 @@ def _shell_value(
     return complex(prod @ w)
 
 
-def surface_transform(
-    query: SurfaceQuery,
-    rel_tol: float = 1e-6,
-    abs_tol: float = 0.0,
-    max_shells: int = 16,
-    work_budget: float = 40_000_000,
-) -> SurfaceResult:
+def surface_transform(query: SurfaceQuery, abs_tol: float = 0.0) -> SurfaceResult:
     """Truncated frequency integral for the surface transform, with tail report.
 
     Integration proceeds over geometric shells in |theta| until consecutive
@@ -266,14 +263,14 @@ def surface_transform(
     theta_hi = 0.0
 
     edges = [0.0, 1.0]
-    while len(edges) <= max_shells:
+    while len(edges) <= _MAX_SHELLS:
         edges.append(edges[-1] * 1.6)
 
     for i in range(len(edges) - 1):
         lo, hi = edges[i], edges[i + 1]
         outer_nodes = 16.0 * ceil((hi - lo) / width) * 6  # both signs, both resolutions
         estimated = outer_nodes * _inner_cost(query, hi) / 16.0
-        if i >= 1 and work + estimated > work_budget:
+        if i >= 1 and work + estimated > _WORK_BUDGET:
             break
         shell = 0j
         shell_err = 0.0
@@ -287,7 +284,7 @@ def surface_transform(
         quad_err += shell_err
         shells.append(shell)
         theta_hi = hi
-        tol = max(rel_tol * abs(total), abs_tol)
+        tol = max(_REL_TOL * abs(total), abs_tol)
         if i >= 3 and abs(shells[-1]) + abs(shells[-2]) <= 0.5 * tol:
             break
 

@@ -13,14 +13,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, gcd, log
+from math import ceil, gcd, log
 from typing import Optional
 
 import numpy as np
 
+from .arcs import _arc_center
 from .errors import InputError, NumericError, UndefinedMeasureError
 from .expsums import _g_over_a, _roots
-from .numtheory import PrimeTable, int_kth_root, units
+from .numtheory import PrimeTable, factorize, int_kth_root, sieve_primes, units
 from .oscint import SurfaceQuery, singular_integral, surface_transform
 
 CACHE_FORMAT_VERSION = 1
@@ -92,14 +93,6 @@ def dimension_gates(k: int, n: int) -> DimensionGates:
     return DimensionGates(n0=_n0(k), n1=_n1(k), n2=n2, p_crit=p_crit)
 
 
-def _v_p(m: int, p: int) -> int:
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    return e
-
-
 @lru_cache(maxsize=None)
 def _local_unit_sum_masks(k: int, n: int) -> tuple:
     """(modulus, admissible-residue mask) pairs for every prime p <= k + 1.
@@ -108,10 +101,9 @@ def _local_unit_sum_masks(k: int, n: int) -> tuple:
     marks residues reachable as a sum of n k-th powers of units.
     """
     pairs = []
-    for p in range(2, k + 2):
-        if any(p % d == 0 for d in range(2, p)):
-            continue
-        gam = _v_p(k, p) + 2 + (1 if p == 2 else 0)
+    v_p = dict(factorize(k))
+    for p in sieve_primes(k + 1).primes.tolist():
+        gam = v_p.get(p, 0) + 2 + (1 if p == 2 else 0)
         m = p**gam
         kth_powers = sorted({pow(x, k, m) for x in range(m) if gcd(x, m) == 1})
         reach = np.zeros(m, dtype=bool)
@@ -420,31 +412,12 @@ def singular_series(instance: ProblemInstance, avec, qvec, Qsing: int) -> Series
     return SeriesResult(value=total, tail_estimate=tail)
 
 
-def _locate_center(xi_i: float, Q: float, N: float, bump: BumpProfile):
-    """Smallest-q rational a/q with q <= Q whose bump window covers xi_i.
-
-    Returns (q, a, d) with d = q*xi_i - a the signed offset, or None.
-    Candidates within one q are tried nearest first, ties to the smaller a.
-    """
-    radius = bump.outer * Q / N
-    for q in range(1, floor(Q) + 1):
-        t = q * xi_i
-        candidates = sorted(
-            range(ceil(t - radius), floor(t + radius) + 1),
-            key=lambda a: (abs(t - a), a),
-        )
-        for a in candidates:
-            if gcd(a % q, q) == 1:
-                return q, a, t - a
-    return None
-
-
 def main_term(measure: SurfaceMeasure, params: ApproxParams, xi) -> complex:
     """Main term of the approximation formula at frequency xi.
 
     Locates, coordinate by coordinate, the lowest-denominator rational
-    a_i/q_i (q_i <= Q) whose bump window contains xi_i; if every
-    coordinate has one, evaluates
+    a_i/q_i (q_i <= Q), then the nearest, whose bump window contains xi_i;
+    if every coordinate has one, evaluates
     (N^(n-k)/R) * G(avec, qvec) * psi((N/Q)(q xi - a)) * ds(N(xi - a/q)),
     and otherwise returns 0.
     """
@@ -457,15 +430,12 @@ def main_term(measure: SurfaceMeasure, params: ApproxParams, xi) -> complex:
         raise InputError("xi must have length n")
     N, Q = params.N, params.Q
     lam0 = inst.lam / N**k
-    qvec, avec, dvec = [], [], []
-    for i in range(n):
-        hit = _locate_center(float(xi[i] % 1.0), Q, N, params.bump)
-        if hit is None:
-            return 0j
-        q, a, d = hit
-        qvec.append(q)
-        avec.append(a % q)
-        dvec.append(d)
+    hits = [_arc_center(float(x % 1.0), Q, params.bump.outer * Q / N) for x in xi]
+    if None in hits:
+        return 0j
+    centers, dvec = zip(*hits)
+    qvec = [c.q for c in centers]
+    avec = [c.a for c in centers]
     psival = float(np.prod([params.bump.eta((N / Q) * d) for d in dvec]))
     if psival == 0.0:
         return 0j
@@ -576,11 +546,17 @@ def max_weight_array(k: int, n: int, lam_max: int, table: PrimeTable) -> np.ndar
     return np.exp(acc)
 
 
+def admissible_mask(k: int, n: int, lam_max: int, table: PrimeTable) -> np.ndarray:
+    """True where lam in 0..lam_max is admissible for (k, n) and has a prime solution."""
+    counts = rep_count_array(k, n, lam_max, table)
+    return (counts > 0) & gamma_member_mask(k, n, np.arange(lam_max + 1))
+
+
 def sample_admissible_lams(k: int, n: int, lo: int, hi: int, count: int, table: PrimeTable) -> list[int]:
     """Up to ``count`` evenly spaced admissible lam in [lo, hi) with at least one prime solution."""
-    counts = rep_count_array(k, n, hi - 1, table)
-    lams = np.arange(lo, hi)
-    ok = lams[(counts[lo:hi] > 0) & gamma_member_mask(k, n, lams)]
+    if not 0 <= lo < hi or count < 1:
+        raise InputError(f"need 0 <= lo < hi and count >= 1, got lo={lo}, hi={hi}, count={count}")
+    ok = np.flatnonzero(admissible_mask(k, n, hi - 1, table)[lo:hi]) + lo
     if len(ok) == 0:
         return []
     idx = np.unique(np.linspace(0, len(ok) - 1, min(count, len(ok))).round().astype(int))

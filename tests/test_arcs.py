@@ -3,6 +3,7 @@ import pytest
 
 from wglab.arcs import (
     ArcSystem,
+    _arc_center,
     RationalPoint,
     convergents,
     dirichlet_approx,
@@ -123,3 +124,40 @@ def test_total_measure_bound():
             if 2 * Q >= X:
                 continue
             assert major_arcs_measure(ArcSystem(X=X, Q=Q)) <= 4 * Q * Q / X
+
+
+def _smallest_a_center(theta, Q, halfwidth):
+    """Reference scan: smallest q, then the smallest a, whose window covers theta."""
+    from math import ceil, floor, gcd
+
+    for q in range(1, floor(Q) + 1):
+        t = q * theta
+        for a in range(ceil(t - halfwidth), floor(t + halfwidth) + 1):
+            if gcd(a % q, q) == 1:
+                return (a % q, q)
+    return None
+
+
+def test_arc_center_nearest_first_and_membership():
+    ties = sorted({a / (2 * q) for q in range(1, 13) for a in range(2 * q)})
+    thetas = ties + list(np.linspace(0.0, 1.0, 257, endpoint=False) + 1e-3)
+    # a window wider than 1/2: q = 1 always covers theta, at the nearest integer
+    for halfwidth in (0.5000001, 0.6, 0.75, 1.0, 2.5):
+        for theta in thetas:
+            center, d = _arc_center(theta, 7.0, halfwidth)
+            assert (center.a, center.q) == (0, 1)
+            assert abs(d) <= 0.5
+            assert d == theta - round(theta)
+    # at the tie 1/2 both 0 and 1 are nearest; the smaller a = 0 leaves d = +1/2
+    assert _arc_center(0.5, 3.0, 0.9)[1] == 0.5
+    assert _arc_center(2.5, 1.0, 0.9)[1] == 0.5
+    # membership is the helper's center, and equals the smallest-a scan
+    for Q in (1.0, 2.5, 4.0, 7.5):
+        for halfwidth in np.linspace(0.01, 1.0, 12):
+            system = ArcSystem(X=Q / halfwidth, Q=Q)
+            for theta in thetas:
+                hit = major_arc_membership(theta, system)
+                helper = _arc_center(theta, Q, system.halfwidth)
+                expected = _smallest_a_center(theta, Q, system.halfwidth)
+                assert (helper and (helper[0].a, helper[0].q)) == expected
+                assert (hit and (hit.a, hit.q)) == expected

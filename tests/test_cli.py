@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from wglab.cli import main
+from wglab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -242,10 +242,24 @@ def test_cli_import_skips_scipy_signal():
     ["maximal", "--k", "2", "--n", "5", "--lams", ","],
     ["equidist", "--k", "2", "--n", "5", "--lambda", "77", "--alpha", "1,1,1,1,1", "--boxes", "0"],
     ["delta-probe", "--k", "2", "--n", "5", "--exp-lo", "-2", "--exp-hi", "1"],
+    ["maximal", "--k", "2", "--n", "5", "--lams", "77", "--K", "-1"],
+    ["approx", "--k", "2", "--n", "5", "--xi-count", "-1"],
+    ["hua", "--k", "2", "--n", "5", "--lo", "100", "--hi", "50"],
+    ["hua", "--k", "2", "--n", "5", "--samples", "0"],
+    ["approx", "--k", "2", "--n", "5", "--blocks", "0"],
+    ["approx", "--k", "2", "--n", "5", "--per-block", "0"],
 ])
 def test_bad_values_are_usage_errors(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_hua_range_without_admissible_lam(capsys):
+    # 100 is not 5 mod 24, so [100, 101) holds no admissible lam for (k, n) = (2, 5)
+    assert main(["hua", "--k", "2", "--n", "5", "--lo", "100", "--hi", "101"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_p_accepts_inf_spellings(capsys):
@@ -268,3 +282,46 @@ def test_output_into_missing_directory(capsys, tmp_path):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+_DEFAULTS = {"cache_dir": None, "format": "json", "output": None, "plot": False, "seed": 7}
+_INSTANCE = {"k": 2, "n": 5, "lam": 77}
+
+# (least argv, parsed namespace); the namespace is the JSON "config" block
+CONFIG_PINS = [
+    (["points", "--k", "2", "--n", "5", "--lambda", "77"], _INSTANCE),
+    (["fourier", "--k", "2", "--n", "5", "--lambda", "77", "--xi", "0,0,0,0,0"],
+     {**_INSTANCE, "xi": "0,0,0,0,0"}),
+    (["gsum", "--a", "1", "--q", "2", "--b", "1", "--r", "4", "--k", "2"],
+     {"a": 1, "q": 2, "b": 1, "r": 4, "k": 2, "via_lemma": False}),
+    (["singular", "--k", "2", "--n", "5", "--lambda", "77"],
+     {**_INSTANCE, "qsing": 100, "avec": None, "qvec": None}),
+    (["surface", "--n", "2", "--k", "2", "--eta", "0,0"],
+     {"n": 2, "k": 2, "lam0": 1.0, "eta": "0,0"}),
+    (["arcs", "--theta", "0.5", "--X", "1000", "--Q", "10"],
+     {"theta": 0.5, "X": 1000.0, "Q": 10.0, "count": 8}),
+    (["approx", "--k", "2", "--n", "5"],
+     {"k": 2, "n": 5, "lam_min": 4096, "blocks": 5, "per_block": 6, "xi_count": 32,
+      "C": 2.0, "B": 1.0, "qsing": 100}),
+    (["hua", "--k", "2", "--n", "5"],
+     {"k": 2, "n": 5, "lo": 10000, "hi": 100000, "samples": 50, "qsing": 100}),
+    (["maximal", "--k", "2", "--n", "5", "--lams", "77"],
+     {"k": 2, "n": 5, "lams": "77", "K": 4, "p": "2,inf", "input": "delta"}),
+    (["delta-probe", "--k", "2", "--n", "5"],
+     {"k": 2, "n": 5, "p": "1.2", "exp_lo": 12, "exp_hi": 16}),
+    (["ergodic", "--k", "2", "--n", "5", "--lambda", "77", "--alpha", "0.1,0.2,0.3,0.4,0.5",
+      "--m", "1,0,0,0,0", "--x", "0,0,0,0,0"],
+     {**_INSTANCE, "alpha": "0.1,0.2,0.3,0.4,0.5", "m": "1,0,0,0,0", "x": "0,0,0,0,0"}),
+    (["weyl", "--k", "2", "--n", "5", "--xi", "0.5,0.5,0.5,0.5,0.5"],
+     {"k": 2, "n": 5, "xi": "0.5,0.5,0.5,0.5,0.5", "lam_min": 1000, "blocks": 7}),
+    (["equidist", "--k", "2", "--n", "5", "--lambda", "77", "--alpha", "0.1,0.2,0.3,0.4,0.5"],
+     {**_INSTANCE, "alpha": "0.1,0.2,0.3,0.4,0.5", "boxes": 10000}),
+    (["meanvalue", "--N", "2", "--s", "2", "--k", "2"], {"N": 2, "s": 2, "k": 2}),
+]
+
+
+@pytest.mark.parametrize("argv, fields", CONFIG_PINS, ids=[argv[0] for argv, _ in CONFIG_PINS])
+def test_parsed_config_is_pinned(argv, fields):
+    typed = lambda d: {k: (v, type(v)) for k, v in d.items()}  # 1000 == 1000.0, so types too
+    args = build_parser().parse_args(argv)
+    assert typed(vars(args)) == typed({**_DEFAULTS, "command": argv[0], **fields})
