@@ -25,7 +25,7 @@ from .ergodic import (
     orbit_points,
     weyl_decay_scan,
 )
-from .maxops import GridFunction, convolve, delta_scaling_probe, lp_norm, maximal
+from .maxops import GridFunction, delta_scaling_probe, lp_norm, maximal
 from .numtheory import int_kth_root, sieve_primes
 from .oscint import SurfaceQuery, surface_transform
 from .surface import (
@@ -225,9 +225,9 @@ def _cmd_approx(args):
     table = sieve_primes(max(2, int_kth_root(lam_top, args.k)))
     cache = _cache_dir(args)
 
-    def block_stats(j):
-        lo, hi = args.lam_min * 2**j, args.lam_min * 2 ** (j + 1)
-        lams = sample_admissible_lams(args.k, args.n, lo, hi, args.per_block, table)
+    # one call per block, so a block's measures are freed before the next
+    # block's admissible-lam arrays are built
+    def block_row(lo, hi, lams):
         errs, zeros = [], []
         for lam in lams:
             inst = ProblemInstance(k=args.k, n=args.n, lam=lam)
@@ -236,12 +236,16 @@ def _cmd_approx(args):
             for xi in xi_sample:
                 errs.append(abs(error_term(measure, params, xi)))
             zeros.append(abs(error_term(measure, params, np.zeros(args.n))))
-        med = float(np.median(errs)) if errs else 0.0
-        mx = float(max(errs)) if errs else 0.0
-        z = float(max(zeros)) if zeros else 0.0
-        return [lo, hi, len(lams), med, mx, z]
+        return [lo, hi, len(lams), float(np.median(errs)), float(max(errs)), float(max(zeros))]
 
-    rows = [block_stats(j) for j in range(args.blocks)]
+    rows = []
+    for j in range(args.blocks):
+        lo, hi = args.lam_min * 2**j, args.lam_min * 2 ** (j + 1)
+        lams = sample_admissible_lams(args.k, args.n, lo, hi, args.per_block, table)
+        if lams:  # a block without admissible lam has no error to report
+            rows.append(block_row(lo, hi, lams))
+    if not rows:
+        raise UndefinedMeasureError(f"no dyadic block from {args.lam_min} holds an admissible lam")
     medians = [row[3] for row in rows]
     scalars = {
         "medians_non_increasing": int(
@@ -291,20 +295,11 @@ def _cmd_maximal(args):
     if args.input == "delta":
         f = GridFunction.delta(args.n, args.K)
     else:
-        rng = np.random.default_rng(args.seed)
-        f = GridFunction(
-            K=args.K, values=rng.standard_normal((2 * args.K + 1,) * args.n) + 0j
-        )
-    sup = maximal(f, measures)
-    scalars = {}
-    for p in ps:
-        scalars[f"maximal_norm_p{p:g}"] = lp_norm(sup, p)
-    rows = []
-    for m in measures:
-        row = [m.instance.lam, m.r]
-        for p in ps:
-            row.append(lp_norm(convolve(f, m), p))
-        rows.append(row)
+        f = GridFunction.zeros(args.n, args.K, dtype=float)
+        np.random.default_rng(args.seed).standard_normal(out=f.values)
+    report = maximal(f, measures, ps)
+    scalars = {f"maximal_norm_p{p:g}": lp_norm(report.sup, p) for p in ps}
+    rows = [[m.instance.lam, m.r, *norms] for m, norms in zip(measures, report.norms)]
     columns = ["lambda", "r"] + [f"norm_p{p:g}" for p in ps]
     return scalars, (columns, rows)
 
@@ -352,7 +347,7 @@ def _cmd_weyl(args):
     maxima = [b.max_abs for b in blocks]
     scalars = {
         "non_increasing": int(all(maxima[i + 1] <= maxima[i] for i in range(len(maxima) - 1))),
-        "final_max": maxima[-1] if maxima else 0.0,
+        "final_max": maxima[-1],
     }
     return scalars, (["lam_lo", "lam_hi", "count", "max_abs", "argmax_lam"], rows)
 
@@ -485,7 +480,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, UndefinedMeasureError) as exc:
+    except (NumericError, UndefinedMeasureError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = (

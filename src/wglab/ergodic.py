@@ -130,7 +130,8 @@ def weyl_decay_scan(
 
     Computed for the whole range at once by convolving the per-coordinate
     value arrays, so the scan touches every admissible lam below the top
-    block without per-lam enumeration.
+    block without per-lam enumeration.  Blocks without an admissible lam
+    are left out; if none is left, UndefinedMeasureError.
     """
     if lam_min < 1 or num_blocks < 1:
         raise InputError("need lam_min >= 1 and num_blocks >= 1")
@@ -142,8 +143,7 @@ def weyl_decay_scan(
     for j in range(num_blocks):
         lo, hi = lam_min * 2**j, lam_min * 2 ** (j + 1)
         idx = np.flatnonzero(valid[lo:hi]) + lo
-        if len(idx) == 0:
-            blocks.append(WeylBlock(lam_lo=lo, lam_hi=hi, count=0, max_abs=0.0, argmax_lam=0))
+        if len(idx) == 0:  # no transform to take a maximum of
             continue
         mags = np.abs(numer[idx]) / weights[idx]
         best = int(np.argmax(mags))
@@ -156,6 +156,8 @@ def weyl_decay_scan(
                 argmax_lam=int(idx[best]),
             )
         )
+    if not blocks:
+        raise UndefinedMeasureError(f"no dyadic block from {lam_min} holds an admissible lam")
     return blocks
 
 

@@ -18,7 +18,7 @@ from .surface import (
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex values on the centered box {-K, ..., K}^n, dense storage."""
+    """Real or complex values on the centered box {-K, ..., K}^n, dense storage."""
 
     K: int
     values: np.ndarray
@@ -35,8 +35,15 @@ class GridFunction:
         return self.values.ndim
 
     @classmethod
-    def zeros(cls, n: int, K: int):
-        return cls(K=K, values=np.zeros((2 * K + 1,) * n, dtype=complex))
+    def zeros(cls, n: int, K: int, dtype=complex):
+        """Zeros on the box; a box numpy cannot even address raises MemoryError."""
+        if K < 1:
+            raise InputError("box radius K must be >= 1")
+        try:
+            values = np.zeros((2 * K + 1,) * n, dtype=dtype)
+        except ValueError as exc:  # numpy's "array is too big", raised before allocating
+            raise MemoryError(f"a (2K+1)^n box with K={K}, n={n} is too large: {exc}") from exc
+        return cls(K=K, values=values)
 
     @classmethod
     def delta(cls, n: int, K: int):
@@ -82,16 +89,19 @@ def _convolve_direct(f: GridFunction, reps, weights) -> np.ndarray:
     return out
 
 
-def _convolve_fft(f: GridFunction, reps, weights) -> np.ndarray:
+def _convolve_fft(f: GridFunction, reps, weights, cache: Optional[dict] = None) -> np.ndarray:
     K, n = f.K, f.n
-    kern = np.zeros((4 * K + 1,) * n, dtype=float)
-    np.add.at(kern, tuple((reps + 2 * K).T), weights)
     real = f.values.dtype.kind != "c"
-    shape = [sp_fft.next_fast_len(6 * K + 1, real)] * n
+    shape = (sp_fft.next_fast_len(4 * K + 1, real),) * n
     fft, ifft = (sp_fft.rfftn, sp_fft.irfftn) if real else (sp_fft.fftn, sp_fft.ifftn)
-    full = ifft(fft(f.values, shape) * fft(kern, shape), shape)
-    window = (slice(2 * K, 4 * K + 1),) * n
-    return full[window].copy()
+    cache = {} if cache is None else cache
+    if "spectrum" not in cache:
+        cache["spectrum"] = fft(f.values, shape)
+    kern = np.zeros(shape)
+    np.add.at(kern, tuple((reps % shape[0]).T), weights)
+    prod = fft(kern)
+    prod *= cache["spectrum"]
+    return ifft(prod, shape)[(slice(0, 2 * K + 1),) * n].copy()
 
 
 def convolve(
@@ -99,12 +109,21 @@ def convolve(
     measure: SurfaceMeasure,
     normalized: bool = True,
     method: str = "auto",
+    cache: Optional[dict] = None,
 ) -> GridFunction:
     """(measure * f)(x) = sum over solutions p of weight(p) f(x - p), on the box.
 
     f is treated as zero outside its box.  ``method`` selects the sparse
     accumulation path ("direct"), the transform path ("fft"), or a size
     heuristic ("auto"); the two paths agree to roundoff.
+
+    The transform path is a circular convolution of length
+    L = next_fast_len(4K+1) per axis, with weight(p) placed at p mod L and
+    the result read from [0, 2K].  No wrap-around reaches that window: box
+    index i + p spans [-2K, 4K], and a shift by L >= 4K+1 moves [0, 2K]
+    entirely outside that span.  A caller convolving one f with several
+    measures passes the same ``cache`` dict to each call, so f is
+    transformed once.
     """
     if f.n != measure.instance.n:
         raise InputError("grid dimension does not match the measure")
@@ -116,25 +135,41 @@ def convolve(
     if method == "direct":
         out = _convolve_direct(f, reps, weights)
     elif method == "fft":
-        out = _convolve_fft(f, reps, weights)
+        out = _convolve_fft(f, reps, weights, cache)
     else:
         raise InputError(f"unknown convolution method {method!r}")
     if normalized:
-        out = out / measure.R
+        # times 1/R is how numpy divides a complex array by a real R, so real grids round alike
+        out = out * (1.0 / measure.R)
     return GridFunction(K=f.K, values=out)
 
 
-def maximal(f: GridFunction, measures: Sequence[SurfaceMeasure]) -> GridFunction:
-    """Pointwise supremum of |measure * f| over the given family."""
+@dataclass(frozen=True)
+class MaximalReport:
+    """Pointwise supremum over a family, and the p-norms of each member's convolution."""
+
+    sup: GridFunction
+    norms: tuple  # norms[i][j] = lp_norm(measures[i] * f, ps[j])
+
+
+def maximal(f: GridFunction, measures: Sequence[SurfaceMeasure], ps: Sequence[float] = ()) -> MaximalReport:
+    """Pointwise supremum of |measure * f| over the given family, with per-member p-norms.
+
+    Each measure is convolved once and f is transformed at most once.
+    """
     if len(measures) == 0:
         raise InputError("maximal function needs at least one measure")
     kn = {(m.instance.k, m.instance.n) for m in measures}
     if len(kn) != 1:
         raise InputError("measures must share one (k, n)")
-    out = np.zeros(f.values.shape)
+    sup = np.zeros(f.values.shape)
+    norms = []
+    cache = {}
     for m in measures:
-        out = np.maximum(out, np.abs(convolve(f, m).values))
-    return GridFunction(K=f.K, values=out.astype(complex))
+        conv = convolve(f, m, cache=cache)
+        norms.append(tuple(lp_norm(conv, p) for p in ps))
+        np.maximum(sup, np.abs(conv.values), out=sup)
+    return MaximalReport(sup=GridFunction(K=f.K, values=sup), norms=tuple(norms))
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

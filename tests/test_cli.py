@@ -1,12 +1,18 @@
 import json
 import math
+from collections import Counter
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from wglab import maxops
 from wglab.cli import build_parser, main
+from wglab.maxops import GridFunction
+from wglab.numtheory import int_kth_root, sieve_primes
+from wglab.surface import ProblemInstance, enumerate_prime_points
 
 
 def run(capsys, *argv):
@@ -119,6 +125,36 @@ def test_maximal_cmd(capsys):
     )
     assert doc["scalars"]["maximal_norm_pinf"] <= 1.0 + 1e-12
     assert doc["scalars"]["maximal_norm_p2"] > 0
+
+
+def test_maximal_convolves_each_measure_once(capsys, monkeypatch):
+    # at K = 6, lam = 208 keeps 120 pruned solutions (FFT path), lam = 77 keeps 10 (direct)
+    calls = Counter()
+    for name in ("_convolve_fft", "_convolve_direct"):
+        def counted(*args, _name=name, _fn=getattr(maxops, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(maxops, name, counted)
+    doc = run_json(
+        capsys, "maximal", "--k", "2", "--n", "5", "--lams", "77,208", "--K", "6",
+        "--p", "1,2,inf", "--input", "random",
+    )
+    assert calls == {"_convolve_fft": 1, "_convolve_direct": 1}
+    monkeypatch.undo()
+
+    table = sieve_primes(int_kth_root(208, 2))
+    measures = [enumerate_prime_points(ProblemInstance(2, 5, lam), table) for lam in (77, 208)]
+    assert [len(maxops._pruned(m, 6)[0]) for m in measures] == [10, 120]
+    f = GridFunction(K=6, values=np.random.default_rng(7).standard_normal((13,) * 5))
+    convs = [maxops.convolve(f, m) for m in measures]
+    sup = GridFunction(K=6, values=np.max([np.abs(c.values) for c in convs], axis=0))
+    ps = (1.0, 2.0, np.inf)
+    close = lambda got, want: got == pytest.approx(want, rel=1e-12, abs=0.0)
+    for p, name in zip(ps, ("p1", "p2", "pinf")):
+        assert close(doc["scalars"][f"maximal_norm_{name}"], maxops.lp_norm(sup, p))
+    for row, m, c in zip(doc["table"]["rows"], measures, convs):
+        assert row[:2] == [m.instance.lam, m.r]
+        assert all(close(got, maxops.lp_norm(c, p)) for got, p in zip(row[2:], ps))
 
 
 def test_json_rerun_is_bit_identical(capsys, tmp_path):
@@ -252,6 +288,37 @@ def test_cli_import_skips_scipy_signal():
 def test_bad_values_are_usage_errors(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    # five cubes of primes sum to at least 40: every block below it is empty
+    ["approx", "--k", "3", "--n", "5", "--lambda-min", "8", "--blocks", "1",
+     "--per-block", "1", "--xi-count", "1"],
+    ["weyl", "--k", "3", "--n", "5", "--xi", "0.3,0.1,0,0,0", "--lambda-min", "8", "--blocks", "2"],
+    # numpy refuses a 2000001^5 grid before allocating anything
+    ["maximal", "--k", "2", "--n", "5", "--lams", "77", "--K", "1000000"],
+])
+def test_nothing_to_compute_is_an_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_sweeps_skip_empty_blocks(capsys):
+    doc = run_json(
+        capsys, "approx", "--k", "3", "--n", "5", "--lambda-min", "8", "--blocks", "4",
+        "--per-block", "1", "--xi-count", "1",
+    )
+    assert [row[0] for row in doc["table"]["rows"]] == [32, 64]
+    assert all(row[2] > 0 and row[3] > 0 for row in doc["table"]["rows"])
+    doc = run_json(
+        capsys, "weyl", "--k", "3", "--n", "5", "--xi", "0.3,0.1,0,0,0", "--lambda-min", "8",
+        "--blocks", "5",
+    )
+    rows = doc["table"]["rows"]
+    assert [row[0] for row in rows] == [32, 64, 128]
+    assert doc["scalars"]["final_max"] == rows[-1][3] > 0
 
 
 def test_hua_range_without_admissible_lam(capsys):

@@ -124,6 +124,16 @@ def test_weyl_scan_validation(table):
         weyl_decay_scan(2, 5, (0.0,) * 5, 0, 3, table)
 
 
+def test_weyl_scan_skips_empty_blocks(table):
+    # five cubes of primes sum to at least 40, so [8, 16) and [16, 32) hold no admissible lam
+    xi = (0.3, 0.1, 0.0, 0.0, 0.0)
+    blocks = weyl_decay_scan(3, 5, xi, 8, 5, table)
+    assert [b.lam_lo for b in blocks] == [32, 64, 128]
+    assert all(b.count > 0 for b in blocks)
+    with pytest.raises(UndefinedMeasureError):
+        weyl_decay_scan(3, 5, xi, 8, 2, table)
+
+
 def test_weyl_scan_overall_decay(table):
     # block maxima fluctuate, but the trend across decades is firmly down
     xi = (np.sqrt(2) - 1, np.sqrt(3) - 1, 0.0, 0.0, 0.0)

@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
 from wglab.errors import InputError, UndefinedMeasureError
@@ -35,6 +40,11 @@ def measure77(table):
 def test_grid_function_validation():
     with pytest.raises(InputError):
         GridFunction(K=2, values=np.zeros((4, 4)))
+    with pytest.raises(InputError):
+        GridFunction.zeros(3, 0)
+    assert GridFunction.zeros(2, 1, dtype=float).values.dtype == float
+    with pytest.raises(MemoryError):  # numpy refuses this shape before allocating
+        GridFunction.zeros(5, 10**6)
     g = GridFunction.delta(3, 2)
     assert g.at((0, 0, 0)) == 1.0
     assert lp_norm(g, 1) == 1.0
@@ -71,20 +81,58 @@ def test_convolve_paths_agree(table, measure77):
         assert np.abs(a.values - b.values).max() < 1e-10
 
 
-def test_convolve_fft_matches_scipy_fftconvolve(measure77):
-    # fftconvolve is the reference: same transform sizes, so bit-identical output
+def _linear_window(f, reps, weights):
+    """Window [2K, 4K] of the full linear convolution, kernel placed at p + 2K."""
+    K, n = f.K, f.n
+    kern = np.zeros((4 * K + 1,) * n)
+    np.add.at(kern, tuple((reps + 2 * K).T), weights)
+    return fftconvolve(f.values, kern, mode="full")[(slice(2 * K, 4 * K + 1),) * n]
+
+
+def _assert_roundoff(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_convolve_fft_matches_linear_window(measure77):
     rng = np.random.default_rng(3)
     K, n = 4, measure77.instance.n
     reps, weights = _pruned(measure77, K)
-    kern = np.zeros((4 * K + 1,) * n)
-    np.add.at(kern, tuple((reps + 2 * K).T), weights)
-    window = (slice(2 * K, 4 * K + 1),) * n
     real = rng.standard_normal((2 * K + 1,) * n)
     for values in (real + 1j * rng.standard_normal(real.shape), real):
         f = GridFunction(K=K, values=values)
         got = _convolve_fft(f, reps, weights)
         assert got.dtype == values.dtype
-        assert np.array_equal(got, fftconvolve(f.values, kern, mode="full")[window])
+        _assert_roundoff(got, _linear_window(f, reps, weights))
+
+
+def test_convolve_fft_wraparound_edge():
+    # at K = 2 the circular length is exactly 4K + 1 = 9, the least that keeps
+    # wrap-around out of the window; weights at +-2K on every axis reach it
+    K, n = 2, 3
+    assert sp_fft.next_fast_len(4 * K + 1, True) == sp_fft.next_fast_len(4 * K + 1, False) == 4 * K + 1
+    rng = np.random.default_rng(4)
+    reps = np.array(list(itertools.product((-2 * K, 2 * K), repeat=n)))
+    weights = rng.random(len(reps)) + 0.5
+    real = rng.standard_normal((2 * K + 1,) * n)
+    for values in (real + 1j * rng.standard_normal(real.shape), real):
+        f = GridFunction(K=K, values=values)
+        want = _linear_window(f, reps, weights)
+        assert np.abs(want).max() > 0.1  # the corner weights do reach the box
+        _assert_roundoff(_convolve_fft(f, reps, weights), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), K=st.integers(1, 4), complex_grid=st.booleans())
+def test_convolve_fft_matches_linear_window_property(data, n, K, complex_grid):
+    point = st.tuples(*[st.integers(-2 * K, 2 * K)] * n)
+    reps = np.array(data.draw(st.lists(point, min_size=1, max_size=12)), dtype=int).reshape(-1, n)
+    weights = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=len(reps), max_size=len(reps))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((2 * K + 1,) * n)
+    if complex_grid:
+        values = values + 1j * rng.standard_normal(values.shape)
+    f = GridFunction(K=K, values=values)
+    _assert_roundoff(_convolve_fft(f, reps, weights), _linear_window(f, reps, weights))
 
 
 def test_convolve_linearity(measure77):
@@ -124,14 +172,24 @@ def test_maximal_single_and_monotone(table):
     ]
     measures = [m for m in measures if m.r > 0]
     f = GridFunction.constant(5, 4, 0.7)
-    single = maximal(f, measures[:1])
+    single = maximal(f, measures[:1]).sup
     assert np.allclose(
-        single.values.real, np.abs(convolve(f, measures[0]).values), atol=1e-14
+        single.values, np.abs(convolve(f, measures[0]).values), atol=1e-14
     )
-    small = maximal(f, measures[:2])
-    full = maximal(f, measures)
-    assert np.all(full.values.real >= small.values.real - 1e-14)
-    assert np.all(full.values.real >= np.abs(convolve(f, measures[-1]).values) - 1e-14)
+    small = maximal(f, measures[:2]).sup
+    full = maximal(f, measures).sup
+    assert np.all(full.values >= small.values - 1e-14)
+    assert np.all(full.values >= np.abs(convolve(f, measures[-1]).values) - 1e-14)
+
+
+def test_maximal_norms_per_measure(table):
+    measures = [enumerate_prime_points(ProblemInstance(2, 5, lam), table) for lam in (77, 125)]
+    rng = np.random.default_rng(17)
+    f = GridFunction(K=3, values=rng.standard_normal((7,) * 5))
+    ps = (1.0, 2.0, np.inf)
+    report = maximal(f, measures, ps)
+    assert report.norms == tuple(tuple(lp_norm(convolve(f, m), p) for p in ps) for m in measures)
+    assert maximal(f, measures).norms == ((), ())
 
 
 def test_maximal_validation(measure77, table):
