@@ -36,14 +36,10 @@ class GridFunction:
 
     @classmethod
     def zeros(cls, n: int, K: int, dtype=complex):
-        """Zeros on the box; a box numpy cannot even address raises MemoryError."""
-        if K < 1:
-            raise InputError("box radius K must be >= 1")
-        try:
-            values = np.zeros((2 * K + 1,) * n, dtype=dtype)
-        except ValueError as exc:  # numpy's "array is too big", raised before allocating
-            raise MemoryError(f"a (2K+1)^n box with K={K}, n={n} is too large: {exc}") from exc
-        return cls(K=K, values=values)
+        """Zeros on the box; a box larger than the address space raises MemoryError."""
+        if (2 * K + 1) ** n * np.dtype(dtype).itemsize > np.iinfo(np.intp).max:
+            raise MemoryError(f"a (2K+1)^n box with K={K}, n={n} does not fit in memory")
+        return cls(K=K, values=np.zeros((2 * K + 1,) * n, dtype=dtype))
 
     @classmethod
     def delta(cls, n: int, K: int):
@@ -89,18 +85,15 @@ def _convolve_direct(f: GridFunction, reps, weights) -> np.ndarray:
     return out
 
 
-def _convolve_fft(f: GridFunction, reps, weights, cache: Optional[dict] = None) -> np.ndarray:
+def _convolve_fft(f: GridFunction, reps, weights) -> np.ndarray:
     K, n = f.K, f.n
     real = f.values.dtype.kind != "c"
     shape = (sp_fft.next_fast_len(4 * K + 1, real),) * n
     fft, ifft = (sp_fft.rfftn, sp_fft.irfftn) if real else (sp_fft.fftn, sp_fft.ifftn)
-    cache = {} if cache is None else cache
-    if "spectrum" not in cache:
-        cache["spectrum"] = fft(f.values, shape)
     kern = np.zeros(shape)
     np.add.at(kern, tuple((reps % shape[0]).T), weights)
     prod = fft(kern)
-    prod *= cache["spectrum"]
+    prod *= fft(f.values, shape)
     return ifft(prod, shape)[(slice(0, 2 * K + 1),) * n].copy()
 
 
@@ -109,7 +102,6 @@ def convolve(
     measure: SurfaceMeasure,
     normalized: bool = True,
     method: str = "auto",
-    cache: Optional[dict] = None,
 ) -> GridFunction:
     """(measure * f)(x) = sum over solutions p of weight(p) f(x - p), on the box.
 
@@ -121,9 +113,7 @@ def convolve(
     L = next_fast_len(4K+1) per axis, with weight(p) placed at p mod L and
     the result read from [0, 2K].  No wrap-around reaches that window: box
     index i + p spans [-2K, 4K], and a shift by L >= 4K+1 moves [0, 2K]
-    entirely outside that span.  A caller convolving one f with several
-    measures passes the same ``cache`` dict to each call, so f is
-    transformed once.
+    entirely outside that span.
     """
     if f.n != measure.instance.n:
         raise InputError("grid dimension does not match the measure")
@@ -135,7 +125,7 @@ def convolve(
     if method == "direct":
         out = _convolve_direct(f, reps, weights)
     elif method == "fft":
-        out = _convolve_fft(f, reps, weights, cache)
+        out = _convolve_fft(f, reps, weights)
     else:
         raise InputError(f"unknown convolution method {method!r}")
     if normalized:
@@ -155,7 +145,7 @@ class MaximalReport:
 def maximal(f: GridFunction, measures: Sequence[SurfaceMeasure], ps: Sequence[float] = ()) -> MaximalReport:
     """Pointwise supremum of |measure * f| over the given family, with per-member p-norms.
 
-    Each measure is convolved once and f is transformed at most once.
+    Each measure is convolved once.
     """
     if len(measures) == 0:
         raise InputError("maximal function needs at least one measure")
@@ -164,9 +154,8 @@ def maximal(f: GridFunction, measures: Sequence[SurfaceMeasure], ps: Sequence[fl
         raise InputError("measures must share one (k, n)")
     sup = np.zeros(f.values.shape)
     norms = []
-    cache = {}
     for m in measures:
-        conv = convolve(f, m, cache=cache)
+        conv = convolve(f, m)
         norms.append(tuple(lp_norm(conv, p) for p in ps))
         np.maximum(sup, np.abs(conv.values), out=sup)
     return MaximalReport(sup=GridFunction(K=f.K, values=sup), norms=tuple(norms))

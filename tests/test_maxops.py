@@ -43,7 +43,7 @@ def test_grid_function_validation():
     with pytest.raises(InputError):
         GridFunction.zeros(3, 0)
     assert GridFunction.zeros(2, 1, dtype=float).values.dtype == float
-    with pytest.raises(MemoryError):  # numpy refuses this shape before allocating
+    with pytest.raises(MemoryError):  # refused before numpy is asked to allocate
         GridFunction.zeros(5, 10**6)
     g = GridFunction.delta(3, 2)
     assert g.at((0, 0, 0)) == 1.0
