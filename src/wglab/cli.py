@@ -36,6 +36,8 @@ from .surface import (
     gamma_membership,
     hua_series_ratio,
     omega_hat,
+    rep_count_array,
+    rep_weight_array,
     sample_admissible_lams,
     singular_series,
     _mu_infinity,
@@ -258,23 +260,22 @@ def _cmd_approx(args):
 
 
 def _cmd_hua(args):
-    table = sieve_primes(max(2, int_kth_root(args.hi, args.k)))
-    lams = sample_admissible_lams(args.k, args.n, args.lo, args.hi, args.samples, table)
+    k, n = args.k, args.n
+    table = sieve_primes(max(2, int_kth_root(args.hi, k)))
+    counts = rep_count_array(k, n, args.hi - 1, table)
+    lams = sample_admissible_lams(k, n, args.lo, args.hi, args.samples, table, counts)
     if not lams:
         raise UndefinedMeasureError(f"no admissible lam with a prime solution in [{args.lo}, {args.hi})")
-    cache = _cache_dir(args)
-
-    def one(lam):
-        inst = ProblemInstance(k=args.k, n=args.n, lam=lam)
-        measure = enumerate_prime_points(inst, table, cache_dir=cache)
-        series, ratio = hua_series_ratio(measure, Qsing=args.qsing)
-        return [lam, measure.r, measure.R, series.real, ratio]
-
-    rows = [one(lam) for lam in lams]
+    weights = rep_weight_array(k, n, args.hi - 1, table)
+    rows = []
+    for lam in lams:
+        R = float(weights[lam])
+        series, ratio = hua_series_ratio(ProblemInstance(k=k, n=n, lam=lam), R, Qsing=args.qsing)
+        rows.append([lam, int(counts[lam]), R, series.real, ratio])
     ratios = [row[4] for row in rows]
     in_band = [r for r in ratios if 0.7 <= r <= 1.3]
     scalars = {
-        "mu_inf": _mu_infinity(args.n, args.k),
+        "mu_inf": _mu_infinity(n, k),
         "n_samples": len(rows),
         "band_fraction": len(in_band) / len(ratios),
         "median_ratio": float(np.median(ratios)),

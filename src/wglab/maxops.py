@@ -43,13 +43,14 @@ class GridFunction:
 
     @classmethod
     def delta(cls, n: int, K: int):
-        g = cls.zeros(n, K)
+        g = cls.zeros(n, K, dtype=float)
         g.values[(K,) * n] = 1.0
         return g
 
     @classmethod
     def constant(cls, n: int, K: int, value=1.0):
-        g = cls.zeros(n, K)
+        """A real grid for a real value, a complex one otherwise."""
+        g = cls.zeros(n, K, dtype=np.result_type(float, value))
         g.values[...] = value
         return g
 
@@ -152,6 +153,8 @@ def maximal(f: GridFunction, measures: Sequence[SurfaceMeasure], ps: Sequence[fl
     kn = {(m.instance.k, m.instance.n) for m in measures}
     if len(kn) != 1:
         raise InputError("measures must share one (k, n)")
+    for p in ps:
+        _check_exponent(p)
     sup = np.zeros(f.values.shape)
     norms = []
     for m in measures:
@@ -161,13 +164,17 @@ def maximal(f: GridFunction, measures: Sequence[SurfaceMeasure], ps: Sequence[fl
     return MaximalReport(sup=GridFunction(K=f.K, values=sup), norms=tuple(norms))
 
 
+def _check_exponent(p: float) -> None:
+    if not p >= 1:
+        raise InputError("p-norm needs p >= 1")
+
+
 def lp_norm(f: GridFunction, p: float) -> float:
     """Discrete p-norm over the box; p = inf gives the sup norm."""
+    _check_exponent(p)
     mags = np.abs(f.values)
-    if p == np.inf or p == float("inf"):
+    if p == np.inf:
         return float(mags.max())
-    if p < 1:
-        raise InputError("p-norm needs p >= 1")
     return float((mags**p).sum() ** (1.0 / p))
 
 
@@ -196,6 +203,7 @@ def delta_scaling_probe(
     regression of the norm against the cutoff; growth is expected for
     p < n/(n - k), while p = inf just reports the largest single weight.
     """
+    _check_exponent(p)
     lam_values = sorted(int(v) for v in lam_values)
     lam_max = lam_values[-1]
     weight_tot = rep_weight_array(k, n, lam_max, table)
@@ -207,8 +215,6 @@ def delta_scaling_probe(
         running = np.maximum.accumulate(ratio)
         norms = [float(running[L]) for L in lam_values]
     else:
-        if p < 1:
-            raise InputError("p-norm needs p >= 1")
         powsum = rep_weight_array(k, n, lam_max, table, power=p)
         contrib = np.zeros(lam_max + 1)
         contrib[gate] = powsum[gate] / weight_tot[gate] ** p

@@ -1,6 +1,7 @@
 """Elementary arithmetic substrate: primes, multiplicative functions, unit groups."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -128,14 +129,21 @@ def divisor_count(m: int) -> int:
     return val
 
 
+@lru_cache(maxsize=4096)
 def units(q: int) -> UnitGroup:
-    """Residues coprime to q, ascending; {0} for q = 1."""
+    """Residues coprime to q, ascending; {0} for q = 1.
+
+    Groups are shared between callers, so ``elements`` is read-only.
+    """
     if q < 1:
         raise InputError("units needs q >= 1")
     if q == 1:
-        return UnitGroup(q=1, elements=np.array([0], dtype=np.int64))
-    r = np.arange(q, dtype=np.int64)
-    return UnitGroup(q=q, elements=r[np.gcd(r, q) == 1])
+        elements = np.array([0], dtype=np.int64)
+    else:
+        r = np.arange(q, dtype=np.int64)
+        elements = r[np.gcd(r, q) == 1]
+    elements.flags.writeable = False
+    return UnitGroup(q=q, elements=elements)
 
 
 def int_kth_root(x: int, k: int) -> int:

@@ -339,12 +339,12 @@ def _geometric_correction(shells: list) -> complex:
 def singular_integral(n: int, k: int, lam0: float) -> float:
     """Total mass of the level-lam0 surface density: the transform at zero frequency.
 
-    The imaginary part must vanish; it is checked against 1e-6 before
-    being discarded.
+    For 0 < lam0 <= 1 the cube constraint is inactive, and the mass is the
+    lam0-derivative of the volume Gamma(1+1/k)^n / Gamma(1+n/k) * lam0^(n/k)
+    of {x >= 0 : x_1^k + ... + x_n^k <= lam0} (Dirichlet's integral):
+    Gamma(1+1/k)^n / Gamma(n/k) * lam0^(n/k - 1).  Larger levels are refused.
     """
-    res = surface_transform(SurfaceQuery(n=n, k=k, lam0=lam0, eta=(0.0,) * n))
-    if abs(res.value.imag) >= 1e-6:
-        raise NumericError(
-            f"zero-frequency transform has imaginary part {res.value.imag:.3e}"
-        )
-    return float(res.value.real)
+    SurfaceQuery(n=n, k=k, lam0=lam0, eta=(0.0,) * n)  # the transform's own checks on n, k, lam0
+    if lam0 > 1:
+        raise InputError("the closed-form singular integral needs lam0 <= 1")
+    return gamma(1.0 + 1.0 / k) ** n / gamma(n / k) * lam0 ** (n / k - 1.0)

@@ -457,21 +457,23 @@ def _mu_infinity(n: int, k: int) -> float:
     return singular_integral(n, k, 1.0)
 
 
-def hua_series_ratio(measure: SurfaceMeasure, Qsing: int = 100) -> tuple[complex, float]:
-    """Zero-center series S_trunc and the ratio R / (S_trunc * mu_inf * lam^(n/k - 1))."""
-    if measure.R <= 0:
+def hua_series_ratio(instance: ProblemInstance, R: float, Qsing: int = 100) -> tuple[complex, float]:
+    """Zero-center series S_trunc and the ratio R / (S_trunc * mu_inf * lam^(n/k - 1)).
+
+    R is the weighted count of prime solutions of ``instance``.
+    """
+    if R <= 0:
         raise UndefinedMeasureError("measure has zero mass")
-    inst = measure.instance
-    n, k, lam = inst.n, inst.k, inst.lam
-    sval = singular_series(inst, [0] * n, [1] * n, Qsing).value
+    n, k, lam = instance.n, instance.k, instance.lam
+    sval = singular_series(instance, [0] * n, [1] * n, Qsing).value
     if abs(sval.imag) > 1e-8 * (1.0 + abs(sval)):
         raise NumericError(f"singular series came out non-real: {sval!r}")
-    return sval, measure.R / (sval.real * _mu_infinity(n, k) * lam ** (n / k - 1.0))
+    return sval, R / (sval.real * _mu_infinity(n, k) * lam ** (n / k - 1.0))
 
 
 def hua_ratio(measure: SurfaceMeasure, Qsing: int = 100) -> float:
     """Weighted count over its predicted size S_trunc * mu_inf * lam^(n/k - 1)."""
-    return hua_series_ratio(measure, Qsing)[1]
+    return hua_series_ratio(measure.instance, measure.R, Qsing)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +503,34 @@ def _coordinate_array(k: int, lam_max: int, table: PrimeTable, fill) -> np.ndarr
     return arr
 
 
+def _count_rounding_bound(n: int, size: int, P: int) -> float:
+    """Bound c * n * 2^-53 * log2(size) * P^(n - 1/2) on the float error of every n-fold count.
+
+    A coordinate array holds P ones, so its spectrum is bounded by P.  The
+    counts sum to P^n and none exceeds P^(n-1) (n - 1 coordinates fix the
+    last), so their 2-norm is at most P^(n - 1/2).  Each transform errs by
+    at most about 6.7 u log2(size) relative in the 2-norm (u = 2^-53;
+    Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2).
+    Carried through the n-th power of the spectrum and the inverse
+    transform, the error of any count is at most
+    (9.7 n + 3.7) u log2(size) P^(n - 1/2), inside c = 16.
+    """
+    with np.errstate(over="ignore"):
+        return float(16.0 * n * 2.0**-53 * log(size, 2) * np.float64(P) ** (n - 0.5))
+
+
 def rep_count_array(k: int, n: int, lam_max: int, table: PrimeTable) -> np.ndarray:
-    """r(lam) for every lam <= lam_max, via convolution (exact after rounding)."""
+    """r(lam) for every lam <= lam_max, via convolution, exact after rounding.
+
+    Refused with NumericError when ``_count_rounding_bound`` exceeds 0.25,
+    where rounding to the nearest integer could be wrong.
+    """
+    P = len(table.primes_leq(int_kth_root(lam_max, k)))
+    bound = _count_rounding_bound(n, _fft_size(n * lam_max + 1), P)
+    if bound > 0.25:
+        raise NumericError(
+            f"float counts for n={n} over {P} primes may round wrongly (error bound {bound:.3g} > 0.25)"
+        )
     arr = _coordinate_array(k, lam_max, table, lambda p: np.ones(len(p)))
     return np.rint(_fft_selfconv(arr, n, lam_max + 1)).astype(np.int64)
 
@@ -546,17 +574,26 @@ def max_weight_array(k: int, n: int, lam_max: int, table: PrimeTable) -> np.ndar
     return np.exp(acc)
 
 
-def admissible_mask(k: int, n: int, lam_max: int, table: PrimeTable) -> np.ndarray:
-    """True where lam in 0..lam_max is admissible for (k, n) and has a prime solution."""
-    counts = rep_count_array(k, n, lam_max, table)
+def admissible_mask(k: int, n: int, lam_max: int, table: PrimeTable, counts=None) -> np.ndarray:
+    """True where lam in 0..lam_max is admissible for (k, n) and has a prime solution.
+
+    ``counts`` is ``rep_count_array(k, n, lam_max, table)`` if the caller has it already.
+    """
+    if counts is None:
+        counts = rep_count_array(k, n, lam_max, table)
     return (counts > 0) & gamma_member_mask(k, n, np.arange(lam_max + 1))
 
 
-def sample_admissible_lams(k: int, n: int, lo: int, hi: int, count: int, table: PrimeTable) -> list[int]:
-    """Up to ``count`` evenly spaced admissible lam in [lo, hi) with at least one prime solution."""
+def sample_admissible_lams(
+    k: int, n: int, lo: int, hi: int, count: int, table: PrimeTable, counts=None
+) -> list[int]:
+    """Up to ``count`` evenly spaced admissible lam in [lo, hi) with at least one prime solution.
+
+    ``counts`` is ``rep_count_array(k, n, hi - 1, table)`` if the caller has it already.
+    """
     if not 0 <= lo < hi or count < 1:
         raise InputError(f"need 0 <= lo < hi and count >= 1, got lo={lo}, hi={hi}, count={count}")
-    ok = np.flatnonzero(admissible_mask(k, n, hi - 1, table)[lo:hi]) + lo
+    ok = np.flatnonzero(admissible_mask(k, n, hi - 1, table, counts)[lo:hi]) + lo
     if len(ok) == 0:
         return []
     idx = np.unique(np.linspace(0, len(ok) - 1, min(count, len(ok))).round().astype(int))

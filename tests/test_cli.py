@@ -12,7 +12,7 @@ from wglab import maxops
 from wglab.cli import build_parser, main
 from wglab.maxops import GridFunction
 from wglab.numtheory import int_kth_root, sieve_primes
-from wglab.surface import ProblemInstance, enumerate_prime_points
+from wglab.surface import ProblemInstance, enumerate_prime_points, hua_ratio
 
 
 def run(capsys, *argv):
@@ -258,6 +258,35 @@ def test_hua_sweep_small(capsys):
         assert row[4] > 0  # ratios are positive
 
 
+def test_hua_rows_match_enumeration(capsys):
+    doc = run_json(
+        capsys, "hua", "--k", "2", "--n", "5", "--lo", "2000", "--hi", "6000",
+        "--samples", "6", "--qsing", "40",
+    )
+    table = sieve_primes(int_kth_root(6000, 2))
+    rows = doc["table"]["rows"]
+    assert len(rows) == 6
+    for lam, r, R, _, ratio in rows:
+        m = enumerate_prime_points(ProblemInstance(2, 5, lam), table)
+        assert r == m.r
+        assert R == pytest.approx(m.R, rel=1e-12)
+        assert ratio == pytest.approx(hua_ratio(m, Qsing=40), rel=1e-12)
+
+
+def test_hua_never_enumerates(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("wg hua enumerated solutions")
+
+    monkeypatch.setattr("wglab.cli.enumerate_prime_points", refuse)
+    monkeypatch.setattr("wglab.surface.enumerate_prime_points", refuse)
+    doc = run_json(
+        capsys, "hua", "--k", "2", "--n", "5", "--lo", "2000", "--hi", "4000",
+        "--samples", "4", "--qsing", "40", "--cache-dir", str(tmp_path),
+    )
+    assert doc["scalars"]["n_samples"] == 4
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_import_skips_scipy_signal():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = "import sys, wglab.cli; print('scipy.signal' in sys.modules)"
@@ -284,6 +313,7 @@ def test_cli_import_skips_scipy_signal():
     ["hua", "--k", "2", "--n", "5", "--samples", "0"],
     ["approx", "--k", "2", "--n", "5", "--blocks", "0"],
     ["approx", "--k", "2", "--n", "5", "--per-block", "0"],
+    ["maximal", "--k", "2", "--n", "5", "--lams", "77", "--K", "6", "--p", "0.5"],
 ])
 def test_bad_values_are_usage_errors(capsys, argv):
     assert main(argv) == 2

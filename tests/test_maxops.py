@@ -200,6 +200,37 @@ def test_maximal_validation(measure77, table):
         maximal(GridFunction.delta(5, 2), [measure77, other])
 
 
+def test_maximal_checks_exponents_before_convolving(measure77, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("convolved before the exponents were checked")
+
+    monkeypatch.setattr("wglab.maxops.convolve", refuse)
+    for p in (0.5, -np.inf, np.nan):
+        with pytest.raises(InputError):
+            maximal(GridFunction.delta(5, 2), [measure77], (2.0, p))
+
+
+def test_real_delta_and_constant_grids_match_complex(table):
+    # every solution of 38 and 83 as a sum of three prime squares lies in the K = 7 box
+    measures = [enumerate_prime_points(ProblemInstance(2, 3, lam), table) for lam in (38, 83)]
+    grids = [GridFunction.delta(3, 7), GridFunction.constant(3, 7), GridFunction.constant(3, 7, 0.7)]
+    for f in grids:
+        assert f.values.dtype == float
+        c = GridFunction(K=f.K, values=f.values.astype(complex))
+        for m in measures:
+            for method in ("direct", "fft"):
+                got = convolve(f, m, method=method).values
+                want = convolve(c, m, method=method).values
+                np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-12 * np.abs(want).max())
+                assert np.abs(want.imag).max() <= 1e-12 * np.abs(want).max()
+        ps = (1.0, 2.0, np.inf)
+        got, want = maximal(f, measures, ps), maximal(c, measures, ps)
+        scale = want.sup.values.max()
+        np.testing.assert_allclose(got.sup.values, want.sup.values, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(got.norms, want.norms, rtol=1e-12, atol=0)
+    assert GridFunction.constant(2, 1, 1j).values.dtype == complex
+
+
 def test_lp_norm_examples():
     delta = GridFunction.delta(3, 2)
     for p in (1, 1.5, 2, 7, np.inf):

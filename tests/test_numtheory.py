@@ -138,6 +138,14 @@ def test_units_examples():
     assert units(7).elements.tolist() == [1, 2, 3, 4, 5, 6]
 
 
+def test_units_are_shared_and_read_only():
+    assert units(12) is units(12)
+    with pytest.raises(ValueError):
+        units(12).elements[0] = 5
+    with pytest.raises(ValueError):
+        units(1).elements[0] = 5
+
+
 def test_units_cardinality_is_phi():
     phi = _phi_table(LIMIT)
     for q in range(1, LIMIT + 1, 37):  # arithmetic sample through the range

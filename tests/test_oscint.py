@@ -182,6 +182,18 @@ def test_singular_integral_known_values():
     assert singular_integral(5, 2, 1.0) == pytest.approx(np.pi**2 / 24, rel=1e-5)
 
 
+def test_singular_integral_closed_form():
+    assert singular_integral(2, 2, 1.0) == pytest.approx(np.pi / 4, rel=1e-14)
+    assert singular_integral(5, 2, 1.0) == pytest.approx(np.pi**2 / 24, rel=1e-14)
+    for n, k, lam0 in ((5, 2, 0.3), (4, 3, 0.7)):
+        quad = surface_transform(SurfaceQuery(n, k, lam0, (0.0,) * n)).value.real
+        assert singular_integral(n, k, lam0) == pytest.approx(quad, rel=1e-5)
+    with pytest.raises(InputError):  # the cube clips the surface above level 1
+        singular_integral(5, 2, 1.5)
+    with pytest.raises(InputError):
+        singular_integral(5, 2, 0.0)
+
+
 def test_singular_integral_volume_derivative():
     """Independent check: the value is the u-derivative of the box-sphere volume."""
     n, k, u = 5, 2, 1.0

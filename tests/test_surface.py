@@ -5,14 +5,17 @@ from math import log
 import numpy as np
 import pytest
 
-from wglab.errors import InputError, UndefinedMeasureError
+from wglab.errors import InputError, NumericError, UndefinedMeasureError
 from wglab.expsums import GSumQuery, g_sum
-from wglab.numtheory import sieve_primes
+from wglab.numtheory import PrimeTable, int_kth_root, sieve_primes
 from wglab.oscint import SurfaceQuery, surface_transform
 from wglab.surface import (
     ApproxParams,
     BumpProfile,
     ProblemInstance,
+    _count_rounding_bound,
+    _fft_selfconv,
+    _fft_size,
     _local_unit_sum_masks,
     _mu_infinity,
     dimension_gates,
@@ -418,6 +421,28 @@ def test_value_arrays_match_enumeration(table):
             assert numer[lam] / m.R == pytest.approx(
                 omega_hat(m, xi), abs=1e-8
             )
+
+
+def test_count_rounding_bound_covers_float_error(table):
+    k, n, lam_max = 2, 4, 3000
+    primes = table.primes_leq(int_kth_root(lam_max, k))
+    ones = np.zeros(lam_max + 1, dtype=np.int64)
+    ones[primes**k] = 1
+    exact = ones
+    for _ in range(n - 1):
+        exact = np.convolve(exact, ones)[: lam_max + 1]  # integer arithmetic, exact
+    err = np.abs(_fft_selfconv(ones.astype(float), n, lam_max + 1) - exact).max()
+    assert 0 < err <= _count_rounding_bound(n, _fft_size(n * lam_max + 1), len(primes)) < 0.25
+    assert np.array_equal(rep_count_array(k, n, lam_max, table), exact)
+
+
+def test_rep_count_array_refuses_unsafe_rounding():
+    # 99 synthetic "primes" up to 100: 99^12 solutions cannot be counted in float64
+    synthetic = PrimeTable(limit=100, primes=np.arange(2, 101, dtype=np.int64))
+    with pytest.raises(NumericError):
+        rep_count_array(2, 12, 10_000, synthetic)
+    # the default hua range is far inside the bound
+    assert _count_rounding_bound(5, _fft_size(5 * 99_999 + 1), 65) < 1e-3
 
 
 def test_sample_admissible_lams(table):
