@@ -261,12 +261,13 @@ def _cmd_approx(args):
 
 def _cmd_hua(args):
     k, n = args.k, args.n
-    table = sieve_primes(max(2, int_kth_root(args.hi, k)))
-    counts = rep_count_array(k, n, args.hi - 1, table)
+    hi = max(args.hi, 1)  # sample_admissible_lams refuses --hi < 1 with a usage error
+    table = sieve_primes(max(2, int_kth_root(hi, k)))
+    counts = rep_count_array(k, n, hi - 1, table)
     lams = sample_admissible_lams(k, n, args.lo, args.hi, args.samples, table, counts)
     if not lams:
         raise UndefinedMeasureError(f"no admissible lam with a prime solution in [{args.lo}, {args.hi})")
-    weights = rep_weight_array(k, n, args.hi - 1, table)
+    weights = rep_weight_array(k, n, hi - 1, table)
     rows = []
     for lam in lams:
         R = float(weights[lam])

@@ -311,6 +311,8 @@ def test_cli_import_skips_scipy_signal():
     ["approx", "--k", "2", "--n", "5", "--xi-count", "-1"],
     ["hua", "--k", "2", "--n", "5", "--lo", "100", "--hi", "50"],
     ["hua", "--k", "2", "--n", "5", "--samples", "0"],
+    ["hua", "--k", "2", "--n", "5", "--lo", "0", "--hi", "0"],
+    ["hua", "--k", "2", "--n", "5", "--lo", "0", "--hi", "-5"],
     ["approx", "--k", "2", "--n", "5", "--blocks", "0"],
     ["approx", "--k", "2", "--n", "5", "--per-block", "0"],
     ["maximal", "--k", "2", "--n", "5", "--lams", "77", "--K", "6", "--p", "0.5"],
