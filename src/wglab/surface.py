@@ -17,6 +17,7 @@ from math import ceil, gcd, log
 from typing import Optional
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .arcs import _arc_center
 from .errors import InputError, NumericError, UndefinedMeasureError
@@ -485,38 +486,92 @@ def hua_ratio(measure: SurfaceMeasure, Qsing: int = 100) -> float:
 
 
 def _fft_size(length: int) -> int:
-    """Smallest power of two >= length."""
-    return 1 << (length - 1).bit_length()
+    """Smallest 5-smooth length >= length, a fast size for rfft and fft alike."""
+    return sp_fft.next_fast_len(length, real=True)
 
 
-def _fft_selfconv(arr: np.ndarray, n: int, out_len: int) -> np.ndarray:
-    size = _fft_size(n * (len(arr) - 1) + 1)
-    spectrum = np.fft.rfft(arr, size)
-    return np.fft.irfft(spectrum**n, size)[:out_len]
+def _pair_block(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
+    """Dense array on [0, lam_max] of one block of one or two coordinates.
+
+    Entry s is the sum over primes with p^k (+ q^k) = s of fill(p) (* fill'(q)).
+    Sums above lam_max are dropped: they cannot reach any lam <= lam_max.
+    """
+    idx, vals = powers, fills[0]
+    if len(fills) == 2:
+        idx = np.add.outer(powers, powers).ravel()
+        vals = np.multiply.outer(fills[0], fills[1]).ravel()
+        keep = idx <= lam_max
+        idx, vals = idx[keep], vals[keep]
+    if np.iscomplexobj(vals):
+        return np.bincount(idx, vals.real, lam_max + 1) + 1j * np.bincount(idx, vals.imag, lam_max + 1)
+    return np.bincount(idx, vals, lam_max + 1)
 
 
-def _coordinate_array(k: int, lam_max: int, table: PrimeTable, fill) -> np.ndarray:
-    primes = table.primes_leq(int_kth_root(lam_max, k))
-    vals = fill(primes.astype(np.float64))
-    arr = np.zeros(lam_max + 1, dtype=vals.dtype)
-    arr[primes**k] = vals
-    return arr
+def _value_array(k: int, lam_max: int, table: PrimeTable, fills) -> np.ndarray:
+    """Sum over prime solutions of prod_i fills[i](p_i), for every lam <= lam_max.
+
+    ``fills[i]`` holds coordinate i's value at each prime <= lam_max^(1/k).
+    Equal fills are paired with each other first, the leftovers with one
+    another, and an odd one stays alone, giving ceil(n/2) blocks.  Each
+    distinct block is built exactly (``_pair_block``) and transformed once at
+    length ``_fft_size(ceil(n/2) * lam_max + 1)``, which holds the product of
+    ceil(n/2) arrays on [0, lam_max] without wrap-around; a repeated block
+    multiplies in as often as it repeats.  One inverse transform follows.
+    """
+    n = len(fills)
+    powers = table.primes_leq(int_kth_root(lam_max, k)) ** k
+    groups = {}
+    for fill in fills:
+        groups.setdefault(fill.tobytes(), []).append(fill)
+    blocks, loose = [], []
+    for same in groups.values():
+        if len(same) >= 2:
+            blocks.append(((same[0], same[0]), len(same) // 2))
+        if len(same) % 2:
+            loose.append(same[0])
+    blocks += [((a, b), 1) for a, b in zip(loose[::2], loose[1::2])]
+    if len(loose) % 2:
+        blocks.append(((loose[-1],), 1))
+    real = not any(np.iscomplexobj(f) for f in fills)
+    fft, ifft = (sp_fft.rfft, sp_fft.irfft) if real else (sp_fft.fft, sp_fft.ifft)
+    size = _fft_size(ceil(n / 2) * lam_max + 1)
+    spectrum = 1.0
+    for pair, mult in blocks:
+        spec = fft(_pair_block(powers, pair, lam_max), size)
+        for _ in range(mult):
+            spectrum = spectrum * spec
+    return ifft(spectrum, size)[: lam_max + 1]
 
 
 def _count_rounding_bound(n: int, size: int, P: int) -> float:
-    """Bound c * n * 2^-53 * log2(size) * P^(n - 1/2) on the float error of every n-fold count.
+    """Bound 16 * ceil(n/2) * 2^-53 * log2(size) * P^(n - 1/2) on the float error of every n-fold count.
 
-    A coordinate array holds P ones, so its spectrum is bounded by P.  The
-    counts sum to P^n and none exceeds P^(n-1) (n - 1 coordinates fix the
-    last), so their 2-norm is at most P^(n - 1/2).  Each transform errs by
-    at most about 6.7 u log2(size) relative in the 2-norm (u = 2^-53;
-    Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2).
-    Carried through the n-th power of the spectrum and the inverse
-    transform, the error of any count is at most
-    (9.7 n + 3.7) u log2(size) P^(n - 1/2), inside c = 16.
+    The counts come from m = ceil(n/2) blocks (``_value_array``): pair
+    blocks B of two coordinates and at most one single coordinate a of P
+    ones, all exact integers (a ``bincount`` of ones).  The derivation uses
+    two norms of each block:
+    - the 1-norm, which bounds its spectrum: at most P^2 for B (P^2
+      ordered pairs) and P for a;
+    - the 2-norm, which bounds its transform error: ||B||_2^2 <=
+      max(B) * ||B||_1 <= P * P^2 (p and the sum fix q), so ||B||_2 <=
+      P^(3/2), and ||a||_2 = P^(1/2); P^(d - 1/2) for d coordinates.
+    Each transform of length L errs by at most g = 6.7 u log2(L) relative
+    in the 2-norm (u = 2^-53; Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 24.2, for radix 2; a radix-3 or radix-5 pass of the
+    5-smooth length counts as log2(3) or log2(5) radix-2 levels, and the
+    tests check the bound against the measured error).  So a block's
+    spectrum errs by g sqrt(L) P^(d - 1/2) in the 2-norm, and the other
+    blocks' spectra multiply that by at most P^(n - d): g sqrt(L)
+    P^(n - 1/2) per block.  The exact product is the transform of counts
+    that sum to at most P^n, none above P^(n-1) (n - 1 coordinates fix the
+    last), so of 2-norm at most sqrt(L) P^(n - 1/2); the m - 1 complex
+    products add sqrt(5) u each relative to it.  The inverse transform
+    scales all of this by 1/sqrt(L) and adds g P^(n - 1/2).  Every count
+    thus errs by at most ((m + 1) g + sqrt(5) (m - 1) u) P^(n - 1/2) to
+    first order, below 15.7 m u log2(L) P^(n - 1/2), inside c = 16.
     """
     with np.errstate(over="ignore"):
-        return float(16.0 * n * 2.0**-53 * log(size, 2) * np.float64(P) ** (n - 0.5))
+        return float(16.0 * ceil(n / 2) * 2.0**-53 * log(size, 2) * np.float64(P) ** (n - 0.5))
 
 
 def rep_count_array(k: int, n: int, lam_max: int, table: PrimeTable) -> np.ndarray:
@@ -526,19 +581,18 @@ def rep_count_array(k: int, n: int, lam_max: int, table: PrimeTable) -> np.ndarr
     where rounding to the nearest integer could be wrong.
     """
     P = len(table.primes_leq(int_kth_root(lam_max, k)))
-    bound = _count_rounding_bound(n, _fft_size(n * lam_max + 1), P)
+    bound = _count_rounding_bound(n, _fft_size(ceil(n / 2) * lam_max + 1), P)
     if bound > 0.25:
         raise NumericError(
             f"float counts for n={n} over {P} primes may round wrongly (error bound {bound:.3g} > 0.25)"
         )
-    arr = _coordinate_array(k, lam_max, table, lambda p: np.ones(len(p)))
-    return np.rint(_fft_selfconv(arr, n, lam_max + 1)).astype(np.int64)
+    return np.rint(_value_array(k, lam_max, table, [np.ones(P)] * n)).astype(np.int64)
 
 
 def rep_weight_array(k: int, n: int, lam_max: int, table: PrimeTable, power: float = 1.0) -> np.ndarray:
     """Sum over solutions of prod_i (log p_i)^power, for every lam <= lam_max."""
-    arr = _coordinate_array(k, lam_max, table, lambda p: np.log(p) ** power)
-    return _fft_selfconv(arr, n, lam_max + 1)
+    primes = table.primes_leq(int_kth_root(lam_max, k))
+    return _value_array(k, lam_max, table, [np.log(primes.astype(np.float64)) ** power] * n)
 
 
 def fourier_numerator_array(k: int, n: int, lam_max: int, table: PrimeTable, xi) -> np.ndarray:
@@ -546,14 +600,9 @@ def fourier_numerator_array(k: int, n: int, lam_max: int, table: PrimeTable, xi)
     xi = np.asarray(xi, dtype=float)
     if len(xi) != n:
         raise InputError("xi must have length n")
-    size = _fft_size(n * lam_max + 1)
-    spectrum = np.ones(size, dtype=complex)
-    for x in xi:
-        arr = _coordinate_array(
-            k, lam_max, table, lambda p: np.log(p) * np.exp(2j * np.pi * (p * x - np.rint(p * x)))
-        )
-        spectrum *= np.fft.fft(arr, size)
-    return np.fft.ifft(spectrum)[: lam_max + 1]
+    p = table.primes_leq(int_kth_root(lam_max, k)).astype(np.float64)
+    fills = [np.log(p) * np.exp(2j * np.pi * (p * x - np.rint(p * x))) for x in xi]
+    return _value_array(k, lam_max, table, fills)
 
 
 def max_weight_array(k: int, n: int, lam_max: int, table: PrimeTable) -> np.ndarray:

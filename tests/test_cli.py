@@ -157,6 +157,15 @@ def test_maximal_convolves_each_measure_once(capsys, monkeypatch):
         assert all(close(got, maxops.lp_norm(c, p)) for got, p in zip(row[2:], ps))
 
 
+def test_maximal_reports_fft_roundoff_as_zero(capsys):
+    # no solution of 208 has every coordinate <= 6, so its delta convolution is 0 on the box;
+    # lam = 77 takes the direct path and keeps the values it printed before
+    doc = run_json(
+        capsys, "maximal", "--k", "2", "--n", "5", "--lams", "77,208", "--K", "6", "--p", "1,2,inf",
+    )
+    assert doc["table"]["rows"] == [[77, 10, 1.0, 0.316227766016838, 0.1], [208, 120, 0.0, 0.0, 0.0]]
+
+
 def test_json_rerun_is_bit_identical(capsys, tmp_path):
     args = (
         "points", "--k", "2", "--n", "5", "--lambda", "125",

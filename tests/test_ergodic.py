@@ -165,6 +165,15 @@ def test_discrepancy_grid_trend():
         prev = d
 
 
+def test_discrepancy_matches_broadcast_comparison():
+    # the per-coordinate loop must give the booleans of the (boxes, points, n) broadcast
+    pts = np.random.default_rng(4).random((700, 5))
+    boxes = np.random.default_rng(9).random((1500, 5))  # more boxes than one chunk holds
+    inside = (pts[None, :, :] < boxes[:, None, :]).all(axis=2).sum(axis=1) / len(pts)
+    expected = float(np.abs(inside - boxes.prod(axis=1)).max())
+    assert discrepancy(pts, 1500, seed=9) == expected
+
+
 def test_discrepancy_empty_set():
     with pytest.raises(InputError):
         discrepancy(np.zeros((0, 3)))

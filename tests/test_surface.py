@@ -1,9 +1,11 @@
 import json
 import os
-from math import log
+from math import ceil, log
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wglab.errors import InputError, NumericError, UndefinedMeasureError
 from wglab.expsums import GSumQuery, g_sum
@@ -14,10 +16,10 @@ from wglab.surface import (
     BumpProfile,
     ProblemInstance,
     _count_rounding_bound,
-    _fft_selfconv,
     _fft_size,
     _local_unit_sum_masks,
     _mu_infinity,
+    _value_array,
     dimension_gates,
     enumerate_integer_points,
     enumerate_prime_points,
@@ -423,6 +425,26 @@ def test_value_arrays_match_enumeration(table):
             )
 
 
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), k=st.sampled_from([2, 3]), n=st.integers(2, 6), lam_max=st.integers(1, 2000))
+def test_value_arrays_match_enumeration_property(data, table, k, n, lam_max):
+    # xi from a pool of two values and zero, so equal fills pair up and blocks repeat
+    pool = data.draw(st.lists(st.floats(-1, 1), min_size=2, max_size=2)) + [0.0]
+    xi = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    counts = rep_count_array(k, n, lam_max, table)
+    weights = rep_weight_array(k, n, lam_max, table)
+    numer = fourier_numerator_array(k, n, lam_max, table, xi)
+    r, R, N = np.zeros(lam_max + 1, dtype=np.int64), np.zeros(lam_max + 1), np.zeros(lam_max + 1, dtype=complex)
+    for lam in range(1, lam_max + 1):
+        m = enumerate_prime_points(ProblemInstance(k, n, lam), table)
+        r[lam], R[lam] = m.r, m.R
+        N[lam] = (m.weights * np.exp(2j * np.pi * (m.representations @ xi))).sum()
+    assert np.array_equal(counts, r)
+    scale = 1.0 + R.max()
+    assert np.abs(weights - R).max() <= 1e-9 * scale
+    assert np.abs(numer - N).max() <= 1e-9 * scale
+
+
 def test_count_rounding_bound_covers_float_error(table):
     k, n, lam_max = 2, 4, 3000
     primes = table.primes_leq(int_kth_root(lam_max, k))
@@ -431,8 +453,9 @@ def test_count_rounding_bound_covers_float_error(table):
     exact = ones
     for _ in range(n - 1):
         exact = np.convolve(exact, ones)[: lam_max + 1]  # integer arithmetic, exact
-    err = np.abs(_fft_selfconv(ones.astype(float), n, lam_max + 1) - exact).max()
-    assert 0 < err <= _count_rounding_bound(n, _fft_size(n * lam_max + 1), len(primes)) < 0.25
+    err = np.abs(_value_array(k, lam_max, table, [np.ones(len(primes))] * n) - exact).max()
+    size = _fft_size(ceil(n / 2) * lam_max + 1)
+    assert 0 < err <= _count_rounding_bound(n, size, len(primes)) < 0.25
     assert np.array_equal(rep_count_array(k, n, lam_max, table), exact)
 
 
