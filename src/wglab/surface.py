@@ -533,7 +533,7 @@ def _value_array(k: int, lam_max: int, table: PrimeTable, fills) -> np.ndarray:
     if len(loose) % 2:
         blocks.append(((loose[-1],), 1))
     real = not any(np.iscomplexobj(f) for f in fills)
-    fft, ifft = (sp_fft.rfft, sp_fft.irfft) if real else (sp_fft.fft, sp_fft.ifft)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     size = _fft_size(ceil(n / 2) * lam_max + 1)
     spectrum = 1.0
     for pair, mult in blocks:
