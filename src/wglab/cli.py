@@ -31,6 +31,7 @@ from .oscint import SurfaceQuery, surface_transform
 from .surface import (
     ApproxParams,
     ProblemInstance,
+    check_array_memory,
     enumerate_prime_points,
     error_term,
     gamma_membership,
@@ -139,15 +140,11 @@ def _complex_scalars(prefix: str, z: complex) -> dict:
     return {f"{prefix}_re": float(z.real), f"{prefix}_im": float(z.imag), f"{prefix}_abs": abs(z)}
 
 
-def _cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get("WG_CACHE_DIR") or None
-
-
 def _measures(args, lams):
     """Prime points of each lam at --k/--n, from one sieve to max(lams)^(1/k)."""
     insts = [ProblemInstance(k=args.k, n=args.n, lam=lam) for lam in lams]
     table = sieve_primes(max(2, int_kth_root(max(lams), args.k)))
-    return [enumerate_prime_points(inst, table, cache_dir=_cache_dir(args)) for inst in insts]
+    return [enumerate_prime_points(inst, table) for inst in insts]
 
 
 # --- subcommand implementations -------------------------------------------
@@ -224,8 +221,8 @@ def _cmd_approx(args):
     rng = np.random.default_rng(args.seed)
     xi_sample = rng.random((args.xi_count, args.n))
     lam_top = args.lam_min * 2**args.blocks
+    check_array_memory(args.n, lam_top - 1)  # the top block samples lam from arrays on [0, lam_top)
     table = sieve_primes(max(2, int_kth_root(lam_top, args.k)))
-    cache = _cache_dir(args)
 
     # one call per block, so a block's measures are freed before the next
     # block's admissible-lam arrays are built
@@ -233,8 +230,8 @@ def _cmd_approx(args):
         errs, zeros = [], []
         for lam in lams:
             inst = ProblemInstance(k=args.k, n=args.n, lam=lam)
-            measure = enumerate_prime_points(inst, table, cache_dir=cache)
-            params = ApproxParams.for_instance(inst, C=args.C, B=args.B, Qsing=args.qsing)
+            measure = enumerate_prime_points(inst, table)
+            params = ApproxParams.for_instance(inst, C=args.C, Qsing=args.qsing)
             for xi in xi_sample:
                 errs.append(abs(error_term(measure, params, xi)))
             zeros.append(abs(error_term(measure, params, np.zeros(args.n))))
@@ -262,6 +259,7 @@ def _cmd_approx(args):
 def _cmd_hua(args):
     k, n = args.k, args.n
     hi = max(args.hi, 1)  # sample_admissible_lams refuses --hi < 1 with a usage error
+    check_array_memory(n, hi - 1)
     table = sieve_primes(max(2, int_kth_root(hi, k)))
     counts = rep_count_array(k, n, hi - 1, table)
     lams = sample_admissible_lams(k, n, args.lo, args.hi, args.samples, table, counts)
@@ -314,9 +312,12 @@ def _cmd_delta_probe(args):
         raise InputError("need 0 <= --exp-lo <= --exp-hi")
     p = ps[0]
     lam_values = [2**e for e in range(args.exp_lo, args.exp_hi + 1)]
+    check_array_memory(args.n, max(lam_values))
     table = sieve_primes(max(2, int_kth_root(max(lam_values), args.k)))
     report = delta_scaling_probe(args.k, args.n, p, lam_values, table)
-    scalars = {"slope": report.slope if report.slope is not None else 0.0, "p": float(p)}
+    scalars = {"p": float(p)}
+    if report.slope is not None:  # one cutoff, or a norm of 0, leaves nothing to fit
+        scalars["slope"] = report.slope
     rows = [[lam, norm] for lam, norm in zip(report.lam_values, report.norms)]
     return scalars, (["lambda_max", "norm"], rows)
 
@@ -342,7 +343,8 @@ def _cmd_ergodic(args):
 
 def _cmd_weyl(args):
     xi = _parse_list(args.xi, float)
-    lam_top = args.lam_min * 2**args.blocks
+    lam_top = args.lam_min * 2 ** max(args.blocks, 0)  # weyl_decay_scan refuses --blocks < 1
+    check_array_memory(args.n, lam_top - 1)
     table = sieve_primes(max(2, int_kth_root(lam_top, args.k)))
     blocks = weyl_decay_scan(args.k, args.n, xi, args.lam_min, args.blocks, table)
     rows = [[b.lam_lo, b.lam_hi, b.count, b.max_abs, b.argmax_lam] for b in blocks]
@@ -386,7 +388,7 @@ _COMMON = (
     _arg("--format", choices=["json", "csv"], default="json"),
     _arg("--output", default=None, help="write payload to this path instead of stdout"),
     _arg("--plot", action="store_true", help="also write an SVG chart next to --output"),
-    _arg("--cache-dir", default=None, help="enumeration cache (WG_CACHE_DIR overrides default)"),
+    _arg("--cache-dir", default=None, help="ignored; solutions are enumerated on each run"),
     _arg("--seed", type=int, default=7),
 )
 
@@ -420,7 +422,7 @@ _COMMANDS = {
         _arg("--blocks", type=int, default=5),
         _arg("--per-block", dest="per_block", type=int, default=6),
         _arg("--xi-count", dest="xi_count", type=int, default=32),
-        _arg("--C", type=float, default=2.0), _arg("--B", type=float, default=1.0),
+        _arg("--C", type=float, default=2.0),
         _QSING,
     )),
     "hua": (_cmd_hua, "count/prediction ratio sweep; columns lambda,r,R,series_re,ratio", _KN + (

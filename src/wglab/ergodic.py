@@ -147,15 +147,7 @@ def weyl_decay_scan(
             continue
         mags = np.abs(numer[idx]) / weights[idx]
         best = int(np.argmax(mags))
-        blocks.append(
-            WeylBlock(
-                lam_lo=lo,
-                lam_hi=hi,
-                count=len(idx),
-                max_abs=float(mags[best]),
-                argmax_lam=int(idx[best]),
-            )
-        )
+        blocks.append(WeylBlock(lo, hi, len(idx), float(mags[best]), int(idx[best])))
     if not blocks:
         raise UndefinedMeasureError(f"no dyadic block from {lam_min} holds an admissible lam")
     return blocks

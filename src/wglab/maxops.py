@@ -223,12 +223,16 @@ def delta_scaling_probe(
     an additive total over lam.  The fitted slope is the log-log
     regression of the norm against the cutoff; growth is expected for
     p < n/(n - k), while p = inf just reports the largest single weight.
+    If no admissible lam up to the largest cutoff has a prime solution,
+    there is no operator to measure: UndefinedMeasureError.
     """
     _check_exponent(p)
     lam_values = sorted(int(v) for v in lam_values)
     lam_max = lam_values[-1]
-    weight_tot = rep_weight_array(k, n, lam_max, table)
     gate = admissible_mask(k, n, lam_max, table)
+    if not gate.any():
+        raise UndefinedMeasureError(f"no admissible lam <= {lam_max} has a prime solution")
+    weight_tot = rep_weight_array(k, n, lam_max, table)
     if np.isinf(p):
         ratio = np.zeros(lam_max + 1)
         maxw = max_weight_array(k, n, lam_max, table)

@@ -61,9 +61,8 @@ def sieve_primes(limit: int) -> PrimeTable:
         return PrimeTable(limit=limit, primes=_dense_sieve(limit))
 
     base = _dense_sieve(isqrt(limit))
-    chunks = [base[base <= limit]]
-    lo = int(base[-1]) + 1 if len(base) else 2
-    lo = max(lo, isqrt(limit) + 1)
+    chunks = [base]
+    lo = isqrt(limit) + 1
     while lo <= limit:
         hi = min(lo + _SEGMENT_SIZE - 1, limit)
         flags = np.ones(hi - lo + 1, dtype=bool)

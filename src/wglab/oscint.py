@@ -306,13 +306,7 @@ def surface_transform(query: SurfaceQuery, abs_tol: float = 0.0) -> SurfaceResul
         tail_abs = 2.0 * c_emp**query.n * (1.0 + theta_hi) ** (1.0 - nk) / (nk - 1.0)
         tail = min(tail, tail_abs)
     warning = tail > 1e-4 * max(abs(total), 1e-300)
-    return SurfaceResult(
-        value=total,
-        quad_error=quad_err,
-        tail_estimate=tail,
-        tail_warning=bool(warning),
-        theta_max=theta_hi,
-    )
+    return SurfaceResult(total, quad_err, tail, bool(warning), theta_hi)
 
 
 def _geometric_correction(shells: list) -> complex:

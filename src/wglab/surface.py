@@ -6,9 +6,7 @@ the truncated singular series, and the main/error split of the
 approximation formula at a frequency point.
 """
 
-import json
 import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,8 +22,6 @@ from .errors import InputError, NumericError, UndefinedMeasureError
 from .expsums import _g_over_a, _roots
 from .numtheory import PrimeTable, factorize, int_kth_root, sieve_primes, units
 from .oscint import SurfaceQuery, singular_integral, surface_transform
-
-CACHE_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ class SurfaceMeasure:
         if len(reps) and not ((reps**instance.k).sum(axis=1) == instance.lam).all():
             raise InputError("a representation does not solve the equation")
         if log_weighted:
-            weights = np.log(reps.astype(np.float64)).prod(axis=1) if len(reps) else np.zeros(0)
+            weights = np.log(reps.astype(np.float64)).prod(axis=1)
         else:
             weights = np.ones(len(reps))
         return cls(
@@ -210,8 +206,6 @@ def _mitm_solutions(values: np.ndarray, n: int, k: int, lam: int) -> np.ndarray:
     if n_a * lam > np.iinfo(np.int64).max:
         raise InputError(f"lam = {lam} is too large: half-sums up to {n_a}*lam overflow int64")
     values = np.asarray(values, dtype=np.int64)
-    if len(values) == 0:
-        return np.empty((0, n), dtype=np.int64)
     if len(values) ** n_a > 80_000_000:
         raise InputError("enumeration table too large; reduce lam or the prime bound")
     powers = values**k
@@ -238,55 +232,12 @@ def _mitm_solutions(values: np.ndarray, n: int, k: int, lam: int) -> np.ndarray:
     return tuples[order]
 
 
-def _cache_path(cache_dir: str, instance: ProblemInstance) -> str:
-    name = f"wg_k{instance.k}_n{instance.n}_lam{instance.lam}.json"
-    return os.path.join(cache_dir, name)
-
-
-def _cache_load(cache_dir: str, instance: ProblemInstance) -> Optional[np.ndarray]:
-    path = _cache_path(cache_dir, instance)
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != CACHE_FORMAT_VERSION:
-        return None
-    return np.asarray(doc["tuples"], dtype=np.int64).reshape(-1, instance.n)
-
-
-def _cache_store(cache_dir: str, instance: ProblemInstance, reps: np.ndarray) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    doc = {
-        "version": CACHE_FORMAT_VERSION,
-        "k": instance.k,
-        "n": instance.n,
-        "lambda": instance.lam,
-        "tuples": reps.tolist(),
-    }
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(doc, fh)
-    os.replace(tmp, _cache_path(cache_dir, instance))
-
-
-def enumerate_prime_points(
-    instance: ProblemInstance,
-    table: PrimeTable,
-    cache_dir: Optional[str] = None,
-) -> SurfaceMeasure:
-    """The log-weighted measure on prime solutions of the degree-k equation.
-
-    Results are cached to ``cache_dir`` (one JSON document per (k, n, lam),
-    with a leading format-version integer) so sweeps can reuse them.
-    """
+def enumerate_prime_points(instance: ProblemInstance, table: PrimeTable) -> SurfaceMeasure:
+    """The log-weighted measure on prime solutions of the degree-k equation."""
     root = int_kth_root(instance.lam, instance.k)
     if table.limit < root:
         raise InputError(f"prime table covers {table.limit} < lam^(1/k) = {root}")
-    reps = _cache_load(cache_dir, instance) if cache_dir else None
-    if reps is None:
-        reps = _mitm_solutions(table.primes_leq(root), instance.n, instance.k, instance.lam)
-        if cache_dir:
-            _cache_store(cache_dir, instance, reps)
+    reps = _mitm_solutions(table.primes_leq(root), instance.n, instance.k, instance.lam)
     return SurfaceMeasure.build(instance, reps, log_weighted=True)
 
 
@@ -346,19 +297,18 @@ class ApproxParams:
     """Tunables of the approximation formula: scales, truncations, bump."""
 
     C: float
-    B: float
     N: float
     Qsing: int
     bump: BumpProfile = BumpProfile()
 
     @classmethod
-    def for_instance(cls, instance, C=2.0, B=1.0, N=None, Qsing=100, bump=None):
+    def for_instance(cls, instance, C=2.0, N=None, Qsing=100, bump=None):
         base = instance.lam ** (1.0 / instance.k)
         if N is None:
             N = base
         if not base * (1 - 1e-12) <= N <= 2 * base * (1 + 1e-12):
             raise InputError("N must lie between lam^(1/k) and 2*lam^(1/k)")
-        return cls(C=C, B=B, N=float(N), Qsing=int(Qsing), bump=bump or BumpProfile())
+        return cls(C=C, N=float(N), Qsing=int(Qsing), bump=bump or BumpProfile())
 
     @property
     def Q(self) -> float:
@@ -490,6 +440,20 @@ def _fft_size(length: int) -> int:
     return sp_fft.next_fast_len(length, real=True)
 
 
+def check_array_memory(n: int, lam_max: int) -> None:
+    """MemoryError if the transform of ``_value_array`` on [0, lam_max] exceeds physical memory.
+
+    That transform alone holds 16 bytes per point of ``_fft_size(ceil(n/2) *
+    lam_max + 1)``.  Callers check before sieving, so an oversized request
+    ends cleanly instead of with the process killed.
+    """
+    length = max(1, ceil(n / 2) * lam_max + 1)
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    # the first test keeps lengths beyond any transform away from _fft_size
+    if 16 * length > memory or 16 * _fft_size(length) > memory:
+        raise MemoryError(f"arrays on [0, {lam_max}] for n={n} need a transform above {memory} bytes of memory")
+
+
 def _pair_block(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
     """Dense array on [0, lam_max] of one block of one or two coordinates.
 
@@ -608,11 +572,8 @@ def fourier_numerator_array(k: int, n: int, lam_max: int, table: PrimeTable, xi)
 def max_weight_array(k: int, n: int, lam_max: int, table: PrimeTable) -> np.ndarray:
     """Largest single-solution weight prod log(p_i) per lam (log-domain max-plus)."""
     primes = table.primes_leq(int_kth_root(lam_max, k))
-    if len(primes) == 0:
-        return np.full(lam_max + 1, -np.inf)
-    base = np.full(lam_max + 1, -np.inf)
-    base[primes**k] = np.log(np.log(primes.astype(np.float64)))
-    acc = base.copy()
+    acc = np.full(lam_max + 1, -np.inf)
+    acc[primes**k] = np.log(np.log(primes.astype(np.float64)))
     for _ in range(n - 1):
         nxt = np.full(lam_max + 1, -np.inf)
         for p in primes:

@@ -35,11 +35,8 @@ def test_gsum_vanishing(capsys):
     assert doc["config"]["command"] == "gsum"
 
 
-def test_points_77(capsys, tmp_path):
-    doc = run_json(
-        capsys, "points", "--k", "2", "--n", "5", "--lambda", "77",
-        "--cache-dir", str(tmp_path),
-    )
+def test_points_77(capsys):
+    doc = run_json(capsys, "points", "--k", "2", "--n", "5", "--lambda", "77")
     assert doc["scalars"]["r"] == 10
     expected = 10 * math.log(3) ** 3 * math.log(5) ** 2
     assert doc["scalars"]["R"] == pytest.approx(expected, rel=1e-12)
@@ -166,14 +163,20 @@ def test_maximal_reports_fft_roundoff_as_zero(capsys):
     assert doc["table"]["rows"] == [[77, 10, 1.0, 0.316227766016838, 0.1], [208, 120, 0.0, 0.0, 0.0]]
 
 
-def test_json_rerun_is_bit_identical(capsys, tmp_path):
-    args = (
-        "points", "--k", "2", "--n", "5", "--lambda", "125",
-        "--cache-dir", str(tmp_path),
-    )
+def test_json_rerun_is_bit_identical(capsys):
+    args = ("points", "--k", "2", "--n", "5", "--lambda", "125")
     _, first = run(capsys, *args)
-    _, second = run(capsys, *args)  # cache now populated
+    _, second = run(capsys, *args)
     assert first == second
+
+
+def test_cache_dir_is_ignored(capsys, tmp_path):
+    args = ("points", "--k", "2", "--n", "5", "--lambda", "77")
+    plain = run_json(capsys, *args)
+    flagged = run_json(capsys, *args, "--cache-dir", str(tmp_path))
+    assert os.listdir(tmp_path) == []
+    assert flagged["scalars"] == plain["scalars"]
+    assert flagged["table"] == plain["table"]
 
 
 def test_csv_and_json_payloads_match(capsys):
@@ -232,12 +235,6 @@ def test_numeric_error_exit_code(capsys):
     assert code == 1
 
 
-def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("WG_CACHE_DIR", str(tmp_path))
-    run_json(capsys, "points", "--k", "2", "--n", "5", "--lambda", "77")
-    assert (tmp_path / "wg_k2_n5_lam77.json").exists()
-
-
 def test_singular_with_vector_center(capsys):
     doc = run_json(
         capsys, "singular", "--k", "2", "--n", "5", "--lambda", "77", "--qsing", "1",
@@ -247,11 +244,10 @@ def test_singular_with_vector_center(capsys):
     assert doc["scalars"]["series_re"] == pytest.approx(-0.5, abs=1e-9)
 
 
-def test_approx_sweep_small(capsys, tmp_path):
+def test_approx_sweep_small(capsys):
     doc = run_json(
         capsys, "approx", "--k", "2", "--n", "5", "--lambda-min", "512",
         "--blocks", "2", "--per-block", "2", "--xi-count", "2",
-        "--cache-dir", str(tmp_path),
     )
     assert len(doc["table"]["rows"]) == 2
     assert doc["scalars"]["medians_non_increasing"] in (0, 1)
@@ -324,6 +320,7 @@ def test_cli_import_skips_scipy_signal():
     ["hua", "--k", "2", "--n", "5", "--lo", "0", "--hi", "-5"],
     ["approx", "--k", "2", "--n", "5", "--blocks", "0"],
     ["approx", "--k", "2", "--n", "5", "--per-block", "0"],
+    ["weyl", "--k", "2", "--n", "5", "--xi", "0.1,0.2,0,0,0", "--lambda-min", "10", "--blocks", "-1"],
     ["maximal", "--k", "2", "--n", "5", "--lams", "77", "--K", "6", "--p", "0.5"],
 ])
 def test_bad_values_are_usage_errors(capsys, argv):
@@ -338,12 +335,39 @@ def test_bad_values_are_usage_errors(capsys, argv):
     ["weyl", "--k", "3", "--n", "5", "--xi", "0.3,0.1,0,0,0", "--lambda-min", "8", "--blocks", "2"],
     # numpy refuses a 2000001^5 grid before allocating anything
     ["maximal", "--k", "2", "--n", "5", "--lams", "77", "--K", "1000000"],
+    # 77 is the first lam with a prime solution: no cutoff up to 2^6 has an operator to measure
+    ["delta-probe", "--k", "2", "--n", "5", "--exp-lo", "0", "--exp-hi", "6"],
 ])
 def test_nothing_to_compute_is_an_error(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--k", "2", "--n", "5", "--xi", "0.1,0.2,0,0,0", "--lambda-min", "1", "--blocks", "60"],
+    ["delta-probe", "--k", "2", "--n", "5", "--exp-lo", "12", "--exp-hi", "60"],
+    ["hua", "--k", "2", "--n", "5", "--lo", "10", "--hi", str(2**60)],
+    ["approx", "--k", "2", "--n", "5", "--lambda-min", "4096", "--blocks", "48"],
+], ids=["weyl", "delta-probe", "hua", "approx"])
+def test_oversized_range_refused_before_sieving(capsys, monkeypatch, argv):
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit} for a range that cannot fit in memory")
+
+    monkeypatch.setattr("wglab.cli.sieve_primes", refuse)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_delta_probe_single_cutoff_prints_no_slope(capsys):
+    doc = run_json(
+        capsys, "delta-probe", "--k", "2", "--n", "5", "--p", "1.2", "--exp-lo", "9", "--exp-hi", "9",
+    )
+    assert set(doc["scalars"]) == {"p"}
+    assert len(doc["table"]["rows"]) == 1 and doc["table"]["rows"][0][1] > 0
 
 
 def test_sweeps_skip_empty_blocks(capsys):
@@ -410,7 +434,7 @@ CONFIG_PINS = [
      {"theta": 0.5, "X": 1000.0, "Q": 10.0, "count": 8}),
     (["approx", "--k", "2", "--n", "5"],
      {"k": 2, "n": 5, "lam_min": 4096, "blocks": 5, "per_block": 6, "xi_count": 32,
-      "C": 2.0, "B": 1.0, "qsing": 100}),
+      "C": 2.0, "qsing": 100}),
     (["hua", "--k", "2", "--n", "5"],
      {"k": 2, "n": 5, "lo": 10000, "hi": 100000, "samples": 50, "qsing": 100}),
     (["maximal", "--k", "2", "--n", "5", "--lams", "77"],

@@ -269,6 +269,14 @@ def test_delta_probe_sup_norm_bounded(table):
     assert 0 < report.norms[0] <= 1.0
 
 
+def test_delta_probe_without_admissible_lam_is_undefined(table):
+    # the first lam with a prime solution for (k, n) = (2, 5) is 77
+    with pytest.raises(UndefinedMeasureError):
+        delta_scaling_probe(2, 5, 1.2, [2**e for e in range(7)], table)
+    report = delta_scaling_probe(2, 5, 1.2, [64, 128], table)
+    assert report.norms[0] == 0 < report.norms[1] and report.slope is None
+
+
 def test_delta_probe_is_report(table):
     report = delta_scaling_probe(2, 5, 1.2, [1024, 2048], table)
     assert isinstance(report, OperatorReport)

@@ -1,4 +1,3 @@
-import json
 import os
 from math import ceil, log
 
@@ -20,6 +19,7 @@ from wglab.surface import (
     _local_unit_sum_masks,
     _mu_infinity,
     _value_array,
+    check_array_memory,
     dimension_gates,
     enumerate_integer_points,
     enumerate_prime_points,
@@ -158,26 +158,6 @@ def test_integer_points_dominate_prime_points(table):
         prime = enumerate_prime_points(ProblemInstance(2, 5, lam), table)
         integer = enumerate_integer_points(ProblemInstance(2, 5, lam))
         assert integer.r >= prime.r
-
-
-def test_cache_roundtrip(tmp_path, table):
-    inst = ProblemInstance(2, 5, 77)
-    first = enumerate_prime_points(inst, table, cache_dir=str(tmp_path))
-    path = tmp_path / "wg_k2_n5_lam77.json"
-    assert path.exists()
-    doc = json.loads(path.read_text())
-    assert doc["version"] == 1
-    assert len(doc["tuples"]) == 10
-    again = enumerate_prime_points(inst, table, cache_dir=str(tmp_path))
-    assert np.array_equal(first.representations, again.representations)
-
-
-def test_cache_version_mismatch_recomputes(tmp_path, table):
-    inst = ProblemInstance(2, 5, 77)
-    path = tmp_path / "wg_k2_n5_lam77.json"
-    path.write_text(json.dumps({"version": 99, "tuples": [[2, 2, 2, 2, 2]]}))
-    m = enumerate_prime_points(inst, table, cache_dir=str(tmp_path))
-    assert m.r == 10
 
 
 # --- transform ----------------------------------------------------------------
@@ -466,6 +446,19 @@ def test_rep_count_array_refuses_unsafe_rounding():
         rep_count_array(2, 12, 10_000, synthetic)
     # the default hua range is far inside the bound
     assert _count_rounding_bound(5, _fft_size(5 * 99_999 + 1), 65) < 1e-3
+
+
+def test_check_array_memory_refuses_above_physical_memory(monkeypatch):
+    check_array_memory(5, 2**18)  # the largest benchmark range
+    with pytest.raises(MemoryError):  # too large for any transform, refused without sizing one
+        check_array_memory(5, 2**62)
+    n, lam_max = 5, 100_000
+    need = 16 * _fft_size(ceil(n / 2) * lam_max + 1)
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need, "SC_PAGE_SIZE": 1}.__getitem__)
+    check_array_memory(n, lam_max)
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}.__getitem__)
+    with pytest.raises(MemoryError):
+        check_array_memory(n, lam_max)
 
 
 def test_sample_admissible_lams(table):
