@@ -67,11 +67,15 @@ def _round_payload(obj):
     return obj
 
 
-def _parse_list(text: str, kind) -> list:
+def _parse_list(text: str, kind, finite: bool = True) -> list:
+    """Comma-separated values; floats must be finite unless ``finite`` is False."""
     try:
-        return [kind(v) for v in text.split(",") if v != ""]
+        values = [kind(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
         raise InputError(f"could not parse {kind.__name__} list {text!r}") from exc
+    if finite and kind is float and not np.isfinite(values).all():
+        raise InputError(f"float list {text!r} holds nan or inf")
+    return values
 
 
 def _emit_json(config, scalars, table) -> str:
@@ -138,6 +142,21 @@ def _emit_svg(table, title: str) -> str:
 
 def _complex_scalars(prefix: str, z: complex) -> dict:
     return {f"{prefix}_re": float(z.real), f"{prefix}_im": float(z.imag), f"{prefix}_abs": abs(z)}
+
+
+def _dyadic_table(args):
+    """Primes up to the top of the dyadic blocks, once --lambda-min and --blocks are checked.
+
+    Block j is [lam_min 2^j, lam_min 2^(j+1)); the top block reads whole-range
+    arrays on [0, lam_min 2^blocks).
+    """
+    if args.lam_min < 1:
+        raise InputError("--lambda-min must be >= 1")
+    if args.blocks < 1:
+        raise InputError("--blocks must be >= 1")
+    lam_top = args.lam_min * 2**args.blocks
+    check_array_memory(args.n, lam_top - 1)
+    return sieve_primes(max(2, int_kth_root(lam_top, args.k)))
 
 
 def _measures(args, lams):
@@ -216,13 +235,10 @@ def _cmd_arcs(args):
 
 
 def _cmd_approx(args):
-    if args.blocks < 1 or args.xi_count < 1:
-        raise InputError("--blocks and --xi-count must be >= 1")
-    rng = np.random.default_rng(args.seed)
-    xi_sample = rng.random((args.xi_count, args.n))
-    lam_top = args.lam_min * 2**args.blocks
-    check_array_memory(args.n, lam_top - 1)  # the top block samples lam from arrays on [0, lam_top)
-    table = sieve_primes(max(2, int_kth_root(lam_top, args.k)))
+    if args.xi_count < 1:
+        raise InputError("--xi-count must be >= 1")
+    table = _dyadic_table(args)
+    xi_sample = np.random.default_rng(args.seed).random((args.xi_count, args.n))
 
     # one call per block, so a block's measures are freed before the next
     # block's admissible-lam arrays are built
@@ -288,7 +304,7 @@ def _cmd_maximal(args):
     lams = _parse_list(args.lams, int)
     if not lams:
         raise InputError("--lams needs at least one lam")
-    ps = _parse_list(args.p, float)
+    ps = _parse_list(args.p, float, finite=False)  # inf is the sup norm
     measures = [m for m in _measures(args, lams) if m.R > 0]
     if not measures:
         raise UndefinedMeasureError("no lam in the list has prime solutions")
@@ -305,7 +321,7 @@ def _cmd_maximal(args):
 
 
 def _cmd_delta_probe(args):
-    ps = _parse_list(args.p, float)
+    ps = _parse_list(args.p, float, finite=False)  # inf is the sup norm
     if len(ps) != 1:
         raise InputError("--p must be a single exponent")
     if not 0 <= args.exp_lo <= args.exp_hi:
@@ -343,9 +359,7 @@ def _cmd_ergodic(args):
 
 def _cmd_weyl(args):
     xi = _parse_list(args.xi, float)
-    lam_top = args.lam_min * 2 ** max(args.blocks, 0)  # weyl_decay_scan refuses --blocks < 1
-    check_array_memory(args.n, lam_top - 1)
-    table = sieve_primes(max(2, int_kth_root(lam_top, args.k)))
+    table = _dyadic_table(args)
     blocks = weyl_decay_scan(args.k, args.n, xi, args.lam_min, args.blocks, table)
     rows = [[b.lam_lo, b.lam_hi, b.count, b.max_abs, b.argmax_lam] for b in blocks]
     maxima = [b.max_abs for b in blocks]
@@ -477,9 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command][0]
+    handler, _, arguments = _COMMANDS[args.command]
     config = {k: v for k, v in sorted(vars(args).items())}
     try:
+        for flags, kwargs in arguments:  # argparse's float() accepts nan and inf
+            if kwargs.get("type") is float and not np.isfinite(getattr(args, kwargs.get("dest", flags[0][2:]))):
+                raise InputError(f"{flags[0]} must be a finite number")
         scalars, table = handler(args)
     except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

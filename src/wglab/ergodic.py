@@ -1,7 +1,6 @@
 """Averages along prime points on torus rotation systems, and equidistribution diagnostics."""
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -18,21 +17,13 @@ from .surface import (
 
 @dataclass(frozen=True)
 class TorusSystem:
-    """Commuting coordinate rotations x -> x + alpha_i e_i on the n-torus.
-
-    ``rational_flags`` records which coordinates are declared rational;
-    rationality is a declared property of the model, never decided from
-    the float values.
-    """
+    """Commuting coordinate rotations x -> x + alpha_i e_i on the n-torus."""
 
     alpha: tuple
-    rational_flags: Optional[tuple] = None
 
     def __post_init__(self):
         if len(self.alpha) == 0:
             raise InputError("rotation vector must be nonempty")
-        if self.rational_flags is not None and len(self.rational_flags) != len(self.alpha):
-            raise InputError("one rationality flag per coordinate")
 
     @property
     def n(self) -> int:

@@ -4,7 +4,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import InputError, UndefinedMeasureError
 from .numtheory import PrimeTable
@@ -86,70 +85,16 @@ def _convolve_direct(f: GridFunction, reps, weights) -> np.ndarray:
     return out
 
 
-def _convolve_fft(f: GridFunction, reps, weights) -> np.ndarray:
-    """Circular convolution by transforms, with roundoff set to exactly 0.
-
-    Every entry of the transform result is within
-    b = 16 u log2(N) (||w||_1 ||f||_2 + ||w||_2 ||f||_1) of the exact one
-    (u = 2^-53, N = L^n points, w the weights).  Each transform of length N
-    errs by at most g = 6.7 u log2(N) relative in the 2-norm (Higham,
-    Accuracy and Stability of Numerical Algorithms, Thm 24.2; the radix-3
-    and radix-5 passes are taken as in ``surface._count_rounding_bound``), and the
-    spectra are bounded by ||w||_1 and ||f||_1.  So the spectra's errors
-    add g sqrt(N) (||w||_2 ||f||_1 + ||w||_1 ||f||_2), their product
-    sqrt(5) u sqrt(N) ||w||_1 ||f||_2, and the inverse transform divides
-    that by sqrt(N) and adds g ||w||_1 ||f||_2 (Young: the result's 2-norm
-    is at most ||w||_1 ||f||_2).  In all, (2g + sqrt(5) u) times the sum of
-    both products, inside b.  An entry at or below b is indistinguishable
-    from 0 and is reported as 0.
-    """
-    K, n = f.K, f.n
-    real = f.values.dtype.kind != "c"
-    shape = (sp_fft.next_fast_len(4 * K + 1, real),) * n
-    fft, ifft = (sp_fft.rfftn, sp_fft.irfftn) if real else (sp_fft.fftn, sp_fft.ifftn)
-    kern = np.zeros(shape)
-    np.add.at(kern, tuple((reps % shape[0]).T), weights)
-    prod = fft(kern)
-    prod *= fft(f.values, shape)
-    out = ifft(prod, shape)[(slice(0, 2 * K + 1),) * n].copy()
-    mags = np.abs(f.values)
-    w1, w2 = np.abs(weights).sum(), np.sqrt((weights**2).sum())
-    bound = 16.0 * 2.0**-53 * n * np.log2(shape[0]) * (w1 * np.sqrt((mags**2).sum()) + w2 * mags.sum())
-    out[np.abs(out) <= bound] = 0
-    return out
-
-
-def convolve(
-    f: GridFunction,
-    measure: SurfaceMeasure,
-    normalized: bool = True,
-    method: str = "auto",
-) -> GridFunction:
+def convolve(f: GridFunction, measure: SurfaceMeasure, normalized: bool = True) -> GridFunction:
     """(measure * f)(x) = sum over solutions p of weight(p) f(x - p), on the box.
 
-    f is treated as zero outside its box.  ``method`` selects the sparse
-    accumulation path ("direct"), the transform path ("fft"), or a size
-    heuristic ("auto"); the two paths agree to roundoff.
-
-    The transform path is a circular convolution of length
-    L = next_fast_len(4K+1) per axis, with weight(p) placed at p mod L and
-    the result read from [0, 2K].  No wrap-around reaches that window: box
-    index i + p spans [-2K, 4K], and a shift by L >= 4K+1 moves [0, 2K]
-    entirely outside that span.
+    f is treated as zero outside its box.
     """
     if f.n != measure.instance.n:
         raise InputError("grid dimension does not match the measure")
     if normalized and measure.R <= 0:
         raise UndefinedMeasureError("cannot normalize a zero-mass measure")
-    reps, weights = _pruned(measure, f.K)
-    if method == "auto":
-        method = "fft" if len(reps) > 64 else "direct"
-    if method == "direct":
-        out = _convolve_direct(f, reps, weights)
-    elif method == "fft":
-        out = _convolve_fft(f, reps, weights)
-    else:
-        raise InputError(f"unknown convolution method {method!r}")
+    out = _convolve_direct(f, *_pruned(measure, f.K))
     if normalized:
         # times 1/R is how numpy divides a complex array by a real R, so real grids round alike
         out = out * (1.0 / measure.R)

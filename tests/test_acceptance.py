@@ -9,6 +9,7 @@ from math import gcd, log, sqrt
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from wglab.ergodic import TorusSystem, TrigPolynomial, ergodic_average, weyl_decay_scan
 from wglab.expsums import (
@@ -239,9 +240,14 @@ def test_criterion_08_convolution_oracle(table):
                 K=4,
                 values=rng.standard_normal((9,) * 5) + 1j * rng.standard_normal((9,) * 5),
             )
-            a = convolve(f, measure, method="direct")
-            b = convolve(f, measure, method="fft")
-            worst = max(worst, float(np.abs(a.values - b.values).max()))
+            a = convolve(f, measure)
+            # oracle: window [2K, 4K] of scipy's transform convolution, kernel at p + 2K
+            reps, K = measure.representations, f.K
+            keep = (np.abs(reps) <= 2 * K).all(axis=1)
+            kern = np.zeros((4 * K + 1,) * 5)
+            np.add.at(kern, tuple((reps[keep] + 2 * K).T), measure.weights[keep])
+            b = fftconvolve(f.values, kern)[(slice(2 * K, 4 * K + 1),) * 5] / measure.R
+            worst = max(worst, float(np.abs(a.values - b).max()))
     ok = worst <= 1e-8
     report(8, "transform and direct convolution agree", ok, f"max gap {worst:.2e}")
     assert ok

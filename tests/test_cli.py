@@ -125,18 +125,19 @@ def test_maximal_cmd(capsys):
 
 
 def test_maximal_convolves_each_measure_once(capsys, monkeypatch):
-    # at K = 6, lam = 208 keeps 120 pruned solutions (FFT path), lam = 77 keeps 10 (direct)
+    # at K = 6, lam = 208 keeps 120 pruned solutions and lam = 77 keeps 10
     calls = Counter()
-    for name in ("_convolve_fft", "_convolve_direct"):
-        def counted(*args, _name=name, _fn=getattr(maxops, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(maxops, name, counted)
+
+    def counted(*args, _fn=maxops._convolve_direct):
+        calls["_convolve_direct"] += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(maxops, "_convolve_direct", counted)
     doc = run_json(
         capsys, "maximal", "--k", "2", "--n", "5", "--lams", "77,208", "--K", "6",
         "--p", "1,2,inf", "--input", "random",
     )
-    assert calls == {"_convolve_fft": 1, "_convolve_direct": 1}
+    assert calls == {"_convolve_direct": 2}
     monkeypatch.undo()
 
     table = sieve_primes(int_kth_root(208, 2))
@@ -155,8 +156,8 @@ def test_maximal_convolves_each_measure_once(capsys, monkeypatch):
 
 
 def test_maximal_reports_fft_roundoff_as_zero(capsys):
-    # no solution of 208 has every coordinate <= 6, so its delta convolution is 0 on the box;
-    # lam = 77 takes the direct path and keeps the values it printed before
+    # no solution of 208 has every coordinate <= 6, so its delta convolution is exactly 0
+    # on the box; lam = 77 keeps the values it printed before
     doc = run_json(
         capsys, "maximal", "--k", "2", "--n", "5", "--lams", "77,208", "--K", "6", "--p", "1,2,inf",
     )
@@ -322,10 +323,25 @@ def test_cli_import_skips_scipy_signal():
     ["approx", "--k", "2", "--n", "5", "--per-block", "0"],
     ["weyl", "--k", "2", "--n", "5", "--xi", "0.1,0.2,0,0,0", "--lambda-min", "10", "--blocks", "-1"],
     ["maximal", "--k", "2", "--n", "5", "--lams", "77", "--K", "6", "--p", "0.5"],
+    ["weyl", "--k", "2", "--n", "5", "--xi", "0.1,0.2,0,0,0", "--lambda-min", "-5", "--blocks", "3"],
+    ["approx", "--k", "2", "--n", "5", "--lambda-min", "-5", "--blocks", "1"],
+    ["approx", "--k", "2", "--n", "5", "--lambda-min", "0", "--blocks", "1"],
+    ["fourier", "--k", "2", "--n", "5", "--lambda", "77", "--xi", "0.1,0.2,0.3,0.4,nan"],
+    ["weyl", "--k", "2", "--n", "5", "--xi", "nan,0,0,0,0", "--lambda-min", "10", "--blocks", "1"],
+    ["surface", "--n", "2", "--k", "2", "--eta", "inf,0"],
+    ["equidist", "--k", "2", "--n", "5", "--lambda", "77", "--alpha", "nan,1,1,1,1"],
+    ["ergodic", "--k", "2", "--n", "5", "--lambda", "77", "--alpha", "0.1,0.2,0.3,0.4,0.5",
+     "--m", "1,0,0,0,0", "--x", "inf,0,0,0,0"],
+    ["arcs", "--theta", "nan", "--X", "100", "--Q", "10"],
+    ["arcs", "--theta", "inf", "--X", "100", "--Q", "10"],
+    ["approx", "--k", "2", "--n", "5", "--lambda-min", "64", "--blocks", "1", "--C", "nan"],
 ])
 def test_bad_values_are_usage_errors(capsys, argv):
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("usage error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    if "--lambda-min" in argv and int(argv[argv.index("--lambda-min") + 1]) < 1:
+        assert "--lambda-min" in err
 
 
 @pytest.mark.parametrize("argv", [

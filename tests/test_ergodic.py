@@ -35,7 +35,7 @@ def test_constant_average_is_exactly_one(measure77):
 
 def test_zero_rotation_returns_f_of_x(measure77):
     # identity transformations: the average cannot converge to the mean
-    system = TorusSystem(alpha=(0.0,) * 5, rational_flags=(True,) * 5)
+    system = TorusSystem(alpha=(0.0,) * 5)
     f = TrigPolynomial(terms=(((1, 0, 0, 0, 0), 1.0 + 0j), ((0, 0, 0, 0, 0), -0.3 + 0j)))
     x = np.array([0.21, 0.4, 0.9, 0.05, 0.66])
     got = ergodic_average(system, f, measure77, x)
@@ -188,5 +188,3 @@ def test_discrepancy_needs_a_box():
 def test_torus_system_validation():
     with pytest.raises(InputError):
         TorusSystem(alpha=())
-    with pytest.raises(InputError):
-        TorusSystem(alpha=(0.1, 0.2), rational_flags=(True,))

@@ -1,17 +1,16 @@
-import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
 from wglab.errors import InputError, UndefinedMeasureError
 from wglab.maxops import (
     GridFunction,
     OperatorReport,
-    _convolve_fft,
+    _convolve_direct,
     _pruned,
     convolve,
     delta_scaling_probe,
@@ -76,9 +75,9 @@ def test_convolve_paths_agree(table, measure77):
             K=4,
             values=rng.standard_normal((9,) * n) + 1j * rng.standard_normal((9,) * n),
         )
-        a = convolve(f, measure, method="direct")
-        b = convolve(f, measure, method="fft")
-        assert np.abs(a.values - b.values).max() < 1e-10
+        a = convolve(f, measure)
+        b = _linear_window(f, *_pruned(measure, 4)) / measure.R
+        assert np.abs(a.values - b).max() < 1e-10
 
 
 def _linear_window(f, reps, weights):
@@ -100,25 +99,9 @@ def test_convolve_fft_matches_linear_window(measure77):
     real = rng.standard_normal((2 * K + 1,) * n)
     for values in (real + 1j * rng.standard_normal(real.shape), real):
         f = GridFunction(K=K, values=values)
-        got = _convolve_fft(f, reps, weights)
+        got = _convolve_direct(f, reps, weights)
         assert got.dtype == values.dtype
         _assert_roundoff(got, _linear_window(f, reps, weights))
-
-
-def test_convolve_fft_wraparound_edge():
-    # at K = 2 the circular length is exactly 4K + 1 = 9, the least that keeps
-    # wrap-around out of the window; weights at +-2K on every axis reach it
-    K, n = 2, 3
-    assert sp_fft.next_fast_len(4 * K + 1, True) == sp_fft.next_fast_len(4 * K + 1, False) == 4 * K + 1
-    rng = np.random.default_rng(4)
-    reps = np.array(list(itertools.product((-2 * K, 2 * K), repeat=n)))
-    weights = rng.random(len(reps)) + 0.5
-    real = rng.standard_normal((2 * K + 1,) * n)
-    for values in (real + 1j * rng.standard_normal(real.shape), real):
-        f = GridFunction(K=K, values=values)
-        want = _linear_window(f, reps, weights)
-        assert np.abs(want).max() > 0.1  # the corner weights do reach the box
-        _assert_roundoff(_convolve_fft(f, reps, weights), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,7 +115,7 @@ def test_convolve_fft_matches_linear_window_property(data, n, K, complex_grid):
     if complex_grid:
         values = values + 1j * rng.standard_normal(values.shape)
     f = GridFunction(K=K, values=values)
-    _assert_roundoff(_convolve_fft(f, reps, weights), _linear_window(f, reps, weights))
+    _assert_roundoff(_convolve_direct(f, reps, weights), _linear_window(f, reps, weights))
 
 
 def test_convolve_linearity(measure77):
@@ -156,6 +139,20 @@ def test_convolve_unnormalized(measure77):
     f = GridFunction.delta(5, 5)
     raw = convolve(f, measure77, normalized=False)
     assert raw.at((3, 3, 3, 5, 5)) == pytest.approx(measure77.weights[0], rel=1e-12)
+
+
+def test_convolve_memory_is_a_few_boxes(table):
+    # at K = 6, 120 solutions of 208 survive pruning; accumulating them needs the output box
+    # and one shifted slice, nothing the size of the (4K+1)^n span they reach
+    measure = enumerate_prime_points(ProblemInstance(2, 5, 208), table)
+    f = GridFunction(K=6, values=np.random.default_rng(18).standard_normal((13,) * 5))
+    tracemalloc.start()
+    try:
+        convolve(f, measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * f.values.nbytes
 
 
 def test_sup_norm_contraction(measure77):
@@ -218,11 +215,10 @@ def test_real_delta_and_constant_grids_match_complex(table):
         assert f.values.dtype == float
         c = GridFunction(K=f.K, values=f.values.astype(complex))
         for m in measures:
-            for method in ("direct", "fft"):
-                got = convolve(f, m, method=method).values
-                want = convolve(c, m, method=method).values
-                np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-12 * np.abs(want).max())
-                assert np.abs(want.imag).max() <= 1e-12 * np.abs(want).max()
+            got = convolve(f, m).values
+            want = convolve(c, m).values
+            np.testing.assert_allclose(got, want.real, rtol=0, atol=1e-12 * np.abs(want).max())
+            assert np.abs(want.imag).max() <= 1e-12 * np.abs(want).max()
         ps = (1.0, 2.0, np.inf)
         got, want = maximal(f, measures, ps), maximal(c, measures, ps)
         scale = want.sup.values.max()
