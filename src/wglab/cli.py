@@ -497,6 +497,8 @@ def main(argv=None) -> int:
         for flags, kwargs in arguments:  # argparse's float() accepts nan and inf
             if kwargs.get("type") is float and not np.isfinite(getattr(args, kwargs.get("dest", flags[0][2:]))):
                 raise InputError(f"{flags[0]} must be a finite number")
+        if _N in arguments and min(args.k, args.n) < 2:  # before any handler sieves
+            raise InputError("need k >= 2, n >= 2")
         scalars, table = handler(args)
     except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

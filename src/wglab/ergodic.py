@@ -124,6 +124,8 @@ def weyl_decay_scan(
     block without per-lam enumeration.  Blocks without an admissible lam
     are left out; if none is left, UndefinedMeasureError.
     """
+    if k < 2 or n < 2:
+        raise InputError("need k >= 2, n >= 2")
     if lam_min < 1 or num_blocks < 1:
         raise InputError("need lam_min >= 1 and num_blocks >= 1")
     lam_max = lam_min * 2**num_blocks - 1

@@ -29,7 +29,7 @@ Real = Union[float, Fraction]
 class GSumQuery:
     """Arguments of g(a, q; b, r) at degree k.
 
-    The direct evaluator accepts arbitrary a, b and reduces them mod q, r;
+    ``g_sum`` accepts arbitrary a, b and reduces them mod q, r;
     the reduction identities additionally require gcd(a,q) = gcd(b,r) = 1.
     """
 
@@ -85,17 +85,25 @@ def _pow_mod(x: np.ndarray, k: int, m: int) -> np.ndarray:
     return y
 
 
-@lru_cache(maxsize=200_000)
-def _g_value(a: int, q: int, b: int, r: int, k: int) -> complex:
-    m = lcm(q, r)
-    x = units(m).elements
-    exps = (a * (m // q) * _pow_mod(x, k, m) + b * (m // r) * x) % m
-    return complex(_roots(m)[exps].sum() / len(x))
+@lru_cache(maxsize=50_000)
+def _g_table(q: int, b: int, r: int, k: int) -> np.ndarray:
+    """g(a, q; b, r) for every residue a mod q, indexed by a; read-only.
+
+    Buckets the phases e(b x / r) of the units x mod [q,r] by x^k mod q;
+    the sum over each bucket against e(a j / q) is one inverse DFT.
+    """
+    x = units(lcm(q, r)).elements
+    phases = _roots(r)[(b * x) % r]
+    j = _pow_mod(x, k, q)
+    buckets = np.bincount(j, phases.real, q) + 1j * np.bincount(j, phases.imag, q)
+    table = np.fft.ifft(buckets) * (q / len(x))
+    table.flags.writeable = False
+    return table
 
 
 def g_sum(query: GSumQuery) -> complex:
-    """Direct evaluation of g(a, q; b, r) over the units mod lcm(q, r)."""
-    return _g_value(query.a % query.q, query.q, query.b % query.r, query.r, query.k)
+    """g(a, q; b, r), read from the table of every a mod q."""
+    return complex(_g_table(query.q, query.b % query.r, query.r, query.k)[query.a % query.q])
 
 
 def g_via_lemma(query: GSumQuery) -> complex:
@@ -113,7 +121,7 @@ def g_via_lemma(query: GSumQuery) -> complex:
     if gcd(r0, q) > 1:
         return 0j
     factor = mobius(r0) / euler_phi(r0)
-    return factor * _g_value((a * pow(r0, k, q)) % q, q, (b * q0) % q, q, k)
+    return factor * complex(_g_table(q, (b * q0) % q, q, k)[(a * pow(r0, k, q)) % q])
 
 
 def ramanujan_sum(q: int, m: int) -> float:
@@ -126,27 +134,9 @@ def ramanujan_sum(q: int, m: int) -> float:
 
 
 @lru_cache(maxsize=50_000)
-def _g_over_b(a: int, q: int, r: int, k: int) -> np.ndarray:
-    """g(a, q; b, r) for every b in U_r, aligned with units(r).elements."""
-    m = lcm(q, r)
-    x = units(m).elements
-    base = (a * (m // q) * _pow_mod(x, k, m)) % m
-    lin = ((m // r) * x) % m
-    bs = units(r).elements
-    exps = (base[None, :] + bs[:, None] * lin[None, :]) % m
-    return _roots(m)[exps].sum(axis=1) / len(x)
-
-
-@lru_cache(maxsize=50_000)
 def _g_over_a(q: int, b: int, r: int, k: int) -> np.ndarray:
     """g(a, q; b, r) for every a in U_q, aligned with units(q).elements."""
-    m = lcm(q, r)
-    x = units(m).elements
-    powers = ((m // q) * _pow_mod(x, k, m)) % m
-    lin = (b * (m // r) * x) % m
-    avals = units(q).elements
-    exps = (avals[:, None] * powers[None, :] + lin[None, :]) % m
-    return _roots(m)[exps].sum(axis=1) / len(x)
+    return _g_table(q, b, r, k)[units(q).elements]
 
 
 def aggregate_g(a: int, q: int, r: int, u: int, k: int) -> complex:
@@ -154,7 +144,7 @@ def aggregate_g(a: int, q: int, r: int, u: int, k: int) -> complex:
     if gcd(a, q) != 1:
         raise InputError("aggregate sum needs gcd(a,q) = 1")
     bs = units(r).elements
-    row = _g_over_b(a % q, q, r, k)
+    row = np.array([_g_table(q, int(b), r, k)[a % q] for b in bs])
     phases = _roots(r)[(-u * bs) % r]
     return complex((row * phases).sum())
 
@@ -205,9 +195,7 @@ def f_product(a: int, q: int, avec, qvec, k: int) -> complex:
             raise InputError("each pair (a_i, q_i) must be reduced")
     val = 1 + 0j
     for ai, qi in zip(avec, qvec):
-        val *= _g_value(a % q, q, ai % qi, qi, k)
-        if val == 0:
-            break
+        val *= complex(_g_table(q, ai % qi, qi, k)[a % q])
     return val
 
 

@@ -171,6 +171,8 @@ def delta_scaling_probe(
     If no admissible lam up to the largest cutoff has a prime solution,
     there is no operator to measure: UndefinedMeasureError.
     """
+    if k < 2 or n < 2:
+        raise InputError("need k >= 2, n >= 2")
     _check_exponent(p)
     lam_values = sorted(int(v) for v in lam_values)
     lam_max = lam_values[-1]

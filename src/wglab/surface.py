@@ -114,24 +114,21 @@ def _local_unit_sum_masks(k: int, n: int) -> tuple:
     return tuple(pairs)
 
 
-# (k, n) -> (modulus, residue) of the explicitly known even-k progressions
-_EXACT_PROGRESSIONS = {(2, 5): (24, 5), (4, 17): (240, 17)}
+# even-k (k, n) whose unit-sum masks are a known progression: 5 mod 24 and 17 mod 240
+_EXACT_PROGRESSIONS = {(2, 5), (4, 17)}
 
 
 def gamma_member_mask(k: int, n: int, lams: np.ndarray) -> np.ndarray:
     """Admissibility of every lam in an array for (k, n).
 
-    Exact for odd k (parity), for (k, n) = (2, 5) (residue 5 mod 24) and
-    for (k, n) = (4, 17) (residue 17 mod 240).  Every other case is a
-    congruence-solubility heuristic over sums of unit k-th powers modulo
-    small prime powers.
+    Exact for odd k (parity), and for (k, n) = (2, 5) and (4, 17), where
+    the unit-sum masks are the progressions 5 mod 24 and 17 mod 240.  Every
+    other case is a congruence-solubility heuristic over sums of unit k-th
+    powers modulo small prime powers.
     """
     lams = np.asarray(lams, dtype=np.int64)
     if k % 2 == 1:
         return (lams - n) % 2 == 0
-    if (k, n) in _EXACT_PROGRESSIONS:
-        m, residue = _EXACT_PROGRESSIONS[(k, n)]
-        return lams % m == residue
     mask = np.ones(len(lams), dtype=bool)
     for m, reach in _local_unit_sum_masks(k, n):
         mask &= reach[lams % m]
@@ -308,6 +305,12 @@ class ApproxParams:
             N = base
         if not base * (1 - 1e-12) <= N <= 2 * base * (1 + 1e-12):
             raise InputError("N must lie between lam^(1/k) and 2*lam^(1/k)")
+        if not C > 0:
+            raise InputError(f"major-arc exponent C (--C) must be > 0, got {C}")
+        try:
+            log(N) ** C
+        except OverflowError:
+            raise InputError(f"major-arc exponent C (--C) = {C} overflows Q = log(N)^C") from None
         return cls(C=C, N=float(N), Qsing=int(Qsing), bump=bump or BumpProfile())
 
     @property

@@ -335,6 +335,17 @@ def test_cli_import_skips_scipy_signal():
     ["arcs", "--theta", "nan", "--X", "100", "--Q", "10"],
     ["arcs", "--theta", "inf", "--X", "100", "--Q", "10"],
     ["approx", "--k", "2", "--n", "5", "--lambda-min", "64", "--blocks", "1", "--C", "nan"],
+    ["approx", "--k", "2", "--n", "5", "--lambda-min", "64", "--blocks", "1", "--per-block", "1",
+     "--xi-count", "1", "--C", "1e300"],
+    ["approx", "--k", "2", "--n", "5", "--lambda-min", "64", "--blocks", "1", "--per-block", "1",
+     "--xi-count", "1", "--C", "-1"],
+    ["weyl", "--k", "2", "--n", "0", "--xi", "", "--lambda-min", "100", "--blocks", "2"],
+    ["weyl", "--k", "1", "--n", "5", "--xi", "0.1,0,0,0,0", "--lambda-min", "100", "--blocks", "2"],
+    ["delta-probe", "--k", "2", "--n", "0", "--p", "2"],
+    ["delta-probe", "--k", "2", "--n", "-1", "--p", "2"],
+    ["delta-probe", "--k", "1", "--n", "5", "--p", "2", "--exp-lo", "4", "--exp-hi", "6"],
+    ["hua", "--k", "2", "--n", "0", "--lo", "100", "--hi", "200", "--samples", "2"],
+    ["approx", "--k", "2", "--n", "0", "--lambda-min", "64", "--blocks", "1"],
 ])
 def test_bad_values_are_usage_errors(capsys, argv):
     assert main(argv) == 2
@@ -342,6 +353,8 @@ def test_bad_values_are_usage_errors(capsys, argv):
     assert err.startswith("usage error: ")
     if "--lambda-min" in argv and int(argv[argv.index("--lambda-min") + 1]) < 1:
         assert "--lambda-min" in err
+    if "--C" in argv:
+        assert "--C" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -122,6 +122,9 @@ def test_weyl_scan_matches_enumeration(table):
 def test_weyl_scan_validation(table):
     with pytest.raises(InputError):
         weyl_decay_scan(2, 5, (0.0,) * 5, 0, 3, table)
+    for k, n in ((1, 5), (2, 1)):
+        with pytest.raises(InputError, match="k >= 2, n >= 2"):
+            weyl_decay_scan(k, n, (0.0,) * n, 100, 2, table)
 
 
 def test_weyl_scan_skips_empty_blocks(table):

@@ -4,6 +4,8 @@ from math import gcd, log
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wglab.errors import InputError, SizeLimitError
 from wglab.expsums import (
@@ -20,6 +22,7 @@ from wglab.expsums import (
     ramanujan_sum,
 )
 from wglab.numtheory import euler_phi, mobius, sieve_primes, units
+from wglab.surface import ProblemInstance, singular_series
 
 
 def e(x):
@@ -70,6 +73,18 @@ def test_g_matches_slow_brute_force():
         )
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    a=st.integers(-200, 200), q=st.integers(1, 60), b=st.integers(-200, 200),
+    r=st.integers(1, 60), k=st.integers(2, 5),
+)
+@example(a=6, q=12, b=5, r=18, k=2)  # a not a unit, gcd(q, r) = 6
+@example(a=0, q=60, b=0, r=60, k=5)
+@example(a=35, q=49, b=1, r=14, k=3)
+def test_g_sum_matches_exact_oracle(a, q, b, r, k):
+    assert g_sum(GSumQuery(a, q, b, r, k)) == pytest.approx(g_brute(a, q, b, r, k), abs=1e-11)
+
+
 def test_g_periodicity():
     rng = np.random.default_rng(3)
     for _ in range(60):
@@ -103,6 +118,15 @@ def test_reduction_identity_sampled():
                         )
 
 
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), q=st.integers(1, 60), r=st.integers(1, 60), k=st.integers(2, 5))
+def test_reduction_identity_property(data, q, r, k):
+    a = data.draw(st.sampled_from(units(q).elements.tolist()))
+    b = data.draw(st.sampled_from(units(r).elements.tolist()))
+    query = GSumQuery(a, q, b, r, k)
+    assert g_via_lemma(query) == pytest.approx(g_sum(query), abs=1e-11)
+
+
 def test_reduction_vanishing_part():
     assert g_via_lemma(GSumQuery(1, 2, 1, 4, 2)) == 0
 
@@ -122,6 +146,21 @@ def test_reduction_divisor_path_is_identity():
 def test_reduction_requires_coprimality():
     with pytest.raises(InputError):
         g_via_lemma(GSumQuery(2, 4, 1, 3, 2))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_singular_series_at_a_nonzero_center(k):
+    # the series is about 0.33 (k = 2) and 0.0075 (k = 3) here; at (1,1,2,0,1)/(3,4,5,1,2) it vanishes
+    lam, avec, qvec, Qsing = 77, (1, 1, 2, 0, 1), (3, 5, 5, 1, 3), 12
+    want = sum(
+        e(Fraction(-lam * int(a), q))
+        * np.prod([g_brute(int(a), q, ai, qi, k) for ai, qi in zip(avec, qvec)])
+        for q in range(1, Qsing + 1)
+        for a in units(q).elements
+    )
+    got = singular_series(ProblemInstance(k, 5, lam), avec, qvec, Qsing).value
+    assert abs(want) > 1e-3
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 # --- Ramanujan sums --------------------------------------------------------

@@ -207,6 +207,12 @@ def test_maximal_checks_exponents_before_convolving(measure77, monkeypatch):
             maximal(GridFunction.delta(5, 2), [measure77], (2.0, p))
 
 
+def test_delta_probe_refuses_degenerate_k_n(table):
+    for k, n in ((1, 5), (2, 0), (2, -1)):
+        with pytest.raises(InputError, match="k >= 2, n >= 2"):
+            delta_scaling_probe(k, n, 2.0, [16, 32, 64], table)
+
+
 def test_real_delta_and_constant_grids_match_complex(table):
     # every solution of 38 and 83 as a sum of three prime squares lies in the K = 7 box
     measures = [enumerate_prime_points(ProblemInstance(2, 3, lam), table) for lam in (38, 83)]

@@ -1,5 +1,5 @@
 import os
-from math import ceil, log
+from math import ceil, lcm, log
 
 import numpy as np
 import pytest
@@ -61,6 +61,15 @@ def test_gamma_exact_families():
     assert not gamma_membership(ProblemInstance(2, 5, 78)).member
     v = gamma_membership(ProblemInstance(4, 17, 257))
     assert v.member and v.exact and 257 % 240 == 17
+
+
+@pytest.mark.parametrize("k, n, m, residue", [(2, 5, 24, 5), (4, 17, 240, 17)])
+def test_gamma_mask_is_the_known_progression(k, n, m, residue):
+    # both sides are periodic mod the masks' moduli, so one period decides
+    period = lcm(*(mod for mod, _ in _local_unit_sum_masks(k, n)))
+    assert period % m == 0
+    lams = np.arange(period)
+    assert np.array_equal(gamma_member_mask(k, n, lams), lams % m == residue)
 
 
 def test_gamma_heuristic_is_labeled():
@@ -223,6 +232,9 @@ def test_params_defaults_and_validation():
     assert p.Q == pytest.approx(log(p.N) ** 2.0)
     with pytest.raises(InputError):
         ApproxParams.for_instance(inst, N=3 * 10061**0.5)
+    for C in (0.0, -1.0, 1e300):
+        with pytest.raises(InputError, match="C"):
+            ApproxParams.for_instance(inst, C=C)
 
 
 # --- singular series ----------------------------------------------------------
