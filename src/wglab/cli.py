@@ -26,12 +26,11 @@ from .ergodic import (
     weyl_decay_scan,
 )
 from .maxops import GridFunction, delta_scaling_probe, lp_norm, maximal
-from .numtheory import int_kth_root, sieve_primes
 from .oscint import SurfaceQuery, surface_transform
 from .surface import (
     ApproxParams,
     ProblemInstance,
-    check_array_memory,
+    admissible_mask,
     enumerate_prime_points,
     error_term,
     gamma_membership,
@@ -144,26 +143,21 @@ def _complex_scalars(prefix: str, z: complex) -> dict:
     return {f"{prefix}_re": float(z.real), f"{prefix}_im": float(z.imag), f"{prefix}_abs": abs(z)}
 
 
-def _dyadic_table(args):
-    """Primes up to the top of the dyadic blocks, once --lambda-min and --blocks are checked.
+def _dyadic_top(args) -> int:
+    """lam_min 2^blocks, the end of the dyadic blocks, once --lambda-min and --blocks are checked.
 
-    Block j is [lam_min 2^j, lam_min 2^(j+1)); the top block reads whole-range
-    arrays on [0, lam_min 2^blocks).
+    Block j is [lam_min 2^j, lam_min 2^(j+1)).
     """
     if args.lam_min < 1:
         raise InputError("--lambda-min must be >= 1")
     if args.blocks < 1:
         raise InputError("--blocks must be >= 1")
-    lam_top = args.lam_min * 2**args.blocks
-    check_array_memory(args.n, lam_top - 1)
-    return sieve_primes(max(2, int_kth_root(lam_top, args.k)))
+    return args.lam_min * 2**args.blocks
 
 
 def _measures(args, lams):
-    """Prime points of each lam at --k/--n, from one sieve to max(lams)^(1/k)."""
-    insts = [ProblemInstance(k=args.k, n=args.n, lam=lam) for lam in lams]
-    table = sieve_primes(max(2, int_kth_root(max(lams), args.k)))
-    return [enumerate_prime_points(inst, table) for inst in insts]
+    """Prime points of each lam at --k/--n."""
+    return [enumerate_prime_points(ProblemInstance(k=args.k, n=args.n, lam=lam)) for lam in lams]
 
 
 # --- subcommand implementations -------------------------------------------
@@ -237,16 +231,15 @@ def _cmd_arcs(args):
 def _cmd_approx(args):
     if args.xi_count < 1:
         raise InputError("--xi-count must be >= 1")
-    table = _dyadic_table(args)
+    lam_top = _dyadic_top(args)
+    mask = admissible_mask(args.k, args.n, rep_count_array(args.k, args.n, lam_top - 1))
     xi_sample = np.random.default_rng(args.seed).random((args.xi_count, args.n))
 
-    # one call per block, so a block's measures are freed before the next
-    # block's admissible-lam arrays are built
     def block_row(lo, hi, lams):
         errs, zeros = [], []
         for lam in lams:
             inst = ProblemInstance(k=args.k, n=args.n, lam=lam)
-            measure = enumerate_prime_points(inst, table)
+            measure = enumerate_prime_points(inst)
             params = ApproxParams.for_instance(inst, C=args.C, Qsing=args.qsing)
             for xi in xi_sample:
                 errs.append(abs(error_term(measure, params, xi)))
@@ -256,7 +249,7 @@ def _cmd_approx(args):
     rows = []
     for j in range(args.blocks):
         lo, hi = args.lam_min * 2**j, args.lam_min * 2 ** (j + 1)
-        lams = sample_admissible_lams(args.k, args.n, lo, hi, args.per_block, table)
+        lams = sample_admissible_lams(mask, lo, hi, args.per_block)
         if lams:  # a block without admissible lam has no error to report
             rows.append(block_row(lo, hi, lams))
     if not rows:
@@ -275,13 +268,11 @@ def _cmd_approx(args):
 def _cmd_hua(args):
     k, n = args.k, args.n
     hi = max(args.hi, 1)  # sample_admissible_lams refuses --hi < 1 with a usage error
-    check_array_memory(n, hi - 1)
-    table = sieve_primes(max(2, int_kth_root(hi, k)))
-    counts = rep_count_array(k, n, hi - 1, table)
-    lams = sample_admissible_lams(k, n, args.lo, args.hi, args.samples, table, counts)
+    counts = rep_count_array(k, n, hi - 1)
+    lams = sample_admissible_lams(admissible_mask(k, n, counts), args.lo, args.hi, args.samples)
     if not lams:
         raise UndefinedMeasureError(f"no admissible lam with a prime solution in [{args.lo}, {args.hi})")
-    weights = rep_weight_array(k, n, hi - 1, table)
+    weights = rep_weight_array(k, n, hi - 1)
     rows = []
     for lam in lams:
         R = float(weights[lam])
@@ -328,9 +319,7 @@ def _cmd_delta_probe(args):
         raise InputError("need 0 <= --exp-lo <= --exp-hi")
     p = ps[0]
     lam_values = [2**e for e in range(args.exp_lo, args.exp_hi + 1)]
-    check_array_memory(args.n, max(lam_values))
-    table = sieve_primes(max(2, int_kth_root(max(lam_values), args.k)))
-    report = delta_scaling_probe(args.k, args.n, p, lam_values, table)
+    report = delta_scaling_probe(args.k, args.n, p, lam_values)
     scalars = {"p": float(p)}
     if report.slope is not None:  # one cutoff, or a norm of 0, leaves nothing to fit
         scalars["slope"] = report.slope
@@ -359,8 +348,8 @@ def _cmd_ergodic(args):
 
 def _cmd_weyl(args):
     xi = _parse_list(args.xi, float)
-    table = _dyadic_table(args)
-    blocks = weyl_decay_scan(args.k, args.n, xi, args.lam_min, args.blocks, table)
+    _dyadic_top(args)  # its usage errors name --lambda-min and --blocks
+    blocks = weyl_decay_scan(args.k, args.n, xi, args.lam_min, args.blocks)
     rows = [[b.lam_lo, b.lam_hi, b.count, b.max_abs, b.argmax_lam] for b in blocks]
     maxima = [b.max_abs for b in blocks]
     scalars = {

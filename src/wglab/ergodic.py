@@ -5,12 +5,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, UndefinedMeasureError
-from .numtheory import PrimeTable
 from .surface import (
     SurfaceMeasure,
     admissible_mask,
     fourier_numerator_array,
     omega_hat,
+    rep_count_array,
     rep_weight_array,
 )
 
@@ -109,14 +109,7 @@ class WeylBlock:
     argmax_lam: int
 
 
-def weyl_decay_scan(
-    k: int,
-    n: int,
-    xi,
-    lam_min: int,
-    num_blocks: int,
-    table: PrimeTable,
-) -> list[WeylBlock]:
+def weyl_decay_scan(k: int, n: int, xi, lam_min: int, num_blocks: int) -> list[WeylBlock]:
     """max |omega_hat(xi)| over admissible lam in [L, 2L), L = lam_min * 2^j.
 
     Computed for the whole range at once by convolving the per-coordinate
@@ -129,9 +122,9 @@ def weyl_decay_scan(
     if lam_min < 1 or num_blocks < 1:
         raise InputError("need lam_min >= 1 and num_blocks >= 1")
     lam_max = lam_min * 2**num_blocks - 1
-    numer = fourier_numerator_array(k, n, lam_max, table, xi)
-    weights = rep_weight_array(k, n, lam_max, table)
-    valid = admissible_mask(k, n, lam_max, table)
+    numer = fourier_numerator_array(k, n, lam_max, xi)
+    weights = rep_weight_array(k, n, lam_max)
+    valid = admissible_mask(k, n, rep_count_array(k, n, lam_max))
     blocks = []
     for j in range(num_blocks):
         lo, hi = lam_min * 2**j, lam_min * 2 ** (j + 1)

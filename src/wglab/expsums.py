@@ -166,7 +166,7 @@ def prime_exp_sum(query: PrimeSumQuery) -> complex:
     tn, td = th.numerator, th.denominator
     xn, xd = xi.numerator, xi.denominator
     k = query.k
-    primes = sieve_primes(max(query.N, 2)).primes_leq(query.N)
+    primes = sieve_primes(query.N)
     phases = np.empty(len(primes))
     weights = np.empty(len(primes))
     for i, p in enumerate(primes):
@@ -180,7 +180,7 @@ def chebyshev_theta(N: int) -> float:
     """theta(N) = sum of log p over primes p <= N."""
     if N < 2:
         return 0.0
-    primes = sieve_primes(N).primes
+    primes = sieve_primes(N)
     return float(np.log(primes.astype(np.float64)).sum())
 
 

@@ -6,11 +6,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, UndefinedMeasureError
-from .numtheory import PrimeTable
 from .surface import (
     SurfaceMeasure,
     admissible_mask,
     max_weight_array,
+    rep_count_array,
     rep_weight_array,
 )
 
@@ -154,13 +154,7 @@ class OperatorReport:
     slope: Optional[float]
 
 
-def delta_scaling_probe(
-    k: int,
-    n: int,
-    p: float,
-    lam_values: Sequence[int],
-    table: PrimeTable,
-) -> OperatorReport:
+def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> OperatorReport:
     """lp norm of sup over admissible lam <= L of the delta-convolution, per cutoff L.
 
     Distinct lam have disjoint supports (a lattice point determines its
@@ -176,18 +170,18 @@ def delta_scaling_probe(
     _check_exponent(p)
     lam_values = sorted(int(v) for v in lam_values)
     lam_max = lam_values[-1]
-    gate = admissible_mask(k, n, lam_max, table)
+    gate = admissible_mask(k, n, rep_count_array(k, n, lam_max))
     if not gate.any():
         raise UndefinedMeasureError(f"no admissible lam <= {lam_max} has a prime solution")
-    weight_tot = rep_weight_array(k, n, lam_max, table)
+    weight_tot = rep_weight_array(k, n, lam_max)
     if np.isinf(p):
         ratio = np.zeros(lam_max + 1)
-        maxw = max_weight_array(k, n, lam_max, table)
+        maxw = max_weight_array(k, n, lam_max)
         ratio[gate] = maxw[gate] / weight_tot[gate]
         running = np.maximum.accumulate(ratio)
         norms = [float(running[L]) for L in lam_values]
     else:
-        powsum = rep_weight_array(k, n, lam_max, table, power=p)
+        powsum = rep_weight_array(k, n, lam_max, power=p)
         contrib = np.zeros(lam_max + 1)
         contrib[gate] = powsum[gate] / weight_tot[gate] ** p
         running = np.cumsum(contrib)

@@ -15,21 +15,6 @@ _SEGMENT_SIZE = 10_000_000
 
 
 @dataclass(frozen=True)
-class PrimeTable:
-    """All primes up to ``limit``, in increasing order."""
-
-    limit: int
-    primes: np.ndarray
-
-    def primes_leq(self, x: int) -> np.ndarray:
-        """View of the primes that are <= x (requires x <= limit)."""
-        if x > self.limit:
-            raise InputError(f"table only covers primes <= {self.limit}, asked for {x}")
-        hi = int(np.searchsorted(self.primes, x, side="right"))
-        return self.primes[:hi]
-
-
-@dataclass(frozen=True)
 class UnitGroup:
     """The multiplicative group of residues coprime to q.
 
@@ -53,12 +38,12 @@ def _dense_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def sieve_primes(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes; segmented above 10^7 to bound memory."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes up to ``limit``, ascending, as int64; segmented above 10^7 to bound memory."""
     if limit < 2:
         raise InputError("prime sieve needs limit >= 2")
     if limit <= _SEGMENT_THRESHOLD:
-        return PrimeTable(limit=limit, primes=_dense_sieve(limit))
+        return _dense_sieve(limit)
 
     base = _dense_sieve(isqrt(limit))
     chunks = [base]
@@ -74,7 +59,7 @@ def sieve_primes(limit: int) -> PrimeTable:
             flags[start - lo :: p] = False
         chunks.append(np.flatnonzero(flags).astype(np.int64) + lo)
         lo = hi + 1
-    return PrimeTable(limit=limit, primes=np.concatenate(chunks))
+    return np.concatenate(chunks)
 
 
 def factorize(m: int) -> list[tuple[int, int]]:

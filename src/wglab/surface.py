@@ -20,7 +20,7 @@ from scipy import fft as sp_fft
 from .arcs import _arc_center
 from .errors import InputError, NumericError, UndefinedMeasureError
 from .expsums import _g_over_a, _roots
-from .numtheory import PrimeTable, factorize, int_kth_root, sieve_primes, units
+from .numtheory import factorize, int_kth_root, sieve_primes, units
 from .oscint import SurfaceQuery, singular_integral, surface_transform
 
 
@@ -99,7 +99,7 @@ def _local_unit_sum_masks(k: int, n: int) -> tuple:
     """
     pairs = []
     v_p = dict(factorize(k))
-    for p in sieve_primes(k + 1).primes.tolist():
+    for p in sieve_primes(k + 1).tolist():
         gam = v_p.get(p, 0) + 2 + (1 if p == 2 else 0)
         m = p**gam
         kth_powers = sorted({pow(x, k, m) for x in range(m) if gcd(x, m) == 1})
@@ -192,6 +192,19 @@ def _decode(flat: np.ndarray, half: int, base: int) -> np.ndarray:
     return digits
 
 
+_TABLE_LIMIT = 80_000_000  # entries of the half-sum table
+
+
+def _check_enumeration(n: int, lam: int, num_values: float) -> None:
+    """InputError if the half-sums of ceil(n/2) coordinates overflow int64, or
+    if their table over ``num_values`` values (or a lower bound on it) exceeds _TABLE_LIMIT."""
+    n_a = (n + 1) // 2
+    if n_a * lam > np.iinfo(np.int64).max:
+        raise InputError(f"lam = {lam} is too large: half-sums up to {n_a}*lam overflow int64")
+    if num_values > 1 and n_a * log(num_values) > log(_TABLE_LIMIT):
+        raise InputError("enumeration table too large; reduce lam")
+
+
 def _mitm_solutions(values: np.ndarray, n: int, k: int, lam: int) -> np.ndarray:
     """All ordered n-tuples from ``values`` whose k-th powers sum to lam.
 
@@ -200,11 +213,8 @@ def _mitm_solutions(values: np.ndarray, n: int, k: int, lam: int) -> np.ndarray:
     """
     n_a = (n + 1) // 2
     n_b = n - n_a
-    if n_a * lam > np.iinfo(np.int64).max:
-        raise InputError(f"lam = {lam} is too large: half-sums up to {n_a}*lam overflow int64")
     values = np.asarray(values, dtype=np.int64)
-    if len(values) ** n_a > 80_000_000:
-        raise InputError("enumeration table too large; reduce lam or the prime bound")
+    _check_enumeration(n, lam, len(values))
     powers = values**k
     left = _half_sums(powers, n_a)
     order = np.argsort(left, kind="stable")
@@ -229,18 +239,31 @@ def _mitm_solutions(values: np.ndarray, n: int, k: int, lam: int) -> np.ndarray:
     return tuples[order]
 
 
-def enumerate_prime_points(instance: ProblemInstance, table: PrimeTable) -> SurfaceMeasure:
-    """The log-weighted measure on prime solutions of the degree-k equation."""
-    root = int_kth_root(instance.lam, instance.k)
-    if table.limit < root:
-        raise InputError(f"prime table covers {table.limit} < lam^(1/k) = {root}")
-    reps = _mitm_solutions(table.primes_leq(root), instance.n, instance.k, instance.lam)
+def _primes_to_root(k: int, lam: int) -> np.ndarray:
+    """The primes p with p^k <= lam, ascending."""
+    root = int_kth_root(lam, k)
+    primes = sieve_primes(max(2, root))
+    return primes[: np.searchsorted(primes, root, side="right")]
+
+
+def enumerate_prime_points(instance: ProblemInstance) -> SurfaceMeasure:
+    """The log-weighted measure on prime solutions of the degree-k equation.
+
+    An oversized request is refused before sieving: the primes up to
+    x = lam^(1/k) number more than x / ln x for x >= 17 (Rosser and
+    Schoenfeld, Illinois J. Math. 6, 1962), so that bound is checked first.
+    """
+    k, n, lam = instance.k, instance.n, instance.lam
+    root = int_kth_root(lam, k)
+    _check_enumeration(n, lam, root / log(root) if root >= 17 else 0)
+    reps = _mitm_solutions(_primes_to_root(k, lam), n, k, lam)
     return SurfaceMeasure.build(instance, reps, log_weighted=True)
 
 
 def enumerate_integer_points(instance: ProblemInstance) -> SurfaceMeasure:
     """The unit-weighted measure on positive-integer solutions."""
     root = int_kth_root(instance.lam, instance.k)
+    _check_enumeration(instance.n, instance.lam, root)  # before the values are allocated
     values = np.arange(1, root + 1, dtype=np.int64)
     reps = _mitm_solutions(values, instance.n, instance.k, instance.lam)
     return SurfaceMeasure.build(instance, reps, log_weighted=False)
@@ -443,15 +466,30 @@ def _fft_size(length: int) -> int:
     return sp_fft.next_fast_len(length, real=True)
 
 
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"  # read only, never written
+
+
+def _cgroup_memory_limit() -> Optional[int]:
+    """The cgroup v2 memory limit in bytes, or None where there is none (file absent or "max")."""
+    try:
+        with open(_CGROUP_MEMORY_MAX) as fh:
+            text = fh.read().strip()
+    except OSError:
+        return None
+    return int(text) if text.isdigit() else None
+
+
 def check_array_memory(n: int, lam_max: int) -> None:
-    """MemoryError if the transform of ``_value_array`` on [0, lam_max] exceeds physical memory.
+    """MemoryError if the transform of ``_value_array`` on [0, lam_max] exceeds the memory available.
 
     That transform alone holds 16 bytes per point of ``_fft_size(ceil(n/2) *
-    lam_max + 1)``.  Callers check before sieving, so an oversized request
-    ends cleanly instead of with the process killed.
+    lam_max + 1)``.  The memory available is physical memory, or the cgroup
+    limit where that is smaller, so an oversized request ends cleanly
+    instead of with the process killed.
     """
     length = max(1, ceil(n / 2) * lam_max + 1)
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    memory = min(memory, _cgroup_memory_limit() or memory)
     # the first test keeps lengths beyond any transform away from _fft_size
     if 16 * length > memory or 16 * _fft_size(length) > memory:
         raise MemoryError(f"arrays on [0, {lam_max}] for n={n} need a transform above {memory} bytes of memory")
@@ -474,10 +512,17 @@ def _pair_block(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
     return np.bincount(idx, vals, lam_max + 1)
 
 
-def _value_array(k: int, lam_max: int, table: PrimeTable, fills) -> np.ndarray:
+def _range_primes(k: int, n: int, lam_max: int) -> np.ndarray:
+    """The primes of the whole-range arrays on [0, lam_max], sieved once the range fits in memory."""
+    check_array_memory(n, lam_max)
+    return _primes_to_root(k, lam_max)
+
+
+def _value_array(powers: np.ndarray, lam_max: int, fills) -> np.ndarray:
     """Sum over prime solutions of prod_i fills[i](p_i), for every lam <= lam_max.
 
-    ``fills[i]`` holds coordinate i's value at each prime <= lam_max^(1/k).
+    ``powers`` holds p^k for each prime p with p^k <= lam_max, and
+    ``fills[i]`` coordinate i's value at each of those primes.
     Equal fills are paired with each other first, the leftovers with one
     another, and an odd one stays alone, giving ceil(n/2) blocks.  Each
     distinct block is built exactly (``_pair_block``) and transformed once at
@@ -486,7 +531,6 @@ def _value_array(k: int, lam_max: int, table: PrimeTable, fills) -> np.ndarray:
     multiplies in as often as it repeats.  One inverse transform follows.
     """
     n = len(fills)
-    powers = table.primes_leq(int_kth_root(lam_max, k)) ** k
     groups = {}
     for fill in fills:
         groups.setdefault(fill.tobytes(), []).append(fill)
@@ -541,40 +585,42 @@ def _count_rounding_bound(n: int, size: int, P: int) -> float:
         return float(16.0 * ceil(n / 2) * 2.0**-53 * log(size, 2) * np.float64(P) ** (n - 0.5))
 
 
-def rep_count_array(k: int, n: int, lam_max: int, table: PrimeTable) -> np.ndarray:
+def rep_count_array(k: int, n: int, lam_max: int) -> np.ndarray:
     """r(lam) for every lam <= lam_max, via convolution, exact after rounding.
 
     Refused with NumericError when ``_count_rounding_bound`` exceeds 0.25,
     where rounding to the nearest integer could be wrong.
     """
-    P = len(table.primes_leq(int_kth_root(lam_max, k)))
+    primes = _range_primes(k, n, lam_max)
+    P = len(primes)
     bound = _count_rounding_bound(n, _fft_size(ceil(n / 2) * lam_max + 1), P)
     if bound > 0.25:
         raise NumericError(
             f"float counts for n={n} over {P} primes may round wrongly (error bound {bound:.3g} > 0.25)"
         )
-    return np.rint(_value_array(k, lam_max, table, [np.ones(P)] * n)).astype(np.int64)
+    return np.rint(_value_array(primes**k, lam_max, [np.ones(P)] * n)).astype(np.int64)
 
 
-def rep_weight_array(k: int, n: int, lam_max: int, table: PrimeTable, power: float = 1.0) -> np.ndarray:
+def rep_weight_array(k: int, n: int, lam_max: int, power: float = 1.0) -> np.ndarray:
     """Sum over solutions of prod_i (log p_i)^power, for every lam <= lam_max."""
-    primes = table.primes_leq(int_kth_root(lam_max, k))
-    return _value_array(k, lam_max, table, [np.log(primes.astype(np.float64)) ** power] * n)
+    primes = _range_primes(k, n, lam_max)
+    return _value_array(primes**k, lam_max, [np.log(primes.astype(np.float64)) ** power] * n)
 
 
-def fourier_numerator_array(k: int, n: int, lam_max: int, table: PrimeTable, xi) -> np.ndarray:
+def fourier_numerator_array(k: int, n: int, lam_max: int, xi) -> np.ndarray:
     """R(lam) * omega_hat(lam, xi) for every lam <= lam_max."""
     xi = np.asarray(xi, dtype=float)
     if len(xi) != n:
         raise InputError("xi must have length n")
-    p = table.primes_leq(int_kth_root(lam_max, k)).astype(np.float64)
+    primes = _range_primes(k, n, lam_max)
+    p = primes.astype(np.float64)
     fills = [np.log(p) * np.exp(2j * np.pi * (p * x - np.rint(p * x))) for x in xi]
-    return _value_array(k, lam_max, table, fills)
+    return _value_array(primes**k, lam_max, fills)
 
 
-def max_weight_array(k: int, n: int, lam_max: int, table: PrimeTable) -> np.ndarray:
+def max_weight_array(k: int, n: int, lam_max: int) -> np.ndarray:
     """Largest single-solution weight prod log(p_i) per lam (log-domain max-plus)."""
-    primes = table.primes_leq(int_kth_root(lam_max, k))
+    primes = _range_primes(k, n, lam_max)
     acc = np.full(lam_max + 1, -np.inf)
     acc[primes**k] = np.log(np.log(primes.astype(np.float64)))
     for _ in range(n - 1):
@@ -587,26 +633,21 @@ def max_weight_array(k: int, n: int, lam_max: int, table: PrimeTable) -> np.ndar
     return np.exp(acc)
 
 
-def admissible_mask(k: int, n: int, lam_max: int, table: PrimeTable, counts=None) -> np.ndarray:
-    """True where lam in 0..lam_max is admissible for (k, n) and has a prime solution.
+def admissible_mask(k: int, n: int, counts: np.ndarray) -> np.ndarray:
+    """True where lam = 0, 1, ... is admissible for (k, n) and has a prime solution.
 
-    ``counts`` is ``rep_count_array(k, n, lam_max, table)`` if the caller has it already.
+    ``counts`` is ``rep_count_array(k, n, lam_max)``, and the mask has its length.
     """
-    if counts is None:
-        counts = rep_count_array(k, n, lam_max, table)
-    return (counts > 0) & gamma_member_mask(k, n, np.arange(lam_max + 1))
+    return (counts > 0) & gamma_member_mask(k, n, np.arange(len(counts)))
 
 
-def sample_admissible_lams(
-    k: int, n: int, lo: int, hi: int, count: int, table: PrimeTable, counts=None
-) -> list[int]:
-    """Up to ``count`` evenly spaced admissible lam in [lo, hi) with at least one prime solution.
-
-    ``counts`` is ``rep_count_array(k, n, hi - 1, table)`` if the caller has it already.
-    """
-    if not 0 <= lo < hi or count < 1:
-        raise InputError(f"need 0 <= lo < hi and count >= 1, got lo={lo}, hi={hi}, count={count}")
-    ok = np.flatnonzero(admissible_mask(k, n, hi - 1, table, counts)[lo:hi]) + lo
+def sample_admissible_lams(mask: np.ndarray, lo: int, hi: int, count: int) -> list[int]:
+    """Up to ``count`` evenly spaced lam in [lo, hi) where ``mask`` (an ``admissible_mask``) is True."""
+    if not 0 <= lo < hi <= len(mask) or count < 1:
+        raise InputError(
+            f"need 0 <= lo < hi <= {len(mask)} and count >= 1, got lo={lo}, hi={hi}, count={count}"
+        )
+    ok = np.flatnonzero(mask[lo:hi]) + lo
     if len(ok) == 0:
         return []
     idx = np.unique(np.linspace(0, len(ok) - 1, min(count, len(ok))).round().astype(int))

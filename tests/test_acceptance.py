@@ -27,10 +27,12 @@ from wglab.oscint import OscQuery, osc_integral, singular_integral, surface_tran
 from wglab.surface import (
     ApproxParams,
     ProblemInstance,
+    admissible_mask,
     enumerate_prime_points,
     error_term,
     hua_ratio,
     omega_hat,
+    rep_count_array,
     sample_admissible_lams,
 )
 
@@ -39,11 +41,6 @@ def report(idx: int, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f"  [{detail}]" if detail else ""
     print(f"acceptance {idx:02d} {name}: {status}{suffix}")
-
-
-@pytest.fixture(scope="module")
-def table():
-    return sieve_primes(400)
 
 
 def test_criterion_01_reduction_identity_and_aggregate_bound():
@@ -69,11 +66,11 @@ def test_criterion_01_reduction_identity_and_aggregate_bound():
     assert bound_ok
 
 
-def test_criterion_02_enumeration_oracle(table):
+def test_criterion_02_enumeration_oracle():
     lam_max = 2000
     ok = True
     for k in (2, 3):
-        values = [int(p) for p in table.primes_leq(int_kth_root(lam_max, k))]
+        values = [int(p) for p in sieve_primes(int_kth_root(lam_max, k))]
         for n in (3, 4, 5):
             buckets = {}
             for t in product(values, repeat=n):
@@ -81,11 +78,11 @@ def test_criterion_02_enumeration_oracle(table):
                 if s <= lam_max:
                     buckets.setdefault(s, []).append(t)
             for lam in range(1, lam_max + 1):
-                got = enumerate_prime_points(ProblemInstance(k, n, lam), table)
+                got = enumerate_prime_points(ProblemInstance(k, n, lam))
                 want = sorted(buckets.get(lam, []))
                 if [tuple(r) for r in got.representations] != want:
                     ok = False
-    m77 = enumerate_prime_points(ProblemInstance(2, 5, 77), table)
+    m77 = enumerate_prime_points(ProblemInstance(2, 5, 77))
     pinned = m77.r == 10 and abs(m77.R - 10 * log(3) ** 3 * log(5) ** 2) <= 1e-9
     report(2, "split enumeration equals nested loops", ok and pinned,
            f"r(77)={m77.r}, R(77)={m77.R:.9f}")
@@ -93,12 +90,12 @@ def test_criterion_02_enumeration_oracle(table):
     assert pinned
 
 
-def test_criterion_03_count_prediction_ratio(table):
-    lams = sample_admissible_lams(2, 5, 10_000, 100_000, 50, table)
+def test_criterion_03_count_prediction_ratio():
+    lams = sample_admissible_lams(admissible_mask(2, 5, rep_count_array(2, 5, 99_999)), 10_000, 100_000, 50)
     assert len(lams) >= 50
     ratios = []
     for lam in lams:
-        m = enumerate_prime_points(ProblemInstance(2, 5, lam), table)
+        m = enumerate_prime_points(ProblemInstance(2, 5, lam))
         ratios.append(hua_ratio(m, Qsing=100))
     in_band = sum(1 for r in ratios if 0.7 <= r <= 1.3)
     frac = in_band / len(ratios)
@@ -111,17 +108,17 @@ def test_criterion_03_count_prediction_ratio(table):
     )
 
 
-def test_criterion_04_error_decay(table):
+def test_criterion_04_error_decay():
     rng = np.random.default_rng(2024)
     xi_sample = rng.random((32, 5))
     medians, zero_errs = [], []
     for j in range(5):
         lo, hi = 4096 * 2**j, 4096 * 2 ** (j + 1)
-        lams = sample_admissible_lams(2, 5, lo, hi, 6, table)
+        lams = sample_admissible_lams(admissible_mask(2, 5, rep_count_array(2, 5, hi - 1)), lo, hi, 6)
         errs = []
         for lam in lams:
             inst = ProblemInstance(2, 5, lam)
-            m = enumerate_prime_points(inst, table)
+            m = enumerate_prime_points(inst)
             params = ApproxParams.for_instance(inst, C=2.0)
             for xi in xi_sample:
                 errs.append(abs(error_term(m, params, xi)))
@@ -141,13 +138,13 @@ def test_criterion_04_error_decay(table):
     )
 
 
-def test_criterion_05_weyl_decay(table):
+def test_criterion_05_weyl_decay():
     xi = (sqrt(2) - 1, sqrt(3) - 1, 0.0, 0.0, 0.0)
-    blocks = weyl_decay_scan(2, 5, xi, 1000, 7, table)
+    blocks = weyl_decay_scan(2, 5, xi, 1000, 7)
     maxima = [b.max_abs for b in blocks]
     non_increasing = all(maxima[i + 1] <= maxima[i] for i in range(len(maxima) - 1))
     final_ok = maxima[-1] < 0.5
-    control = weyl_decay_scan(2, 5, (0.5,) * 5, 1000, 7, table)
+    control = weyl_decay_scan(2, 5, (0.5,) * 5, 1000, 7)
     control_ok = all(abs(b.max_abs - 1.0) <= 1e-9 for b in control)
     ok = non_increasing and final_ok and control_ok
     report(5, "transform decay at an irrational frequency", ok,
@@ -230,11 +227,11 @@ def test_criterion_07_major_arc_approximation():
     assert ok
 
 
-def test_criterion_08_convolution_oracle(table):
+def test_criterion_08_convolution_oracle():
     rng = np.random.default_rng(8)
     worst = 0.0
     for lam in (77, 125):
-        measure = enumerate_prime_points(ProblemInstance(2, 5, lam), table)
+        measure = enumerate_prime_points(ProblemInstance(2, 5, lam))
         for _ in range(2):
             f = GridFunction(
                 K=4,
@@ -253,19 +250,19 @@ def test_criterion_08_convolution_oracle(table):
     assert ok
 
 
-def test_criterion_09_delta_probe_growth(table):
-    rep = delta_scaling_probe(2, 5, 1.2, [2**e for e in range(12, 17)], table)
+def test_criterion_09_delta_probe_growth():
+    rep = delta_scaling_probe(2, 5, 1.2, [2**e for e in range(12, 17)])
     ok = rep.slope is not None and rep.slope > 0
     report(9, "delta-probe norm growth", ok, f"slope {rep.slope:.3f}")
     assert ok
 
 
-def test_criterion_10_ergodic_harmonic_identity(table):
+def test_criterion_10_ergodic_harmonic_identity():
     rng = np.random.default_rng(10)
     ok = True
     worst = 0.0
     for lam in (77, 4901):
-        m = enumerate_prime_points(ProblemInstance(2, 5, lam), table)
+        m = enumerate_prime_points(ProblemInstance(2, 5, lam))
         if m.r == 0:
             continue
         system = None

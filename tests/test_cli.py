@@ -10,8 +10,8 @@ import pytest
 
 from wglab import maxops
 from wglab.cli import build_parser, main
-from wglab.maxops import GridFunction
-from wglab.numtheory import int_kth_root, sieve_primes
+from wglab.ergodic import weyl_decay_scan
+from wglab.maxops import GridFunction, delta_scaling_probe
 from wglab.surface import ProblemInstance, enumerate_prime_points, hua_ratio
 
 
@@ -140,8 +140,7 @@ def test_maximal_convolves_each_measure_once(capsys, monkeypatch):
     assert calls == {"_convolve_direct": 2}
     monkeypatch.undo()
 
-    table = sieve_primes(int_kth_root(208, 2))
-    measures = [enumerate_prime_points(ProblemInstance(2, 5, lam), table) for lam in (77, 208)]
+    measures = [enumerate_prime_points(ProblemInstance(2, 5, lam)) for lam in (77, 208)]
     assert [len(maxops._pruned(m, 6)[0]) for m in measures] == [10, 120]
     f = GridFunction(K=6, values=np.random.default_rng(7).standard_normal((13,) * 5))
     convs = [maxops.convolve(f, m) for m in measures]
@@ -269,11 +268,10 @@ def test_hua_rows_match_enumeration(capsys):
         capsys, "hua", "--k", "2", "--n", "5", "--lo", "2000", "--hi", "6000",
         "--samples", "6", "--qsing", "40",
     )
-    table = sieve_primes(int_kth_root(6000, 2))
     rows = doc["table"]["rows"]
     assert len(rows) == 6
     for lam, r, R, _, ratio in rows:
-        m = enumerate_prime_points(ProblemInstance(2, 5, lam), table)
+        m = enumerate_prime_points(ProblemInstance(2, 5, lam))
         assert r == m.r
         assert R == pytest.approx(m.R, rel=1e-12)
         assert ratio == pytest.approx(hua_ratio(m, Qsing=40), rel=1e-12)
@@ -374,20 +372,40 @@ def test_nothing_to_compute_is_an_error(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.fixture
+def no_sieve(monkeypatch):
+    """Make the library's only sieve fail, for requests that must be refused before it."""
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit} for a request that cannot run")
+
+    monkeypatch.setattr("wglab.surface.sieve_primes", refuse)
+
+
 @pytest.mark.parametrize("argv", [
     ["weyl", "--k", "2", "--n", "5", "--xi", "0.1,0.2,0,0,0", "--lambda-min", "1", "--blocks", "60"],
     ["delta-probe", "--k", "2", "--n", "5", "--exp-lo", "12", "--exp-hi", "60"],
     ["hua", "--k", "2", "--n", "5", "--lo", "10", "--hi", str(2**60)],
     ["approx", "--k", "2", "--n", "5", "--lambda-min", "4096", "--blocks", "48"],
 ], ids=["weyl", "delta-probe", "hua", "approx"])
-def test_oversized_range_refused_before_sieving(capsys, monkeypatch, argv):
-    def refuse(limit):
-        raise AssertionError(f"sieved to {limit} for a range that cannot fit in memory")
-
-    monkeypatch.setattr("wglab.cli.sieve_primes", refuse)
+def test_oversized_range_refused_before_sieving(capsys, no_sieve, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_library_refuses_oversized_range_before_sieving(no_sieve):
+    with pytest.raises(MemoryError):
+        weyl_decay_scan(2, 5, (0.1, 0.2, 0, 0, 0), 1, 60)
+    with pytest.raises(MemoryError):
+        delta_scaling_probe(2, 5, 1.2, [2**12, 2**60])
+
+
+@pytest.mark.parametrize("lam", ["10000000000000000", "100000000000000000", "10000000000000000000"])
+def test_oversized_enumeration_refused_before_sieving(capsys, no_sieve, lam):
+    assert main(["points", "--k", "2", "--n", "3", "--lambda", lam]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ")
     assert captured.out == ""
 
 

@@ -10,20 +10,14 @@ from wglab.ergodic import (
     orbit_points,
     weyl_decay_scan,
 )
-from wglab.numtheory import sieve_primes
 from wglab.surface import ProblemInstance, enumerate_prime_points, omega_hat
 
 ALPHA = (0.3173, 0.7193, 0.1234, 0.5551, 0.9017)
 
 
 @pytest.fixture(scope="module")
-def table():
-    return sieve_primes(400)
-
-
-@pytest.fixture(scope="module")
-def measure77(table):
-    return enumerate_prime_points(ProblemInstance(2, 5, 77), table)
+def measure77():
+    return enumerate_prime_points(ProblemInstance(2, 5, 77))
 
 
 def test_constant_average_is_exactly_one(measure77):
@@ -70,8 +64,8 @@ def test_average_linearity_and_sup_bound(measure77):
     assert abs(whole) <= np.abs(f(orbit)).max() + 1e-12
 
 
-def test_average_requires_mass(table):
-    empty = enumerate_prime_points(ProblemInstance(2, 5, 29), table)
+def test_average_requires_mass():
+    empty = enumerate_prime_points(ProblemInstance(2, 5, 29))
     with pytest.raises(UndefinedMeasureError):
         ergodic_average(TorusSystem(alpha=ALPHA), TrigPolynomial.constant(5), empty, np.zeros(5))
 
@@ -91,56 +85,56 @@ def test_trig_polynomial_mean():
 # --- dyadic decay scan --------------------------------------------------------
 
 
-def test_weyl_scan_zero_frequency(table):
-    blocks = weyl_decay_scan(2, 5, (0.0,) * 5, 500, 3, table)
+def test_weyl_scan_zero_frequency():
+    blocks = weyl_decay_scan(2, 5, (0.0,) * 5, 500, 3)
     for b in blocks:
         assert b.max_abs == pytest.approx(1.0, abs=1e-9)
 
 
-def test_weyl_scan_rational_half_point(table):
+def test_weyl_scan_rational_half_point():
     # coordinate sums are odd along the progression: modulus stays 1
-    blocks = weyl_decay_scan(2, 5, (0.5,) * 5, 500, 3, table)
+    blocks = weyl_decay_scan(2, 5, (0.5,) * 5, 500, 3)
     for b in blocks:
         assert b.max_abs == pytest.approx(1.0, abs=1e-9)
 
 
-def test_weyl_scan_matches_enumeration(table):
+def test_weyl_scan_matches_enumeration():
     xi = (np.sqrt(2) - 1, np.sqrt(3) - 1, 0.0, 0.0, 0.0)
-    blocks = weyl_decay_scan(2, 5, xi, 500, 2, table)
+    blocks = weyl_decay_scan(2, 5, xi, 500, 2)
     for b in blocks:
         best = 0.0
         for lam in range(b.lam_lo, b.lam_hi):
             if lam % 24 != 5:
                 continue
-            m = enumerate_prime_points(ProblemInstance(2, 5, lam), table)
+            m = enumerate_prime_points(ProblemInstance(2, 5, lam))
             if m.r == 0:
                 continue
             best = max(best, abs(omega_hat(m, xi)))
         assert b.max_abs == pytest.approx(best, abs=1e-9)
 
 
-def test_weyl_scan_validation(table):
+def test_weyl_scan_validation():
     with pytest.raises(InputError):
-        weyl_decay_scan(2, 5, (0.0,) * 5, 0, 3, table)
+        weyl_decay_scan(2, 5, (0.0,) * 5, 0, 3)
     for k, n in ((1, 5), (2, 1)):
         with pytest.raises(InputError, match="k >= 2, n >= 2"):
-            weyl_decay_scan(k, n, (0.0,) * n, 100, 2, table)
+            weyl_decay_scan(k, n, (0.0,) * n, 100, 2)
 
 
-def test_weyl_scan_skips_empty_blocks(table):
+def test_weyl_scan_skips_empty_blocks():
     # five cubes of primes sum to at least 40, so [8, 16) and [16, 32) hold no admissible lam
     xi = (0.3, 0.1, 0.0, 0.0, 0.0)
-    blocks = weyl_decay_scan(3, 5, xi, 8, 5, table)
+    blocks = weyl_decay_scan(3, 5, xi, 8, 5)
     assert [b.lam_lo for b in blocks] == [32, 64, 128]
     assert all(b.count > 0 for b in blocks)
     with pytest.raises(UndefinedMeasureError):
-        weyl_decay_scan(3, 5, xi, 8, 2, table)
+        weyl_decay_scan(3, 5, xi, 8, 2)
 
 
-def test_weyl_scan_overall_decay(table):
+def test_weyl_scan_overall_decay():
     # block maxima fluctuate, but the trend across decades is firmly down
     xi = (np.sqrt(2) - 1, np.sqrt(3) - 1, 0.0, 0.0, 0.0)
-    blocks = weyl_decay_scan(2, 5, xi, 1000, 7, table)
+    blocks = weyl_decay_scan(2, 5, xi, 1000, 7)
     assert blocks[-1].max_abs < 0.5 * blocks[0].max_abs
 
 

@@ -370,7 +370,7 @@ def test_complete_sum_growth_exponent():
     0.6, matching square-root growth.
     """
     targets = [31, 59, 101, 211, 401, 809, 1601, 1999]
-    primes = sieve_primes(2100).primes
+    primes = sieve_primes(2100)
     qs, vals = [], []
     for t in targets:
         q = int(primes[np.searchsorted(primes, t)])

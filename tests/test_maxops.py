@@ -17,7 +17,6 @@ from wglab.maxops import (
     lp_norm,
     maximal,
 )
-from wglab.numtheory import sieve_primes
 from wglab.surface import (
     ProblemInstance,
     enumerate_prime_points,
@@ -27,13 +26,8 @@ from wglab.surface import (
 
 
 @pytest.fixture(scope="module")
-def table():
-    return sieve_primes(400)
-
-
-@pytest.fixture(scope="module")
-def measure77(table):
-    return enumerate_prime_points(ProblemInstance(2, 5, 77), table)
+def measure77():
+    return enumerate_prime_points(ProblemInstance(2, 5, 77))
 
 
 def test_grid_function_validation():
@@ -65,10 +59,10 @@ def test_convolve_constant_total_mass(measure77):
     assert out.at((1, -1, 0, 2, -2)) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_convolve_paths_agree(table, measure77):
+def test_convolve_paths_agree(measure77):
     rng = np.random.default_rng(14)
     for n, lam in [(5, 77), (3, 83), (2, 13)]:
-        measure = enumerate_prime_points(ProblemInstance(2, n, lam), table)
+        measure = enumerate_prime_points(ProblemInstance(2, n, lam))
         if measure.r == 0:
             continue
         f = GridFunction(
@@ -129,8 +123,8 @@ def test_convolve_linearity(measure77):
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_convolve_requires_mass(table):
-    empty = enumerate_prime_points(ProblemInstance(2, 5, 29), table)
+def test_convolve_requires_mass():
+    empty = enumerate_prime_points(ProblemInstance(2, 5, 29))
     with pytest.raises(UndefinedMeasureError):
         convolve(GridFunction.delta(5, 2), empty)
 
@@ -141,10 +135,10 @@ def test_convolve_unnormalized(measure77):
     assert raw.at((3, 3, 3, 5, 5)) == pytest.approx(measure77.weights[0], rel=1e-12)
 
 
-def test_convolve_memory_is_a_few_boxes(table):
+def test_convolve_memory_is_a_few_boxes():
     # at K = 6, 120 solutions of 208 survive pruning; accumulating them needs the output box
     # and one shifted slice, nothing the size of the (4K+1)^n span they reach
-    measure = enumerate_prime_points(ProblemInstance(2, 5, 208), table)
+    measure = enumerate_prime_points(ProblemInstance(2, 5, 208))
     f = GridFunction(K=6, values=np.random.default_rng(18).standard_normal((13,) * 5))
     tracemalloc.start()
     try:
@@ -162,10 +156,10 @@ def test_sup_norm_contraction(measure77):
     assert lp_norm(out, np.inf) <= lp_norm(f, np.inf) + 1e-12
 
 
-def test_maximal_single_and_monotone(table):
+def test_maximal_single_and_monotone():
     lams = [77, 125, 149]
     measures = [
-        enumerate_prime_points(ProblemInstance(2, 5, lam), table) for lam in lams
+        enumerate_prime_points(ProblemInstance(2, 5, lam)) for lam in lams
     ]
     measures = [m for m in measures if m.r > 0]
     f = GridFunction.constant(5, 4, 0.7)
@@ -179,8 +173,8 @@ def test_maximal_single_and_monotone(table):
     assert np.all(full.values >= np.abs(convolve(f, measures[-1]).values) - 1e-14)
 
 
-def test_maximal_norms_per_measure(table):
-    measures = [enumerate_prime_points(ProblemInstance(2, 5, lam), table) for lam in (77, 125)]
+def test_maximal_norms_per_measure():
+    measures = [enumerate_prime_points(ProblemInstance(2, 5, lam)) for lam in (77, 125)]
     rng = np.random.default_rng(17)
     f = GridFunction(K=3, values=rng.standard_normal((7,) * 5))
     ps = (1.0, 2.0, np.inf)
@@ -189,10 +183,10 @@ def test_maximal_norms_per_measure(table):
     assert maximal(f, measures).norms == ((), ())
 
 
-def test_maximal_validation(measure77, table):
+def test_maximal_validation(measure77):
     with pytest.raises(InputError):
         maximal(GridFunction.delta(5, 2), [])
-    other = enumerate_prime_points(ProblemInstance(2, 3, 83), table)
+    other = enumerate_prime_points(ProblemInstance(2, 3, 83))
     with pytest.raises(InputError):
         maximal(GridFunction.delta(5, 2), [measure77, other])
 
@@ -207,15 +201,15 @@ def test_maximal_checks_exponents_before_convolving(measure77, monkeypatch):
             maximal(GridFunction.delta(5, 2), [measure77], (2.0, p))
 
 
-def test_delta_probe_refuses_degenerate_k_n(table):
+def test_delta_probe_refuses_degenerate_k_n():
     for k, n in ((1, 5), (2, 0), (2, -1)):
         with pytest.raises(InputError, match="k >= 2, n >= 2"):
-            delta_scaling_probe(k, n, 2.0, [16, 32, 64], table)
+            delta_scaling_probe(k, n, 2.0, [16, 32, 64])
 
 
-def test_real_delta_and_constant_grids_match_complex(table):
+def test_real_delta_and_constant_grids_match_complex():
     # every solution of 38 and 83 as a sum of three prime squares lies in the K = 7 box
-    measures = [enumerate_prime_points(ProblemInstance(2, 3, lam), table) for lam in (38, 83)]
+    measures = [enumerate_prime_points(ProblemInstance(2, 3, lam)) for lam in (38, 83)]
     grids = [GridFunction.delta(3, 7), GridFunction.constant(3, 7), GridFunction.constant(3, 7, 0.7)]
     for f in grids:
         assert f.values.dtype == float
@@ -245,42 +239,42 @@ def test_lp_norm_examples():
         lp_norm(g, 0.5)
 
 
-def test_delta_probe_against_enumeration(table):
+def test_delta_probe_against_enumeration():
     """The convolution route equals the per-lambda definition on small ranges."""
     k, n, p, lam_max = 2, 3, 1.2, 600
-    report = delta_scaling_probe(k, n, p, [lam_max], table)
-    counts = rep_count_array(k, n, lam_max, table)
+    report = delta_scaling_probe(k, n, p, [lam_max])
+    counts = rep_count_array(k, n, lam_max)
     total = 0.0
     for lam in range(1, lam_max + 1):
         if counts[lam] == 0 or not gamma_member_mask(k, n, np.array([lam]))[0]:
             continue
-        m = enumerate_prime_points(ProblemInstance(k, n, lam), table)
+        m = enumerate_prime_points(ProblemInstance(k, n, lam))
         total += ((m.weights / m.R) ** p).sum()
     assert report.norms[0] == pytest.approx(total ** (1 / p), rel=1e-9)
 
 
-def test_delta_probe_monotone_norms(table):
-    report = delta_scaling_probe(2, 5, 1.2, [512, 1024, 2048, 4096], table)
+def test_delta_probe_monotone_norms():
+    report = delta_scaling_probe(2, 5, 1.2, [512, 1024, 2048, 4096])
     norms = list(report.norms)
     assert norms == sorted(norms)
     assert report.slope is not None and report.slope >= 0
 
 
-def test_delta_probe_sup_norm_bounded(table):
-    report = delta_scaling_probe(2, 5, np.inf, [4096], table)
+def test_delta_probe_sup_norm_bounded():
+    report = delta_scaling_probe(2, 5, np.inf, [4096])
     assert 0 < report.norms[0] <= 1.0
 
 
-def test_delta_probe_without_admissible_lam_is_undefined(table):
+def test_delta_probe_without_admissible_lam_is_undefined():
     # the first lam with a prime solution for (k, n) = (2, 5) is 77
     with pytest.raises(UndefinedMeasureError):
-        delta_scaling_probe(2, 5, 1.2, [2**e for e in range(7)], table)
-    report = delta_scaling_probe(2, 5, 1.2, [64, 128], table)
+        delta_scaling_probe(2, 5, 1.2, [2**e for e in range(7)])
+    report = delta_scaling_probe(2, 5, 1.2, [64, 128])
     assert report.norms[0] == 0 < report.norms[1] and report.slope is None
 
 
-def test_delta_probe_is_report(table):
-    report = delta_scaling_probe(2, 5, 1.2, [1024, 2048], table)
+def test_delta_probe_is_report():
+    report = delta_scaling_probe(2, 5, 1.2, [1024, 2048])
     assert isinstance(report, OperatorReport)
     assert report.p == 1.2
     assert len(report.lam_values) == len(report.norms) == 2

@@ -51,9 +51,10 @@ def trial_division_primes(limit):
 
 
 def test_sieve_examples():
-    assert sieve_primes(2).primes.tolist() == [2]
-    assert sieve_primes(10).primes.tolist() == trial_division_primes(10)
-    assert sieve_primes(30).primes.tolist() == trial_division_primes(30)
+    assert sieve_primes(2).tolist() == [2]
+    assert sieve_primes(10).tolist() == trial_division_primes(10)
+    assert sieve_primes(30).tolist() == trial_division_primes(30)
+    assert sieve_primes(30).dtype == np.int64
 
 
 def test_sieve_rejects_tiny_limit():
@@ -62,21 +63,14 @@ def test_sieve_rejects_tiny_limit():
 
 
 def test_sieve_matches_trial_division():
-    assert sieve_primes(500).primes.tolist() == trial_division_primes(500)
+    assert sieve_primes(500).tolist() == trial_division_primes(500)
 
 
 def test_segmented_sieve_matches_dense():
     limit = 10_000_050
-    seg = sieve_primes(limit).primes
+    seg = sieve_primes(limit)
     dense = _dense_sieve(limit)
     assert np.array_equal(seg, dense)
-
-
-def test_primes_leq_view():
-    t = sieve_primes(100)
-    assert t.primes_leq(10).tolist() == [2, 3, 5, 7]
-    with pytest.raises(InputError):
-        t.primes_leq(101)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from math import ceil, lcm, log
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wglab import surface
 from wglab.errors import InputError, NumericError, UndefinedMeasureError
 from wglab.expsums import GSumQuery, g_sum
-from wglab.numtheory import PrimeTable, int_kth_root, sieve_primes
+from wglab.numtheory import int_kth_root, sieve_primes
 from wglab.oscint import SurfaceQuery, surface_transform
 from wglab.surface import (
     ApproxParams,
@@ -19,6 +21,7 @@ from wglab.surface import (
     _local_unit_sum_masks,
     _mu_infinity,
     _value_array,
+    admissible_mask,
     check_array_memory,
     dimension_gates,
     enumerate_integer_points,
@@ -40,13 +43,8 @@ from wglab.surface import (
 
 
 @pytest.fixture(scope="module")
-def table():
-    return sieve_primes(400)
-
-
-@pytest.fixture(scope="module")
-def measure77(table):
-    return enumerate_prime_points(ProblemInstance(2, 5, 77), table)
+def measure77():
+    return enumerate_prime_points(ProblemInstance(2, 5, 77))
 
 
 # --- admissibility ----------------------------------------------------------
@@ -86,7 +84,7 @@ def test_gamma_heuristic_recovers_known_progression():
         assert heuristic == (lam % 24 == 5)
 
 
-def test_gamma_mask_matches_scalar(table):
+def test_gamma_mask_matches_scalar():
     lams = np.arange(1, 500)
     mask = gamma_member_mask(2, 5, lams)
     for lam, bit in zip(lams[:200], mask[:200]):
@@ -120,10 +118,10 @@ def test_prime_points_77(measure77):
     }
 
 
-def test_prime_points_empty(table):
-    assert enumerate_prime_points(ProblemInstance(2, 5, 29), table).r == 0
+def test_prime_points_empty():
+    assert enumerate_prime_points(ProblemInstance(2, 5, 29)).r == 0
     # below the minimum value n * 2^k every instance is empty
-    assert enumerate_prime_points(ProblemInstance(2, 5, 19), table).r == 0
+    assert enumerate_prime_points(ProblemInstance(2, 5, 19)).r == 0
 
 
 def test_prime_points_sorted_unique(measure77):
@@ -132,11 +130,11 @@ def test_prime_points_sorted_unique(measure77):
     assert len(set(rows)) == len(rows)
 
 
-def test_enumeration_matches_naive(table):
+def test_enumeration_matches_naive():
     for k, n in [(2, 3), (2, 4), (3, 3)]:
         for lam in (29, 77, 160, 251, 432):
-            got = enumerate_prime_points(ProblemInstance(k, n, lam), table)
-            want = naive_solutions(table.primes_leq(int(lam ** (1 / k)) + 1), n, k, lam)
+            got = enumerate_prime_points(ProblemInstance(k, n, lam))
+            want = naive_solutions(sieve_primes(int(lam ** (1 / k)) + 1), n, k, lam)
             assert np.array_equal(got.representations, want)
 
 
@@ -146,12 +144,45 @@ def test_lam_beyond_int64_half_sums_is_refused():
     with pytest.raises(InputError, match="overflow int64"):
         enumerate_integer_points(ProblemInstance(5, 5, limit // 3 + 1))
     with pytest.raises(InputError, match="overflow int64"):
-        enumerate_prime_points(ProblemInstance(5, 3, 10**19), sieve_primes(7000))
+        enumerate_prime_points(ProblemInstance(5, 3, 10**19))
 
 
-def test_prime_table_too_small(table):
-    with pytest.raises(InputError):
-        enumerate_prime_points(ProblemInstance(2, 5, 200_000), table)
+@pytest.mark.parametrize("lam, match", [
+    (10**16, "table too large"),  # pi(10^8)^2 > x^2 / ln(x)^2 = 2.9e13 entries
+    (10**17, "table too large"),
+    (10**19, "overflow int64"),  # 2 * lam
+])
+def test_oversized_enumeration_refused_before_sieving(monkeypatch, lam, match):
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit} for an enumeration that cannot run")
+
+    monkeypatch.setattr("wglab.surface.sieve_primes", refuse)
+    with pytest.raises(InputError, match=match):
+        enumerate_prime_points(ProblemInstance(2, 3, lam))
+
+
+def test_integer_enumeration_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="table too large"):
+            enumerate_integer_points(ProblemInstance(2, 3, 10**14))  # 10^7 values, 80 MB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+def test_enumeration_table_checked_exactly_after_sieving():
+    # x = 92627 is the 8945th prime, and 8945^2 > 80 million, but x / ln x = 8099 and 8099^2 is not
+    with pytest.raises(InputError, match="table too large"):
+        enumerate_prime_points(ProblemInstance(2, 3, 92627**2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([2, 3]), n=st.integers(2, 4), lam=st.integers(1, 1500))
+def test_enumeration_matches_naive_property(k, n, lam):
+    want = naive_solutions(sieve_primes(max(2, int_kth_root(lam, k))), n, k, lam)
+    assert np.array_equal(enumerate_prime_points(ProblemInstance(k, n, lam)).representations, want)
 
 
 def test_integer_points():
@@ -162,9 +193,9 @@ def test_integer_points():
     assert m.R == m.r == 2
 
 
-def test_integer_points_dominate_prime_points(table):
+def test_integer_points_dominate_prime_points():
     for lam in (77, 125, 360):
-        prime = enumerate_prime_points(ProblemInstance(2, 5, lam), table)
+        prime = enumerate_prime_points(ProblemInstance(2, 5, lam))
         integer = enumerate_integer_points(ProblemInstance(2, 5, lam))
         assert integer.r >= prime.r
 
@@ -190,8 +221,24 @@ def test_omega_hat_symmetries(measure77):
     assert omega_hat(measure77, xi[perm]) == pytest.approx(val, abs=1e-13)
 
 
-def test_omega_hat_requires_mass(table):
-    empty = enumerate_prime_points(ProblemInstance(2, 5, 29), table)
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([2, 3]), data=st.data())
+def test_omega_hat_symmetries_property(k, data):
+    # lam is a sum of n prime k-th powers, so the measure has mass
+    n = data.draw(st.integers(2, 4))
+    lam = sum(p**k for p in data.draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=n, max_size=n)))
+    m = enumerate_prime_points(ProblemInstance(k, n, lam))
+    xi = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+    shift = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    perm = data.draw(st.permutations(range(n)))
+    val = omega_hat(m, xi)
+    assert omega_hat(m, -xi) == pytest.approx(val.conjugate(), abs=1e-12)
+    assert omega_hat(m, xi + shift) == pytest.approx(val, abs=1e-12)
+    assert omega_hat(m, xi[perm]) == pytest.approx(val, abs=1e-12)
+
+
+def test_omega_hat_requires_mass():
+    empty = enumerate_prime_points(ProblemInstance(2, 5, 29))
     with pytest.raises(UndefinedMeasureError):
         omega_hat(empty, np.zeros(5))
 
@@ -279,9 +326,9 @@ def test_singular_series_partial_sums_cauchy():
 
 
 @pytest.fixture(scope="module")
-def desk_instance(table):
+def desk_instance():
     inst = ProblemInstance(2, 5, 10061)
-    return inst, enumerate_prime_points(inst, table)
+    return inst, enumerate_prime_points(inst)
 
 
 def test_main_term_zero_frequency_structure(desk_instance):
@@ -306,7 +353,7 @@ def test_main_term_vanishes_off_support():
     # the circle, so some coordinate escapes every rational and the main
     # term vanishes.  A single explicit solution gives a positive-mass
     # measure at such a scale without enumerating the full solution set.
-    ps = sieve_primes(100_200).primes
+    ps = sieve_primes(100_200)
     ps = [int(p) for p in ps[ps > 100_000][:5]]
     lam = sum(p * p for p in ps)
     inst = ProblemInstance(2, 5, lam)
@@ -385,10 +432,9 @@ def test_hua_ratio_truncation_stability(desk_instance):
 
 def test_hua_ratio_approaches_one_with_lambda():
     """The count/prediction ratio climbs toward 1 as lambda grows."""
-    table = sieve_primes(1100)
     ratios = []
     for lam in (10061, 100013 + (5 - 100013) % 24, 1000037 + (5 - 1000037) % 24):
-        m = enumerate_prime_points(ProblemInstance(2, 5, lam), table)
+        m = enumerate_prime_points(ProblemInstance(2, 5, lam))
         ratios.append(hua_ratio(m))
     assert ratios[0] < ratios[1] < ratios[2] < 1.05
 
@@ -400,15 +446,15 @@ def test_mu_infinity_cached_value():
 # --- whole-range totals ----------------------------------------------------------
 
 
-def test_value_arrays_match_enumeration(table):
+def test_value_arrays_match_enumeration():
     lam_max = 1500
-    counts = rep_count_array(2, 3, lam_max, table)
-    weights = rep_weight_array(2, 3, lam_max, table)
+    counts = rep_count_array(2, 3, lam_max)
+    weights = rep_weight_array(2, 3, lam_max)
     rng = np.random.default_rng(21)
     xi = rng.random(3)
-    numer = fourier_numerator_array(2, 3, lam_max, table, xi)
+    numer = fourier_numerator_array(2, 3, lam_max, xi)
     for lam in range(3, lam_max + 1, 97):
-        m = enumerate_prime_points(ProblemInstance(2, 3, lam), table)
+        m = enumerate_prime_points(ProblemInstance(2, 3, lam))
         assert counts[lam] == m.r
         assert weights[lam] == pytest.approx(m.R, abs=1e-8)
         if m.R > 0:
@@ -419,16 +465,16 @@ def test_value_arrays_match_enumeration(table):
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), k=st.sampled_from([2, 3]), n=st.integers(2, 6), lam_max=st.integers(1, 2000))
-def test_value_arrays_match_enumeration_property(data, table, k, n, lam_max):
+def test_value_arrays_match_enumeration_property(data, k, n, lam_max):
     # xi from a pool of two values and zero, so equal fills pair up and blocks repeat
     pool = data.draw(st.lists(st.floats(-1, 1), min_size=2, max_size=2)) + [0.0]
     xi = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
-    counts = rep_count_array(k, n, lam_max, table)
-    weights = rep_weight_array(k, n, lam_max, table)
-    numer = fourier_numerator_array(k, n, lam_max, table, xi)
+    counts = rep_count_array(k, n, lam_max)
+    weights = rep_weight_array(k, n, lam_max)
+    numer = fourier_numerator_array(k, n, lam_max, xi)
     r, R, N = np.zeros(lam_max + 1, dtype=np.int64), np.zeros(lam_max + 1), np.zeros(lam_max + 1, dtype=complex)
     for lam in range(1, lam_max + 1):
-        m = enumerate_prime_points(ProblemInstance(k, n, lam), table)
+        m = enumerate_prime_points(ProblemInstance(k, n, lam))
         r[lam], R[lam] = m.r, m.R
         N[lam] = (m.weights * np.exp(2j * np.pi * (m.representations @ xi))).sum()
     assert np.array_equal(counts, r)
@@ -437,30 +483,31 @@ def test_value_arrays_match_enumeration_property(data, table, k, n, lam_max):
     assert np.abs(numer - N).max() <= 1e-9 * scale
 
 
-def test_count_rounding_bound_covers_float_error(table):
+def test_count_rounding_bound_covers_float_error():
     k, n, lam_max = 2, 4, 3000
-    primes = table.primes_leq(int_kth_root(lam_max, k))
+    primes = sieve_primes(int_kth_root(lam_max, k))
     ones = np.zeros(lam_max + 1, dtype=np.int64)
     ones[primes**k] = 1
     exact = ones
     for _ in range(n - 1):
         exact = np.convolve(exact, ones)[: lam_max + 1]  # integer arithmetic, exact
-    err = np.abs(_value_array(k, lam_max, table, [np.ones(len(primes))] * n) - exact).max()
+    err = np.abs(_value_array(primes**k, lam_max, [np.ones(len(primes))] * n) - exact).max()
     size = _fft_size(ceil(n / 2) * lam_max + 1)
     assert 0 < err <= _count_rounding_bound(n, size, len(primes)) < 0.25
-    assert np.array_equal(rep_count_array(k, n, lam_max, table), exact)
+    assert np.array_equal(rep_count_array(k, n, lam_max), exact)
 
 
 def test_rep_count_array_refuses_unsafe_rounding():
-    # 99 synthetic "primes" up to 100: 99^12 solutions cannot be counted in float64
-    synthetic = PrimeTable(limit=100, primes=np.arange(2, 101, dtype=np.int64))
+    # the 86 primes up to sqrt(200000): their 7-fold float counts may round wrongly (bound 0.52)
+    assert _count_rounding_bound(7, _fft_size(4 * 200_000 + 1), 86) > 0.25
     with pytest.raises(NumericError):
-        rep_count_array(2, 12, 10_000, synthetic)
+        rep_count_array(2, 7, 200_000)
     # the default hua range is far inside the bound
     assert _count_rounding_bound(5, _fft_size(5 * 99_999 + 1), 65) < 1e-3
 
 
 def test_check_array_memory_refuses_above_physical_memory(monkeypatch):
+    monkeypatch.setattr(surface, "_CGROUP_MEMORY_MAX", "/nonexistent/memory.max")
     check_array_memory(5, 2**18)  # the largest benchmark range
     with pytest.raises(MemoryError):  # too large for any transform, refused without sizing one
         check_array_memory(5, 2**62)
@@ -473,20 +520,47 @@ def test_check_array_memory_refuses_above_physical_memory(monkeypatch):
         check_array_memory(n, lam_max)
 
 
-def test_sample_admissible_lams(table):
-    lams = sample_admissible_lams(2, 5, 2000, 4000, 4, table)
+def test_check_array_memory_honours_cgroup_limit(monkeypatch, tmp_path):
+    n, lam_max = 5, 100_000
+    need = 16 * _fft_size(ceil(n / 2) * lam_max + 1)
+    limit = tmp_path / "memory.max"
+    monkeypatch.setattr(surface, "_CGROUP_MEMORY_MAX", str(limit))
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2 * need, "SC_PAGE_SIZE": 1}.__getitem__)
+    for text, fits in [(None, True), ("max\n", True), (f"{need}\n", True), (f"{need - 1}\n", False)]:
+        if text is not None:
+            limit.write_text(text)
+        if fits:
+            check_array_memory(n, lam_max)
+        else:
+            with pytest.raises(MemoryError):
+                check_array_memory(n, lam_max)
+    # the smaller of the two limits holds
+    limit.write_text(f"{4 * need}\n")
+    check_array_memory(n, lam_max)
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}.__getitem__)
+    with pytest.raises(MemoryError):
+        check_array_memory(n, lam_max)
+
+
+def test_sample_admissible_lams():
+    lams = sample_admissible_lams(admissible_mask(2, 5, rep_count_array(2, 5, 3999)), 2000, 4000, 4)
     assert len(lams) == 4 and lams == sorted(lams)
     for lam in lams:
         assert gamma_membership(ProblemInstance(2, 5, lam)).member
-        assert enumerate_prime_points(ProblemInstance(2, 5, lam), table).r > 0
+        assert enumerate_prime_points(ProblemInstance(2, 5, lam)).r > 0
     # below n * 2^k = 20 no lam has a prime solution
-    assert sample_admissible_lams(2, 5, 1, 20, 4, table) == []
+    assert sample_admissible_lams(admissible_mask(2, 5, rep_count_array(2, 5, 19)), 1, 20, 4) == []
+    mask = admissible_mask(2, 5, rep_count_array(2, 5, 99))
+    assert len(mask) == 100
+    for lo, hi, count in [(0, 101, 4), (50, 50, 4), (-1, 10, 4), (0, 100, 0)]:
+        with pytest.raises(InputError):
+            sample_admissible_lams(mask, lo, hi, count)
 
 
-def test_max_weight_array(table):
-    maxw = max_weight_array(2, 3, 200, table)
+def test_max_weight_array():
+    maxw = max_weight_array(2, 3, 200)
     for lam in (12, 38, 83, 110):
-        m = enumerate_prime_points(ProblemInstance(2, 3, lam), table)
+        m = enumerate_prime_points(ProblemInstance(2, 3, lam))
         if m.r == 0:
             assert maxw[lam] == 0 or not np.isfinite(maxw[lam]) or maxw[lam] < 1e-300
         else:
