@@ -26,7 +26,7 @@ from .ergodic import (
     weyl_decay_scan,
 )
 from .maxops import GridFunction, delta_scaling_probe, lp_norm, maximal
-from .oscint import SurfaceQuery, surface_transform
+from .oscint import SurfaceQuery, singular_integral, surface_transform
 from .surface import (
     ApproxParams,
     ProblemInstance,
@@ -40,7 +40,6 @@ from .surface import (
     rep_weight_array,
     sample_admissible_lams,
     singular_series,
-    _mu_infinity,
 )
 
 SCHEMA_VERSION = 1
@@ -281,7 +280,7 @@ def _cmd_hua(args):
     ratios = [row[4] for row in rows]
     in_band = [r for r in ratios if 0.7 <= r <= 1.3]
     scalars = {
-        "mu_inf": _mu_infinity(n, k),
+        "mu_inf": singular_integral(n, k, 1.0),
         "n_samples": len(rows),
         "band_fraction": len(in_band) / len(ratios),
         "median_ratio": float(np.median(ratios)),
@@ -387,12 +386,11 @@ _KN = (_K, _N)
 _INSTANCE = (_K, _N, _arg("--lambda", dest="lam", type=int, required=True))
 _XI = _arg("--xi", required=True, help="comma-separated, n entries")
 _QSING = _arg("--qsing", type=int, default=100)
+_SEED = _arg("--seed", type=int, default=7, help="seed of the command's random sample")
 _COMMON = (
     _arg("--format", choices=["json", "csv"], default="json"),
     _arg("--output", default=None, help="write payload to this path instead of stdout"),
     _arg("--plot", action="store_true", help="also write an SVG chart next to --output"),
-    _arg("--cache-dir", default=None, help="ignored; solutions are enumerated on each run"),
-    _arg("--seed", type=int, default=7),
 )
 
 # name -> (handler, help text, arguments beyond _COMMON)
@@ -426,18 +424,19 @@ _COMMANDS = {
         _arg("--per-block", dest="per_block", type=int, default=6),
         _arg("--xi-count", dest="xi_count", type=int, default=32),
         _arg("--C", type=float, default=2.0),
-        _QSING,
+        _QSING, _SEED,
     )),
     "hua": (_cmd_hua, "count/prediction ratio sweep; columns lambda,r,R,series_re,ratio", _KN + (
         _arg("--lo", type=int, default=10_000), _arg("--hi", type=int, default=100_000),
         _arg("--samples", type=int, default=50),
         _QSING,
+        _arg("--cache-dir", default=None, help="ignored: nothing is cached; accepted for old scripts"),
     )),
     "maximal": (_cmd_maximal, "maximal function norms; columns lambda,r,norm_p*", _KN + (
         _arg("--lams", required=True, help="comma-separated lam list"),
         _arg("--K", type=int, default=4),
         _arg("--p", default="2,inf", help="comma-separated exponents"),
-        _arg("--input", choices=["delta", "random"], default="delta"),
+        _arg("--input", choices=["delta", "random"], default="delta"), _SEED,
     )),
     "delta-probe": (_cmd_delta_probe, "norm growth of the delta maximal probe; columns lambda_max,norm", _KN + (
         _arg("--p", default="1.2"),
@@ -456,7 +455,7 @@ _COMMANDS = {
     )),
     "equidist": (_cmd_equidist, "star-discrepancy estimate of the scaled solution set", _INSTANCE + (
         _arg("--alpha", required=True, help="scaling vector, n entries"),
-        _arg("--boxes", type=int, default=10_000),
+        _arg("--boxes", type=int, default=10_000), _SEED,
     )),
     "meanvalue": (_cmd_meanvalue, "brute-force power-sum system count", (
         _arg("--N", type=int, required=True), _arg("--s", type=int, required=True), _K,

@@ -85,19 +85,17 @@ def _convolve_direct(f: GridFunction, reps, weights) -> np.ndarray:
     return out
 
 
-def convolve(f: GridFunction, measure: SurfaceMeasure, normalized: bool = True) -> GridFunction:
-    """(measure * f)(x) = sum over solutions p of weight(p) f(x - p), on the box.
+def convolve(f: GridFunction, measure: SurfaceMeasure) -> GridFunction:
+    """(measure * f)(x) = (1/R) sum over solutions p of weight(p) f(x - p), on the box.
 
     f is treated as zero outside its box.
     """
     if f.n != measure.instance.n:
         raise InputError("grid dimension does not match the measure")
-    if normalized and measure.R <= 0:
+    if measure.R <= 0:
         raise UndefinedMeasureError("cannot normalize a zero-mass measure")
-    out = _convolve_direct(f, *_pruned(measure, f.K))
-    if normalized:
-        # times 1/R is how numpy divides a complex array by a real R, so real grids round alike
-        out = out * (1.0 / measure.R)
+    # times 1/R is how numpy divides a complex array by a real R, so real grids round alike
+    out = _convolve_direct(f, *_pruned(measure, f.K)) * (1.0 / measure.R)
     return GridFunction(K=f.K, values=out)
 
 

@@ -288,41 +288,35 @@ def omega_hat(measure: SurfaceMeasure, xi) -> complex:
     return complex((measure.weights * vals).sum() / measure.R)
 
 
-@dataclass(frozen=True)
-class BumpProfile:
-    """Product bump: 1 on [-inner, inner], 0 outside (-outer, outer), smooth ramp between."""
+BUMP_OUTER = 2.0  # the bump vanishes from |t| = BUMP_OUTER on
 
-    inner: float = 1.0
-    outer: float = 2.0
 
-    def __post_init__(self):
-        if not 0 < self.inner < self.outer:
-            raise InputError("need 0 < inner < outer")
+def bump(t):
+    """Smooth bump: 1 on [-1, 1], 0 outside (-BUMP_OUTER, BUMP_OUTER), a smooth ramp between."""
+    t = np.abs(np.asarray(t, dtype=float))
+    s = np.clip((t - 1.0) / (BUMP_OUTER - 1.0), 0.0, 1.0)
+    out = np.zeros_like(s)
+    ramp = (s > 0.0) & (s < 1.0)
+    out[ramp] = np.exp(1.0 - 1.0 / (1.0 - s[ramp] ** 2))
+    out[s == 0.0] = 1.0
+    return out if out.ndim else float(out)
 
-    def eta(self, t):
-        t = np.abs(np.asarray(t, dtype=float))
-        s = np.clip((t - self.inner) / (self.outer - self.inner), 0.0, 1.0)
-        out = np.zeros_like(s)
-        ramp = (s > 0.0) & (s < 1.0)
-        out[ramp] = np.exp(1.0 - 1.0 / (1.0 - s[ramp] ** 2))
-        out[s == 0.0] = 1.0
-        return out if out.ndim else float(out)
 
-    def psi(self, x) -> float:
-        return float(np.prod(self.eta(np.asarray(x, dtype=float))))
+def psi(x) -> float:
+    """Product bump prod_i bump(x_i)."""
+    return float(np.prod(bump(x)))
 
 
 @dataclass(frozen=True)
 class ApproxParams:
-    """Tunables of the approximation formula: scales, truncations, bump."""
+    """Tunables of the approximation formula: scales and truncations."""
 
     C: float
     N: float
     Qsing: int
-    bump: BumpProfile = BumpProfile()
 
     @classmethod
-    def for_instance(cls, instance, C=2.0, N=None, Qsing=100, bump=None):
+    def for_instance(cls, instance, C=2.0, N=None, Qsing=100):
         base = instance.lam ** (1.0 / instance.k)
         if N is None:
             N = base
@@ -334,7 +328,7 @@ class ApproxParams:
             log(N) ** C
         except OverflowError:
             raise InputError(f"major-arc exponent C (--C) = {C} overflows Q = log(N)^C") from None
-        return cls(C=C, N=float(N), Qsing=int(Qsing), bump=bump or BumpProfile())
+        return cls(C=C, N=float(N), Qsing=int(Qsing))
 
     @property
     def Q(self) -> float:
@@ -407,13 +401,13 @@ def main_term(measure: SurfaceMeasure, params: ApproxParams, xi) -> complex:
         raise InputError("xi must have length n")
     N, Q = params.N, params.Q
     lam0 = inst.lam / N**k
-    hits = [_arc_center(float(x % 1.0), Q, params.bump.outer * Q / N) for x in xi]
+    hits = [_arc_center(float(x % 1.0), Q, BUMP_OUTER * Q / N) for x in xi]
     if None in hits:
         return 0j
     centers, dvec = zip(*hits)
     qvec = [c.q for c in centers]
     avec = [c.a for c in centers]
-    psival = float(np.prod([params.bump.eta((N / Q) * d) for d in dvec]))
+    psival = psi([(N / Q) * d for d in dvec])
     if psival == 0.0:
         return 0j
     eta = tuple(N * d / q for d, q in zip(dvec, qvec))
@@ -429,11 +423,6 @@ def error_term(measure: SurfaceMeasure, params: ApproxParams, xi) -> complex:
     return omega_hat(measure, xi) - main_term(measure, params, xi)
 
 
-@lru_cache(maxsize=None)
-def _mu_infinity(n: int, k: int) -> float:
-    return singular_integral(n, k, 1.0)
-
-
 def hua_series_ratio(instance: ProblemInstance, R: float, Qsing: int = 100) -> tuple[complex, float]:
     """Zero-center series S_trunc and the ratio R / (S_trunc * mu_inf * lam^(n/k - 1)).
 
@@ -445,7 +434,7 @@ def hua_series_ratio(instance: ProblemInstance, R: float, Qsing: int = 100) -> t
     sval = singular_series(instance, [0] * n, [1] * n, Qsing).value
     if abs(sval.imag) > 1e-8 * (1.0 + abs(sval)):
         raise NumericError(f"singular series came out non-real: {sval!r}")
-    return sval, R / (sval.real * _mu_infinity(n, k) * lam ** (n / k - 1.0))
+    return sval, R / (sval.real * singular_integral(n, k, 1.0) * lam ** (n / k - 1.0))
 
 
 def hua_ratio(measure: SurfaceMeasure, Qsing: int = 100) -> float:
@@ -466,17 +455,20 @@ def _fft_size(length: int) -> int:
     return sp_fft.next_fast_len(length, real=True)
 
 
-_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"  # read only, never written
+# cgroup v2, then v1; read only, never written
+_CGROUP_LIMIT_FILES = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
 
 def _cgroup_memory_limit() -> Optional[int]:
-    """The cgroup v2 memory limit in bytes, or None where there is none (file absent or "max")."""
-    try:
-        with open(_CGROUP_MEMORY_MAX) as fh:
-            text = fh.read().strip()
-    except OSError:
-        return None
-    return int(text) if text.isdigit() else None
+    """The memory limit in the first cgroup file that exists, or None (no file, or v2's "max")."""
+    for path in _CGROUP_LIMIT_FILES:
+        try:
+            with open(path) as fh:
+                text = fh.read().strip()
+        except OSError:
+            continue
+        return int(text) if text.isdigit() else None
+    return None
 
 
 def check_array_memory(n: int, lam_max: int) -> None:
@@ -551,6 +543,7 @@ def _value_array(powers: np.ndarray, lam_max: int, fills) -> np.ndarray:
         spec = fft(_pair_block(powers, pair, lam_max), size)
         for _ in range(mult):
             spectrum = spectrum * spec
+        del spec  # free this block's spectrum before the next one is transformed
     return ifft(spectrum, size)[: lam_max + 1]
 
 
@@ -619,18 +612,17 @@ def fourier_numerator_array(k: int, n: int, lam_max: int, xi) -> np.ndarray:
 
 
 def max_weight_array(k: int, n: int, lam_max: int) -> np.ndarray:
-    """Largest single-solution weight prod log(p_i) per lam (log-domain max-plus)."""
+    """Largest single-solution weight prod log(p_i) per lam, 0 where none (max-times; log p > 0)."""
     primes = _range_primes(k, n, lam_max)
-    acc = np.full(lam_max + 1, -np.inf)
-    acc[primes**k] = np.log(np.log(primes.astype(np.float64)))
+    powers, logs = primes**k, np.log(primes.astype(np.float64))
+    acc = np.zeros(lam_max + 1)
+    acc[powers] = logs
     for _ in range(n - 1):
-        nxt = np.full(lam_max + 1, -np.inf)
-        for p in primes:
-            v = int(p) ** k
-            w = log(log(int(p)))
-            nxt[v:] = np.maximum(nxt[v:], acc[: lam_max + 1 - v] + w)
+        nxt = np.zeros(lam_max + 1)
+        for v, w in zip(powers.tolist(), logs.tolist()):
+            nxt[v:] = np.maximum(nxt[v:], acc[: lam_max + 1 - v] * w)
         acc = nxt
-    return np.exp(acc)
+    return acc
 
 
 def admissible_mask(k: int, n: int, counts: np.ndarray) -> np.ndarray:

@@ -171,12 +171,31 @@ def test_json_rerun_is_bit_identical(capsys):
 
 
 def test_cache_dir_is_ignored(capsys, tmp_path):
-    args = ("points", "--k", "2", "--n", "5", "--lambda", "77")
+    args = ("hua", "--k", "2", "--n", "5", "--lo", "2000", "--hi", "4000", "--samples", "4", "--qsing", "40")
     plain = run_json(capsys, *args)
     flagged = run_json(capsys, *args, "--cache-dir", str(tmp_path))
     assert os.listdir(tmp_path) == []
     assert flagged["scalars"] == plain["scalars"]
     assert flagged["table"] == plain["table"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--k", "2", "--n", "5", "--xi", "0.1,0.2,0,0,0", "--seed", "3"],
+    ["points", "--k", "2", "--n", "5", "--lambda", "77", "--cache-dir", "D"],
+])
+def test_unread_flags_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_seed_is_kept_where_read():
+    parser = build_parser()
+    for argv in (["approx", "--k", "2", "--n", "5"],
+                 ["maximal", "--k", "2", "--n", "5", "--lams", "77"],
+                 ["equidist", "--k", "2", "--n", "5", "--lambda", "77", "--alpha", "0,0,0,0,0"]):
+        assert parser.parse_args(argv + ["--seed", "3"]).seed == 3
 
 
 def test_csv_and_json_payloads_match(capsys):
@@ -463,7 +482,7 @@ def test_output_into_missing_directory(capsys, tmp_path):
     assert not out.exists()
 
 
-_DEFAULTS = {"cache_dir": None, "format": "json", "output": None, "plot": False, "seed": 7}
+_DEFAULTS = {"format": "json", "output": None, "plot": False}
 _INSTANCE = {"k": 2, "n": 5, "lam": 77}
 
 # (least argv, parsed namespace); the namespace is the JSON "config" block
@@ -481,11 +500,11 @@ CONFIG_PINS = [
      {"theta": 0.5, "X": 1000.0, "Q": 10.0, "count": 8}),
     (["approx", "--k", "2", "--n", "5"],
      {"k": 2, "n": 5, "lam_min": 4096, "blocks": 5, "per_block": 6, "xi_count": 32,
-      "C": 2.0, "qsing": 100}),
+      "C": 2.0, "qsing": 100, "seed": 7}),
     (["hua", "--k", "2", "--n", "5"],
-     {"k": 2, "n": 5, "lo": 10000, "hi": 100000, "samples": 50, "qsing": 100}),
+     {"k": 2, "n": 5, "lo": 10000, "hi": 100000, "samples": 50, "qsing": 100, "cache_dir": None}),
     (["maximal", "--k", "2", "--n", "5", "--lams", "77"],
-     {"k": 2, "n": 5, "lams": "77", "K": 4, "p": "2,inf", "input": "delta"}),
+     {"k": 2, "n": 5, "lams": "77", "K": 4, "p": "2,inf", "input": "delta", "seed": 7}),
     (["delta-probe", "--k", "2", "--n", "5"],
      {"k": 2, "n": 5, "p": "1.2", "exp_lo": 12, "exp_hi": 16}),
     (["ergodic", "--k", "2", "--n", "5", "--lambda", "77", "--alpha", "0.1,0.2,0.3,0.4,0.5",
@@ -494,7 +513,7 @@ CONFIG_PINS = [
     (["weyl", "--k", "2", "--n", "5", "--xi", "0.5,0.5,0.5,0.5,0.5"],
      {"k": 2, "n": 5, "xi": "0.5,0.5,0.5,0.5,0.5", "lam_min": 1000, "blocks": 7}),
     (["equidist", "--k", "2", "--n", "5", "--lambda", "77", "--alpha", "0.1,0.2,0.3,0.4,0.5"],
-     {**_INSTANCE, "alpha": "0.1,0.2,0.3,0.4,0.5", "boxes": 10000}),
+     {**_INSTANCE, "alpha": "0.1,0.2,0.3,0.4,0.5", "boxes": 10000, "seed": 7}),
     (["meanvalue", "--N", "2", "--s", "2", "--k", "2"], {"N": 2, "s": 2, "k": 2}),
 ]
 

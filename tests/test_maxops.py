@@ -129,12 +129,6 @@ def test_convolve_requires_mass():
         convolve(GridFunction.delta(5, 2), empty)
 
 
-def test_convolve_unnormalized(measure77):
-    f = GridFunction.delta(5, 5)
-    raw = convolve(f, measure77, normalized=False)
-    assert raw.at((3, 3, 3, 5, 5)) == pytest.approx(measure77.weights[0], rel=1e-12)
-
-
 def test_convolve_memory_is_a_few_boxes():
     # at K = 6, 120 solutions of 208 survive pruning; accumulating them needs the output box
     # and one shifted slice, nothing the size of the (4K+1)^n span they reach

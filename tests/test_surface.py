@@ -13,15 +13,15 @@ from wglab.expsums import GSumQuery, g_sum
 from wglab.numtheory import int_kth_root, sieve_primes
 from wglab.oscint import SurfaceQuery, surface_transform
 from wglab.surface import (
+    BUMP_OUTER,
     ApproxParams,
-    BumpProfile,
     ProblemInstance,
     _count_rounding_bound,
     _fft_size,
     _local_unit_sum_masks,
-    _mu_infinity,
     _value_array,
     admissible_mask,
+    bump,
     check_array_memory,
     dimension_gates,
     enumerate_integer_points,
@@ -35,6 +35,7 @@ from wglab.surface import (
     max_weight_array,
     naive_solutions,
     omega_hat,
+    psi,
     rep_count_array,
     rep_weight_array,
     sample_admissible_lams,
@@ -247,9 +248,8 @@ def test_omega_hat_requires_mass():
 
 
 def test_bump_sandwich():
-    bump = BumpProfile()
     t = np.linspace(-3, 3, 1201)
-    vals = bump.eta(t)
+    vals = bump(t)
     assert np.all(vals[np.abs(t) <= 1.0] == 1.0)
     assert np.all(vals[np.abs(t) >= 2.0] == 0.0)
     inside = (np.abs(t) > 1.0) & (np.abs(t) < 2.0)
@@ -258,15 +258,10 @@ def test_bump_sandwich():
     rng = np.random.default_rng(3)
     for _ in range(200):
         x = rng.uniform(-2.5, 2.5, 5)
-        psi = bump.psi(x)
+        value = psi(x)
         lower = 1.0 if np.max(np.abs(x)) <= 1.0 else 0.0
         upper = 1.0 if np.max(np.abs(x)) <= 2.0 else 0.0
-        assert lower <= psi <= upper + 1e-15
-
-
-def test_bump_validation():
-    with pytest.raises(InputError):
-        BumpProfile(inner=2.0, outer=1.0)
+        assert lower <= value <= upper + 1e-15
 
 
 # --- params -------------------------------------------------------------------
@@ -359,7 +354,7 @@ def test_main_term_vanishes_off_support():
     inst = ProblemInstance(2, 5, lam)
     measure = SurfaceMeasure.build(inst, np.array([sorted(ps)]), log_weighted=True)
     params = ApproxParams.for_instance(inst)
-    radius = params.bump.outer * params.Q / params.N
+    radius = BUMP_OUTER * params.Q / params.N
     assert radius < 0.01
 
     def covered(x):
@@ -439,10 +434,6 @@ def test_hua_ratio_approaches_one_with_lambda():
     assert ratios[0] < ratios[1] < ratios[2] < 1.05
 
 
-def test_mu_infinity_cached_value():
-    assert _mu_infinity(5, 2) == pytest.approx(np.pi**2 / 24, rel=1e-4)
-
-
 # --- whole-range totals ----------------------------------------------------------
 
 
@@ -507,7 +498,7 @@ def test_rep_count_array_refuses_unsafe_rounding():
 
 
 def test_check_array_memory_refuses_above_physical_memory(monkeypatch):
-    monkeypatch.setattr(surface, "_CGROUP_MEMORY_MAX", "/nonexistent/memory.max")
+    monkeypatch.setattr(surface, "_CGROUP_LIMIT_FILES", ("/nonexistent/memory.max", "/nonexistent/v1"))
     check_array_memory(5, 2**18)  # the largest benchmark range
     with pytest.raises(MemoryError):  # too large for any transform, refused without sizing one
         check_array_memory(5, 2**62)
@@ -524,7 +515,7 @@ def test_check_array_memory_honours_cgroup_limit(monkeypatch, tmp_path):
     n, lam_max = 5, 100_000
     need = 16 * _fft_size(ceil(n / 2) * lam_max + 1)
     limit = tmp_path / "memory.max"
-    monkeypatch.setattr(surface, "_CGROUP_MEMORY_MAX", str(limit))
+    monkeypatch.setattr(surface, "_CGROUP_LIMIT_FILES", (str(limit), "/nonexistent/v1"))
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2 * need, "SC_PAGE_SIZE": 1}.__getitem__)
     for text, fits in [(None, True), ("max\n", True), (f"{need}\n", True), (f"{need - 1}\n", False)]:
         if text is not None:
@@ -540,6 +531,20 @@ def test_check_array_memory_honours_cgroup_limit(monkeypatch, tmp_path):
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}.__getitem__)
     with pytest.raises(MemoryError):
         check_array_memory(n, lam_max)
+
+
+def test_cgroup_memory_limit_reads_v2_then_v1(monkeypatch, tmp_path):
+    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
+    monkeypatch.setattr(surface, "_CGROUP_LIMIT_FILES", (str(v2), str(v1)))
+    assert surface._cgroup_memory_limit() is None  # neither file
+    v1.write_text("9223372036854771712\n")  # v1's "no limit": larger than any physical memory
+    assert surface._cgroup_memory_limit() == 9223372036854771712
+    v1.write_text("1048576\n")
+    assert surface._cgroup_memory_limit() == 1048576
+    v2.write_text("max\n")  # a v2 file decides, even when it sets no limit
+    assert surface._cgroup_memory_limit() is None
+    v2.write_text("2097152\n")
+    assert surface._cgroup_memory_limit() == 2097152
 
 
 def test_sample_admissible_lams():
