@@ -20,7 +20,6 @@ from math import ceil, gamma, pi
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import wofz
 
 from .errors import InputError, NumericError
 
@@ -137,6 +136,7 @@ def _i1_quadratic(thetas: np.ndarray, eta: float) -> np.ndarray:
     uses I_1(-theta, -eta) = conj I_1(theta, eta); for c < -1/2 the reflection x -> 1 - x
     negates the bracket and both w arguments, which keeps them where |w| <= 1.
     """
+    from scipy.special import wofz  # deferred: its import takes ~0.3 s and only k = 2 needs it
     th = np.asarray(thetas, dtype=float)
     t, e = np.abs(th), np.where(th < 0, -eta, eta)
     sign = np.where(e < -t, -1.0, 1.0)  # c < -1/2
@@ -232,10 +232,13 @@ def _shell_value(
     h = 0.5 * (edges[1] - edges[0])
     th = sign * ((0.5 * (edges[:-1] + edges[1:]))[:, None] + h * _GL_X[None, :]).ravel()
     prod = np.ones(len(th), dtype=complex)
-    for eta_j in query.eta:
-        vals = _i1_batch(th, float(eta_j), query.k, oversample)
+    inner: dict[float, np.ndarray] = {}  # equal frequencies (0.0 and -0.0 too) share I_1
+    for eta_j in map(float, query.eta):
+        vals = inner.get(eta_j)
+        if vals is None:
+            vals = inner[eta_j] = _i1_batch(th, eta_j, query.k, oversample)
+            c_track.append(float((np.abs(vals) * (1.0 + np.abs(th)) ** (1.0 / query.k)).max()))
         prod *= vals
-        c_track.append(float((np.abs(vals) * (1.0 + np.abs(th)) ** (1.0 / query.k)).max()))
     prod *= _osc_phase_exp(-query.lam0 * th)
     w = np.tile(_GL_W, panels) * h
     return complex(prod @ w)

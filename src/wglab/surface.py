@@ -15,7 +15,6 @@ from math import ceil, gcd, log
 from typing import Optional
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .arcs import _arc_center
 from .errors import InputError, NumericError, UndefinedMeasureError
@@ -452,7 +451,16 @@ def hua_ratio(measure: SurfaceMeasure, Qsing: int = 100) -> float:
 
 def _fft_size(length: int) -> int:
     """Smallest 5-smooth length >= length, a fast size for rfft and fft alike."""
-    return sp_fft.next_fast_len(length, real=True)
+    best = 1 << (length - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two reaching length
+            best = min(best, p35 << (-(-length // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 # cgroup v2, then v1; read only, never written

@@ -321,6 +321,49 @@ def test_cli_import_skips_scipy_signal():
     assert out.stdout.strip() == "False"
 
 
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from wglab.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "stdout": out.getvalue()}))
+"""
+
+
+def _probe_scipy(*argvs):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_commands_without_special_functions_never_import_scipy():
+    doc = _probe_scipy(
+        ["hua", "--k", "2", "--n", "5", "--lo", "1000", "--hi", "3000", "--samples", "2", "--qsing", "20"],
+        ["weyl", "--k", "2", "--n", "5", "--xi", "0.1,0.2,0,0,0", "--lambda-min", "64", "--blocks", "2"],
+        ["delta-probe", "--k", "2", "--n", "5", "--p", "2", "--exp-lo", "8", "--exp-hi", "9"],
+        ["maximal", "--k", "2", "--n", "5", "--lams", "77", "--K", "3"],
+        ["equidist", "--k", "2", "--n", "5", "--lambda", "77", "--alpha", "0.31,0.71,0.12,0.55,0.9",
+         "--boxes", "10"],
+        ["surface", "--k", "3", "--n", "5", "--eta", "0,0,0,0,0"],
+    )
+    assert doc["codes"] == [0] * 6
+    assert doc["scipy"] == []
+
+
+def test_quadratic_surface_transform_loads_scipy_special(capsys):
+    argv = ["surface", "--k", "2", "--n", "3", "--eta", "1,0,0"]
+    doc = _probe_scipy(argv)
+    assert doc["codes"] == [0]
+    assert "scipy.special" in doc["scipy"]
+    assert doc["stdout"] == run(capsys, *argv)[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["delta-probe", "--k", "2", "--n", "5", "--p", "abc"],
     ["delta-probe", "--k", "2", "--n", "5", "--p", "1.2,2"],

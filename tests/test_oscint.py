@@ -2,6 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from wglab import oscint
 from wglab.errors import InputError
 from wglab.oscint import (
     OscQuery,
@@ -206,3 +207,34 @@ def test_singular_integral_volume_derivative():
         total += len(s)
     oracle = hits / (2 * h * total)
     assert singular_integral(n, k, u) == pytest.approx(oracle, rel=0.02)
+
+
+@pytest.mark.parametrize("eta, abs_tol, per_shell, pinned", [
+    # pinned: repr of the result before equal frequencies shared one I_1
+    ((0.0,) * 5, 0.0, 1,
+     "SurfaceResult(value=(0.4112335287436101+0j), quad_error=2.6956703315567934e-16, "
+     "tail_estimate=9.69175221875746e-09, tail_warning=False, theta_max=109.95116277760006)"),
+    ((1.5, -2.0, 1.5, 0.0, 0.0), 1e-5, 3,
+     "SurfaceResult(value=(-0.003540032199701912+0.001149899368625442j), "
+     "quad_error=1.664439805642677e-17, tail_estimate=1.1665482369414697e-06, "
+     "tail_warning=True, theta_max=42.94967296000002)"),
+    ((1.5, -2.0, 1.5, -0.0, 0.0), 1e-5, 3,
+     "SurfaceResult(value=(-0.003540032199701912+0.001149899368625442j), "
+     "quad_error=1.664439805642677e-17, tail_estimate=1.1665482369414697e-06, "
+     "tail_warning=True, theta_max=42.94967296000002)"),
+], ids=["zeros", "mixed", "mixed-negative-zero"])
+def test_one_inner_integral_per_distinct_frequency(monkeypatch, eta, abs_tol, per_shell, pinned):
+    calls = {"shell": 0, "i1": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oscint, "_shell_value", counted("shell", oscint._shell_value))
+    monkeypatch.setattr(oscint, "_i1_batch", counted("i1", oscint._i1_batch))
+    res = surface_transform(SurfaceQuery(5, 2, 1.0, eta), abs_tol=abs_tol)
+    assert calls["shell"] > 0
+    assert calls["i1"] == per_shell * calls["shell"]
+    assert repr(res) == pinned

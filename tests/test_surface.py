@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from wglab import surface
 from wglab.errors import InputError, NumericError, UndefinedMeasureError
@@ -570,3 +571,10 @@ def test_max_weight_array():
             assert maxw[lam] == 0 or not np.isfinite(maxw[lam]) or maxw[lam] < 1e-300
         else:
             assert maxw[lam] == pytest.approx(m.weights.max(), rel=1e-12)
+
+
+def test_fft_size_matches_scipy_next_fast_len():
+    # the rounding-bound tests' lengths, then weyl's at --lambda-min 1000 --blocks 9
+    lengths = [*range(1, 20_001), 4 * 200_000 + 1, 5 * 99_999 + 1, 3 * 511_999 + 1]
+    assert [_fft_size(L) for L in lengths] == [next_fast_len(L, real=True) for L in lengths]
+    assert _fft_size(3 * 511_999 + 1) == 1_536_000
