@@ -10,6 +10,7 @@ complex values split into re/im fields.
 import argparse
 import json
 import os
+import statistics  # numpy.median imports numpy.ma, 15 ms of a fresh process
 import sys
 
 import numpy as np
@@ -34,7 +35,7 @@ from .surface import (
     enumerate_prime_points,
     error_term,
     gamma_membership,
-    hua_series_ratio,
+    hua_series_ratios,
     omega_hat,
     rep_count_array,
     rep_weight_array,
@@ -50,6 +51,8 @@ def _r15(x: float) -> float:
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, float):
         return f"{x:.15g}"
     return str(x)
@@ -188,11 +191,11 @@ def _cmd_gsum(args):
 
 
 def _cmd_singular(args):
-    inst = ProblemInstance(k=args.k, n=args.n, lam=args.lam)
-    avec = _parse_list(args.avec, int) if args.avec else [0] * inst.n
-    qvec = _parse_list(args.qvec, int) if args.qvec else [1] * inst.n
-    res = singular_series(inst, avec, qvec, args.qsing)
-    scalars = {**_complex_scalars("series", res.value), "tail_estimate": res.tail_estimate}
+    avec = _parse_list(args.avec, int) if args.avec else [0] * args.n
+    qvec = _parse_list(args.qvec, int) if args.qvec else [1] * args.n
+    [res] = singular_series(args.k, args.n, [args.lam], avec, qvec, args.qsing)
+    tail = res.tail_estimate if np.isfinite(res.tail_estimate) else None  # JSON has no Infinity
+    scalars = {**_complex_scalars("series", res.value), "tail_estimate": tail}
     return scalars, (["q", "unused"], [])
 
 
@@ -243,7 +246,7 @@ def _cmd_approx(args):
             for xi in xi_sample:
                 errs.append(abs(error_term(measure, params, xi)))
             zeros.append(abs(error_term(measure, params, np.zeros(args.n))))
-        return [lo, hi, len(lams), float(np.median(errs)), float(max(errs)), float(max(zeros))]
+        return [lo, hi, len(lams), statistics.median(errs), float(max(errs)), float(max(zeros))]
 
     rows = []
     for j in range(args.blocks):
@@ -272,18 +275,18 @@ def _cmd_hua(args):
     if not lams:
         raise UndefinedMeasureError(f"no admissible lam with a prime solution in [{args.lo}, {args.hi})")
     weights = rep_weight_array(k, n, hi - 1)
-    rows = []
-    for lam in lams:
-        R = float(weights[lam])
-        series, ratio = hua_series_ratio(ProblemInstance(k=k, n=n, lam=lam), R, Qsing=args.qsing)
-        rows.append([lam, int(counts[lam]), R, series.real, ratio])
+    Rs = [float(weights[lam]) for lam in lams]
+    rows = [
+        [lam, int(counts[lam]), R, series.real, ratio]
+        for lam, R, (series, ratio) in zip(lams, Rs, hua_series_ratios(k, n, lams, Rs, Qsing=args.qsing))
+    ]
     ratios = [row[4] for row in rows]
     in_band = [r for r in ratios if 0.7 <= r <= 1.3]
     scalars = {
         "mu_inf": singular_integral(n, k, 1.0),
         "n_samples": len(rows),
         "band_fraction": len(in_band) / len(ratios),
-        "median_ratio": float(np.median(ratios)),
+        "median_ratio": statistics.median(ratios),
     }
     return scalars, (["lambda", "r", "R", "series_re", "ratio"], rows)
 
@@ -403,7 +406,7 @@ _COMMANDS = {
         _K,
         _arg("--via-lemma", action="store_true"),
     )),
-    "singular": (_cmd_singular, "truncated singular series at a center", _INSTANCE + (
+    "singular": (_cmd_singular, "truncated singular series at a center; tail_estimate is null where the fitted tail diverges (n <= 4)", _INSTANCE + (
         _QSING,
         _arg("--avec", default=None, help="comma-separated numerators"),
         _arg("--qvec", default=None, help="comma-separated denominators"),

@@ -9,6 +9,7 @@ from .errors import InputError, UndefinedMeasureError
 from .surface import (
     SurfaceMeasure,
     admissible_mask,
+    available_memory,
     max_weight_array,
     rep_count_array,
     rep_weight_array,
@@ -35,9 +36,10 @@ class GridFunction:
 
     @classmethod
     def zeros(cls, n: int, K: int, dtype=complex):
-        """Zeros on the box; a box larger than the address space raises MemoryError."""
-        if (2 * K + 1) ** n * np.dtype(dtype).itemsize > np.iinfo(np.intp).max:
-            raise MemoryError(f"a (2K+1)^n box with K={K}, n={n} does not fit in memory")
+        """Zeros on the box; a box above ``available_memory()`` raises MemoryError."""
+        size, memory = (2 * K + 1) ** n * np.dtype(dtype).itemsize, available_memory()
+        if size > memory:
+            raise MemoryError(f"a (2K+1)^n box with K={K}, n={n} needs {size} bytes, above the {memory} available")
         return cls(K=K, values=np.zeros((2 * K + 1,) * n, dtype=dtype))
 
     @classmethod

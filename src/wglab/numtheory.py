@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -146,7 +146,3 @@ def int_kth_root(x: int, k: int) -> int:
     while (r + 1) ** k <= x:
         r += 1
     return r
-
-
-def coprime(a: int, b: int) -> bool:
-    return gcd(a, b) == 1

@@ -342,18 +342,26 @@ class SeriesResult:
 
 _TAIL_EPS = 0.25
 
+_PHASE_BLOCK = 1_000_000  # entries of the phase block and of the held terms of one chunk of lams
 
-def singular_series(instance: ProblemInstance, avec, qvec, Qsing: int) -> SeriesResult:
-    """Truncated modulus sum of the arithmetic factor at center avec/qvec.
+
+def singular_series(k: int, n: int, lams, avec, qvec, Qsing: int) -> list[SeriesResult]:
+    """Truncated modulus sum of the arithmetic factor at center avec/qvec, for every lam in ``lams``.
 
     Sums, over q <= Qsing and units a mod q, the phase e(-lam a / q) times
-    the product over coordinates of g(a, q; a_i, q_i).  The tail estimate
+    the product over coordinates of g(a, q; a_i, q_i).  Only the phases
+    depend on lam, so one pass over q serves a whole chunk of up to
+    _PHASE_BLOCK // Qsing lams: each q reads its units and builds the
+    g-product once, and one phase block gives the terms of every lam in the
+    chunk.  Each lam's terms are then added in q order.  The tail estimate
     follows the q^(1 - n/2 + eps) envelope of the terms, with the constant
     fitted on the computed range (finite for n >= 5).
     """
-    n, k, lam = instance.n, instance.k, instance.lam
+    lams = [int(v) for v in lams]
     avec = [int(v) for v in avec]
     qvec = [int(v) for v in qvec]
+    if k < 2 or n < 2 or not all(1 <= lam <= np.iinfo(np.int64).max for lam in lams):
+        raise InputError("need k >= 2, n >= 2 and 1 <= lam < 2^63")
     if len(avec) != n or len(qvec) != n:
         raise InputError("avec and qvec must have length n")
     for ai, qi in zip(avec, qvec):
@@ -361,25 +369,36 @@ def singular_series(instance: ProblemInstance, avec, qvec, Qsing: int) -> Series
             raise InputError("each center pair (a_i, q_i) must be reduced")
     if Qsing < 1:
         raise InputError("Qsing must be >= 1")
-    pairs = Counter((ai % qi, qi) for ai, qi in zip(avec, qvec))
-    term_mags = np.empty(Qsing)
-    total = 0j
-    for q in range(1, Qsing + 1):
-        us = units(q).elements
-        phases = _roots(q)[((-lam % q) * us) % q]
-        prod = np.ones(len(us), dtype=complex)
-        for (ai, qi), mult in pairs.items():
-            prod *= _g_over_a(q, ai, qi, k) ** mult
-        term = complex((phases * prod).sum())
-        term_mags[q - 1] = abs(term)
-        total += term
+    (first, first_mult), *rest = Counter((ai % qi, qi) for ai, qi in zip(avec, qvec)).items()
     exponent = 1.0 - n / 2.0 + _TAIL_EPS
     fit_lo = max(2, Qsing // 2)
-    qs = np.arange(fit_lo, Qsing + 1, dtype=float)
-    c_fit = float((term_mags[fit_lo - 1 :] / qs**exponent).max()) if Qsing >= 2 else 0.0
+    envelope = (np.arange(fit_lo, Qsing + 1, dtype=float) ** exponent)[:, None]
     decay = n / 2.0 - 2.0 - _TAIL_EPS
-    tail = c_fit * Qsing ** (2.0 - n / 2.0 + _TAIL_EPS) / decay if decay > 0 else float("inf")
-    return SeriesResult(value=total, tail_estimate=tail)
+    growth = Qsing ** (2.0 - n / 2.0 + _TAIL_EPS)
+    chunk = max(1, _PHASE_BLOCK // Qsing)  # per lam: at most Qsing units at each q, Qsing + 1 held terms
+    results = []
+    for lo in range(0, len(lams), chunk):
+        block = lams[lo : lo + chunk]
+        terms = np.zeros((Qsing + 1, len(block)), dtype=complex)  # row q: the terms at q; row 0 stays 0
+        neg_lams = -np.array(block, dtype=np.int64)[:, None]
+        for q in range(1, Qsing + 1):
+            us = units(q).elements
+            prod = _g_over_a(q, *first, k) ** first_mult  # a new array: the in-place products spare the table
+            for (ai, qi), mult in rest:
+                g = _g_over_a(q, ai, qi, k)
+                prod *= g if mult == 1 else g**mult  # g**1 would only copy g
+            idx = (neg_lams % q) * us
+            idx %= q
+            np.add.reduce(_roots(q).take(idx) * prod, axis=1, out=terms[q])
+        # hypot rounds as abs() of a Python complex does; np.abs may not
+        fit = terms[fit_lo:]
+        c_fit = (np.hypot(fit.real, fit.imag) / envelope).max(axis=0, initial=0.0)
+        totals = np.add.accumulate(terms, axis=0, out=terms)[-1]  # 0 + term(1) + term(2) + ..., in q order
+        results += [
+            SeriesResult(value=complex(t), tail_estimate=float(c) * growth / decay if decay > 0 else float("inf"))
+            for t, c in zip(totals, c_fit)
+        ]
+    return results
 
 
 def main_term(measure: SurfaceMeasure, params: ApproxParams, xi) -> complex:
@@ -410,7 +429,7 @@ def main_term(measure: SurfaceMeasure, params: ApproxParams, xi) -> complex:
     if psival == 0.0:
         return 0j
     eta = tuple(N * d / q for d, q in zip(dvec, qvec))
-    series = singular_series(inst, avec, qvec, params.Qsing)
+    [series] = singular_series(k, n, [inst.lam], avec, qvec, params.Qsing)
     # absolute tolerance: the transform factor is bounded by its zero value,
     # so 1e-5 absolute keeps the main term far below the error-decay scales
     ds = surface_transform(SurfaceQuery(n=n, k=k, lam0=lam0, eta=eta), abs_tol=1e-5)
@@ -422,23 +441,30 @@ def error_term(measure: SurfaceMeasure, params: ApproxParams, xi) -> complex:
     return omega_hat(measure, xi) - main_term(measure, params, xi)
 
 
-def hua_series_ratio(instance: ProblemInstance, R: float, Qsing: int = 100) -> tuple[complex, float]:
-    """Zero-center series S_trunc and the ratio R / (S_trunc * mu_inf * lam^(n/k - 1)).
+def hua_series_ratios(k: int, n: int, lams, Rs, Qsing: int = 100) -> list[tuple[complex, float]]:
+    """Zero-center series S_trunc and the ratio R / (S_trunc * mu_inf * lam^(n/k - 1)) for each lam.
 
-    R is the weighted count of prime solutions of ``instance``.
+    ``Rs[i]`` is the weighted count of prime solutions at ``lams[i]``; every
+    series comes from one ``singular_series`` pass over q.
     """
-    if R <= 0:
+    if len(Rs) != len(lams):
+        raise InputError("need one weighted count per lam")
+    if any(R <= 0 for R in Rs):
         raise UndefinedMeasureError("measure has zero mass")
-    n, k, lam = instance.n, instance.k, instance.lam
-    sval = singular_series(instance, [0] * n, [1] * n, Qsing).value
-    if abs(sval.imag) > 1e-8 * (1.0 + abs(sval)):
-        raise NumericError(f"singular series came out non-real: {sval!r}")
-    return sval, R / (sval.real * singular_integral(n, k, 1.0) * lam ** (n / k - 1.0))
+    mu_inf = singular_integral(n, k, 1.0)
+    out = []
+    for lam, R, series in zip(lams, Rs, singular_series(k, n, lams, [0] * n, [1] * n, Qsing)):
+        sval = series.value
+        if abs(sval.imag) > 1e-8 * (1.0 + abs(sval)):
+            raise NumericError(f"singular series came out non-real at lam = {lam}: {sval!r}")
+        out.append((sval, R / (sval.real * mu_inf * lam ** (n / k - 1.0))))
+    return out
 
 
 def hua_ratio(measure: SurfaceMeasure, Qsing: int = 100) -> float:
     """Weighted count over its predicted size S_trunc * mu_inf * lam^(n/k - 1)."""
-    return hua_series_ratio(measure.instance, measure.R, Qsing)[1]
+    inst = measure.instance
+    return hua_series_ratios(inst.k, inst.n, [inst.lam], [measure.R], Qsing)[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +505,24 @@ def _cgroup_memory_limit() -> Optional[int]:
     return None
 
 
-def check_array_memory(n: int, lam_max: int) -> None:
-    """MemoryError if the transform of ``_value_array`` on [0, lam_max] exceeds the memory available.
+def available_memory() -> int:
+    """Bytes of physical memory, or the cgroup limit where that is smaller.
 
-    That transform alone holds 16 bytes per point of ``_fft_size(ceil(n/2) *
-    lam_max + 1)``.  The memory available is physical memory, or the cgroup
-    limit where that is smaller, so an oversized request ends cleanly
+    Requests above it are refused with MemoryError, so they end cleanly
     instead of with the process killed.
     """
-    length = max(1, ceil(n / 2) * lam_max + 1)
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    memory = min(memory, _cgroup_memory_limit() or memory)
+    return min(memory, _cgroup_memory_limit() or memory)
+
+
+def check_array_memory(n: int, lam_max: int) -> None:
+    """MemoryError if the transform of ``_value_array`` on [0, lam_max] exceeds ``available_memory()``.
+
+    That transform alone holds 16 bytes per point of ``_fft_size(ceil(n/2) *
+    lam_max + 1)``.
+    """
+    length = max(1, ceil(n / 2) * lam_max + 1)
+    memory = available_memory()
     # the first test keeps lengths beyond any transform away from _fft_size
     if 16 * length > memory or 16 * _fft_size(length) > memory:
         raise MemoryError(f"arrays on [0, {lam_max}] for n={n} need a transform above {memory} bytes of memory")
@@ -650,5 +683,6 @@ def sample_admissible_lams(mask: np.ndarray, lo: int, hi: int, count: int) -> li
     ok = np.flatnonzero(mask[lo:hi]) + lo
     if len(ok) == 0:
         return []
-    idx = np.unique(np.linspace(0, len(ok) - 1, min(count, len(ok))).round().astype(int))
+    idx = np.linspace(0, len(ok) - 1, min(count, len(ok))).round().astype(int)
+    idx = idx[np.diff(idx, prepend=-1) > 0]  # first of each run of equal (sorted) indices
     return [int(v) for v in ok[idx]]

@@ -254,6 +254,21 @@ def test_numeric_error_exit_code(capsys):
     assert code == 1
 
 
+def test_singular_prints_strict_json_when_the_tail_diverges(capsys):
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    code, out = run(capsys, "singular", "--k", "2", "--n", "4", "--lambda", "500")
+    assert code == 0
+    doc = json.loads(out, parse_constant=refuse)
+    assert doc["scalars"]["tail_estimate"] is None
+    assert doc["scalars"]["series_re"] > 0
+    code, out = run(capsys, "singular", "--k", "2", "--n", "5", "--lambda", "77")
+    assert json.loads(out, parse_constant=refuse)["scalars"]["tail_estimate"] > 0
+    code, out = run(capsys, "singular", "--k", "2", "--n", "4", "--lambda", "500", "--format", "csv")
+    assert "# scalar,tail_estimate,\n" in out
+
+
 def test_singular_with_vector_center(capsys):
     doc = run_json(
         capsys, "singular", "--k", "2", "--n", "5", "--lambda", "77", "--qsing", "1",
@@ -323,11 +338,21 @@ def test_cli_import_skips_scipy_signal():
 
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
+
+class Watch:  # whether scipy was already loading when numpy.ma was first imported
+    ma_after_scipy = None
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy.ma" and Watch.ma_after_scipy is None:
+            Watch.ma_after_scipy = "scipy" in sys.modules
+
+sys.meta_path.insert(0, Watch())
 from wglab.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     codes = [main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "numpy_ma": "numpy.ma" in sys.modules, "ma_after_scipy": Watch.ma_after_scipy,
                   "stdout": out.getvalue()}))
 """
 
@@ -354,6 +379,16 @@ def test_commands_without_special_functions_never_import_scipy():
     )
     assert doc["codes"] == [0] * 6
     assert doc["scipy"] == []
+
+
+def test_hua_and_approx_never_import_numpy_ma_themselves():
+    hua = ["hua", "--k", "2", "--n", "5", "--lo", "1000", "--hi", "3000", "--samples", "4", "--qsing", "20"]
+    doc = _probe_scipy(hua)
+    assert doc["codes"] == [0] and not doc["numpy_ma"]
+    # approx at k = 2 loads scipy.special, which imports numpy.ma; nothing before it does
+    doc = _probe_scipy(["approx", "--k", "2", "--n", "5", "--lambda-min", "512", "--blocks", "1",
+                        "--per-block", "2", "--xi-count", "1"])
+    assert doc["codes"] == [0] and doc["ma_after_scipy"] is not False
 
 
 def test_quadratic_surface_transform_loads_scipy_special(capsys):

@@ -22,7 +22,7 @@ from wglab.expsums import (
     ramanujan_sum,
 )
 from wglab.numtheory import euler_phi, mobius, sieve_primes, units
-from wglab.surface import ProblemInstance, singular_series
+from wglab.surface import singular_series
 
 
 def e(x):
@@ -158,7 +158,7 @@ def test_singular_series_at_a_nonzero_center(k):
         for q in range(1, Qsing + 1)
         for a in units(q).elements
     )
-    got = singular_series(ProblemInstance(k, 5, lam), avec, qvec, Qsing).value
+    got = singular_series(k, 5, [lam], avec, qvec, Qsing)[0].value
     assert abs(want) > 1e-3
     assert got == pytest.approx(want, abs=1e-12)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
+from wglab import surface
 from wglab.errors import InputError, UndefinedMeasureError
 from wglab.maxops import (
     GridFunction,
@@ -41,6 +42,17 @@ def test_grid_function_validation():
     g = GridFunction.delta(3, 2)
     assert g.at((0, 0, 0)) == 1.0
     assert lp_norm(g, 1) == 1.0
+
+
+def test_grid_function_zeros_refuses_a_box_above_the_memory_limit(monkeypatch, tmp_path):
+    limit = tmp_path / "memory.max"
+    limit.write_text("1000\n")
+    monkeypatch.setattr(surface, "_CGROUP_LIMIT_FILES", (str(limit), "/nonexistent/v1"))
+    assert GridFunction.zeros(2, 5, dtype=float).values.nbytes == 968  # 11^2 * 8 bytes
+    with pytest.raises(MemoryError):
+        GridFunction.zeros(2, 6, dtype=float)  # 13^2 * 8 = 1352 bytes
+    with pytest.raises(MemoryError):
+        GridFunction.constant(2, 5, 1j)  # complex: 11^2 * 16 bytes
 
 
 def test_convolve_delta_reproduces_measure(measure77):

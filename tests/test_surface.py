@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from collections import Counter
 from math import ceil, lcm, log
 
 import numpy as np
@@ -10,9 +11,9 @@ from scipy.fft import next_fast_len
 
 from wglab import surface
 from wglab.errors import InputError, NumericError, UndefinedMeasureError
-from wglab.expsums import GSumQuery, g_sum
-from wglab.numtheory import int_kth_root, sieve_primes
-from wglab.oscint import SurfaceQuery, surface_transform
+from wglab.expsums import GSumQuery, _g_over_a, _roots, g_sum
+from wglab.numtheory import int_kth_root, sieve_primes, units
+from wglab.oscint import SurfaceQuery, singular_integral, surface_transform
 from wglab.surface import (
     BUMP_OUTER,
     ApproxParams,
@@ -32,6 +33,7 @@ from wglab.surface import (
     gamma_member_mask,
     gamma_membership,
     hua_ratio,
+    hua_series_ratios,
     main_term,
     max_weight_array,
     naive_solutions,
@@ -285,8 +287,8 @@ def test_params_defaults_and_validation():
 
 def test_singular_series_truncations():
     inst = ProblemInstance(2, 5, 77)
-    assert singular_series(inst, [0] * 5, [1] * 5, 1).value == pytest.approx(1.0)
-    assert singular_series(inst, [0] * 5, [1] * 5, 2).value == pytest.approx(
+    assert singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, 1)[0].value == pytest.approx(1.0)
+    assert singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, 2)[0].value == pytest.approx(
         2.0, abs=1e-12
     )
 
@@ -295,7 +297,7 @@ def test_singular_series_first_term_general_center():
     # the q = 1 term is the product of the single-modulus averages
     inst = ProblemInstance(2, 5, 77)
     avec, qvec = [1, 2, 1, 0, 1], [3, 5, 4, 1, 2]
-    got = singular_series(inst, avec, qvec, 1).value
+    got = singular_series(inst.k, inst.n, [inst.lam], avec, qvec, 1)[0].value
     want = np.prod(
         [complex(g_sum(GSumQuery(0, 1, a, q, 2))) for a, q in zip(avec, qvec)]
     )
@@ -305,17 +307,98 @@ def test_singular_series_first_term_general_center():
 def test_singular_series_validation():
     inst = ProblemInstance(2, 5, 77)
     with pytest.raises(InputError):
-        singular_series(inst, [2, 0, 0, 0, 0], [4, 1, 1, 1, 1], 10)
+        singular_series(inst.k, inst.n, [inst.lam], [2, 0, 0, 0, 0], [4, 1, 1, 1, 1], 10)
     with pytest.raises(InputError):
-        singular_series(inst, [0] * 4, [1] * 4, 10)
+        singular_series(inst.k, inst.n, [inst.lam], [0] * 4, [1] * 4, 10)
 
 
 def test_singular_series_partial_sums_cauchy():
     for lam in (10061, 24029, 50021):
         inst = ProblemInstance(2, 5, lam)
-        s1 = singular_series(inst, [0] * 5, [1] * 5, 80)
-        s2 = singular_series(inst, [0] * 5, [1] * 5, 160)
+        s1 = singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, 80)[0]
+        s2 = singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, 160)[0]
         assert abs(s2.value - s1.value) <= s1.tail_estimate
+
+
+def _series_one_lam(k, n, lam, avec, qvec, Qsing):
+    """The per-lam loop the batched series replaced: (value, tail_estimate) for one lam."""
+    pairs = Counter((ai % qi, qi) for ai, qi in zip(avec, qvec))
+    term_mags = np.empty(Qsing)
+    total = 0j
+    for q in range(1, Qsing + 1):
+        us = units(q).elements
+        phases = _roots(q)[((-lam % q) * us) % q]
+        prod = np.ones(len(us), dtype=complex)
+        for (ai, qi), mult in pairs.items():
+            prod *= _g_over_a(q, ai, qi, k) ** mult
+        term = complex((phases * prod).sum())
+        term_mags[q - 1] = abs(term)
+        total += term
+    exponent = 1.0 - n / 2.0 + 0.25
+    fit_lo = max(2, Qsing // 2)
+    qs = np.arange(fit_lo, Qsing + 1, dtype=float)
+    c_fit = float((term_mags[fit_lo - 1 :] / qs**exponent).max()) if Qsing >= 2 else 0.0
+    decay = n / 2.0 - 2.25
+    return total, c_fit * Qsing ** (2.25 - n / 2.0) / decay if decay > 0 else float("inf")
+
+
+_CENTERS = {
+    "zero": ([0] * 5, [1] * 5),
+    "mixed": ([1, 2, 1, 0, 1], [3, 5, 4, 1, 3]),
+    "repeated": ([1, 1, 3, 0, 0], [4, 4, 7, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("center", sorted(_CENTERS))
+@pytest.mark.parametrize("Qsing", [1, 2, 40, 150])
+def test_singular_series_batch_is_bit_identical_to_the_per_lam_loop(k, center, Qsing):
+    avec, qvec = _CENTERS[center]
+    lams = [1, 5, 77, 149, 150, 151, 1000, 10061, 99989]  # below, at and above Qsing
+    got = singular_series(k, 5, lams, avec, qvec, Qsing)
+    assert len(got) == len(lams)
+    for lam, res in zip(lams, got):
+        assert (res.value, res.tail_estimate) == _series_one_lam(k, 5, lam, avec, qvec, Qsing)
+    # n = 4: the same terms, and a tail that diverges
+    for lam, res in zip(lams, singular_series(k, 4, lams, avec[:4], qvec[:4], Qsing)):
+        assert (res.value, res.tail_estimate) == _series_one_lam(k, 4, lam, avec[:4], qvec[:4], Qsing)
+
+
+def test_singular_series_reads_units_and_g_products_once_per_q(monkeypatch):
+    unit_calls, g_calls = Counter(), Counter()
+
+    def counted_units(q):
+        unit_calls[q] += 1
+        return units(q)
+
+    def counted_g(q, b, r, k):
+        g_calls[q, b, r, k] += 1
+        return _g_over_a(q, b, r, k)
+
+    monkeypatch.setattr(surface, "units", counted_units)
+    monkeypatch.setattr(surface, "_g_over_a", counted_g)
+    lams = [10061 + 24 * i for i in range(12)]
+    Qsing = 60
+    singular_series(2, 5, lams, [1, 1, 2, 0, 1], [3, 3, 5, 1, 4], Qsing)
+    assert sorted(unit_calls) == list(range(1, Qsing + 1)) and set(unit_calls.values()) == {1}
+    # four distinct (a_i, q_i) pairs, each read once per q
+    assert len(g_calls) == 4 * Qsing and set(g_calls.values()) == {1}
+
+
+def test_singular_series_chunks_give_the_same_values(monkeypatch):
+    lams = [1, 77, 10061, 24029, 50021, 99989, 123457]
+    avec, qvec = [1, 2, 1, 0, 1], [3, 5, 4, 1, 3]
+    whole = singular_series(2, 5, lams, avec, qvec, 40)
+    for block in (1, 80, 120):  # chunks of 1, 2 and 3 lams; the last chunk is short
+        monkeypatch.setattr(surface, "_PHASE_BLOCK", block)
+        assert singular_series(2, 5, lams, avec, qvec, 40) == whole
+    assert singular_series(2, 5, [], avec, qvec, 40) == []
+
+
+def test_singular_series_refuses_bad_degree_dimension_or_lam():
+    for k, n, lams in [(1, 5, [77]), (2, 1, [77]), (2, 5, [77, 0]), (2, 5, [2**63])]:
+        with pytest.raises(InputError):
+            singular_series(k, n, lams, [0] * n, [1] * n, 10)
 
 
 # --- main and error terms -------------------------------------------------------
@@ -332,7 +415,7 @@ def test_main_term_zero_frequency_structure(desk_instance):
     inst, measure = desk_instance
     params = ApproxParams.for_instance(inst)
     got = main_term(measure, params, np.zeros(5))
-    series = singular_series(inst, [0] * 5, [1] * 5, params.Qsing).value
+    series = singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, params.Qsing)[0].value
     ds = surface_transform(
         SurfaceQuery(5, 2, inst.lam / params.N**2, (0.0,) * 5), abs_tol=1e-5
     ).value
@@ -421,9 +504,24 @@ def test_hua_ratio_truncation_stability(desk_instance):
     inst, measure = desk_instance
     r1 = hua_ratio(measure, Qsing=100)
     r2 = hua_ratio(measure, Qsing=150)
-    s = singular_series(inst, [0] * 5, [1] * 5, 100)
+    s = singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, 100)[0]
     rel = s.tail_estimate / abs(s.value)
     assert abs(r2 - r1) <= r1 * rel / (1 - min(rel, 0.9)) + 1e-12
+
+
+def test_hua_series_ratios_match_one_lam_at_a_time(desk_instance):
+    inst, measure = desk_instance
+    lams, Rs = [10061, 10085, 12005], [measure.R, 2.5 * measure.R, 3.0e5]
+    got = hua_series_ratios(2, 5, lams, Rs, 100)
+    assert got[0][1] == hua_ratio(measure)
+    for lam, R, (series, ratio) in zip(lams, Rs, got):
+        [res] = singular_series(2, 5, [lam], [0] * 5, [1] * 5, 100)
+        assert series == res.value
+        assert ratio == R / (res.value.real * singular_integral(5, 2, 1.0) * lam ** 1.5)
+    with pytest.raises(UndefinedMeasureError):
+        hua_series_ratios(2, 5, lams, [1.0, 0.0, 1.0], 100)
+    with pytest.raises(InputError):
+        hua_series_ratios(2, 5, lams, Rs[:2], 100)
 
 
 def test_hua_ratio_approaches_one_with_lambda():
@@ -561,6 +659,17 @@ def test_sample_admissible_lams():
     for lo, hi, count in [(0, 101, 4), (50, 50, 4), (-1, 10, 4), (0, 100, 0)]:
         with pytest.raises(InputError):
             sample_admissible_lams(mask, lo, hi, count)
+
+
+def test_sample_admissible_lams_match_numpy_unique():
+    # the indices are sorted, so dropping repeats of the previous index is np.unique
+    for n_ok in range(1, 41):
+        mask = np.zeros(3 * n_ok + 5, dtype=bool)
+        mask[np.arange(n_ok) * 3 + 2] = True
+        ok = np.flatnonzero(mask)
+        for count in range(1, 2 * n_ok + 3):
+            want = ok[np.unique(np.linspace(0, n_ok - 1, min(count, n_ok)).round().astype(int))]
+            assert sample_admissible_lams(mask, 0, len(mask), count) == want.tolist()
 
 
 def test_max_weight_array():
