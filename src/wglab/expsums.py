@@ -92,7 +92,7 @@ def _g_table(q: int, b: int, r: int, k: int) -> np.ndarray:
     Buckets the phases e(b x / r) of the units x mod [q,r] by x^k mod q;
     the sum over each bucket against e(a j / q) is one inverse DFT.
     """
-    x = units(lcm(q, r)).elements
+    x = units(lcm(q, r))
     phases = _roots(r)[(b * x) % r]
     j = _pow_mod(x, k, q)
     buckets = np.bincount(j, phases.real, q) + 1j * np.bincount(j, phases.imag, q)
@@ -128,22 +128,22 @@ def ramanujan_sum(q: int, m: int) -> float:
     """c_q(m) = sum over units x mod q of e(m x / q); always real."""
     if q < 1:
         raise InputError("modulus q must be >= 1")
-    x = units(q).elements
+    x = units(q)
     val = _roots(q)[(m * x) % q].sum()
     return float(val.real)
 
 
 @lru_cache(maxsize=50_000)
 def _g_over_a(q: int, b: int, r: int, k: int) -> np.ndarray:
-    """g(a, q; b, r) for every a in U_q, aligned with units(q).elements."""
-    return _g_table(q, b, r, k)[units(q).elements]
+    """g(a, q; b, r) for every a in U_q, aligned with units(q)."""
+    return _g_table(q, b, r, k)[units(q)]
 
 
 def aggregate_g(a: int, q: int, r: int, u: int, k: int) -> complex:
     """sum over b in U_r of g(a, q; b, r) e(-u b / r)."""
     if gcd(a, q) != 1:
         raise InputError("aggregate sum needs gcd(a,q) = 1")
-    bs = units(r).elements
+    bs = units(r)
     row = np.array([_g_table(q, int(b), r, k)[a % q] for b in bs])
     phases = _roots(r)[(-u * bs) % r]
     return complex((row * phases).sum())

@@ -5,7 +5,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, UndefinedMeasureError
+from .errors import InputError, NumericError, UndefinedMeasureError
 from .surface import (
     SurfaceMeasure,
     admissible_mask,
@@ -13,6 +13,7 @@ from .surface import (
     max_weight_array,
     rep_count_array,
     rep_weight_array,
+    rep_weight_rounding,
 )
 
 
@@ -139,9 +140,11 @@ def lp_norm(f: GridFunction, p: float) -> float:
     """Discrete p-norm over the box; p = inf gives the sup norm."""
     _check_exponent(p)
     mags = np.abs(f.values)
-    if p == np.inf:
-        return float(mags.max())
-    return float((mags**p).sum() ** (1.0 / p))
+    top = mags.max()
+    if p == np.inf or not 0 < top < np.inf:
+        return float(top)
+    # scaled by the largest magnitude, so mags**p neither underflows nor overflows at large p
+    return float(top * ((mags / top) ** p).sum() ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,10 @@ class OperatorReport:
     slope: Optional[float]
 
 
+# delta_scaling_probe refuses a cutoff whose estimated FFT roundoff exceeds this share of norm^p
+_ROUNDOFF_SHARE = 1e-5
+
+
 def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> OperatorReport:
     """lp norm of sup over admissible lam <= L of the delta-convolution, per cutoff L.
 
@@ -161,9 +168,17 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
     power sum), so the supremum splits and the p-th power of the norm is
     an additive total over lam.  The fitted slope is the log-log
     regression of the norm against the cutoff; growth is expected for
-    p < n/(n - k), while p = inf just reports the largest single weight.
+    p < n/(n - k), the exponent below which the delta example alone forces
+    it, while p = inf just reports the largest single weight.
     If no admissible lam up to the largest cutoff has a prime solution,
     there is no operator to measure: UndefinedMeasureError.
+
+    The sums of weights^p come from FFTs, whose roundoff
+    (``rep_weight_rounding`` per lam, divided by R(lam)^p) grows with p
+    and the range.  A cutoff where its sum over the gated lam exceeds
+    _ROUNDOFF_SHARE of norm^p is refused with NumericError.  At (k, n) =
+    (2, 5), a single cutoff 2^8, 2^10, 2^12, 2^14, 2^16 or 2^18 accepts p
+    up to about 9.3, 5.3, 3.9, 2.9, 2.3 or 1.9; p = inf is always accepted.
     """
     if k < 2 or n < 2:
         raise InputError("need k >= 2, n >= 2")
@@ -181,10 +196,20 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
         running = np.maximum.accumulate(ratio)
         norms = [float(running[L]) for L in lam_values]
     else:
-        powsum = rep_weight_array(k, n, lam_max, power=p)
-        contrib = np.zeros(lam_max + 1)
-        contrib[gate] = powsum[gate] / weight_tot[gate] ** p
-        running = np.cumsum(contrib)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow at large p is refused below
+            powsum = rep_weight_array(k, n, lam_max, power=p)
+            scale = weight_tot[gate] ** p
+            contrib = np.zeros(lam_max + 1)
+            contrib[gate] = powsum[gate] / scale
+            spread = np.zeros(lam_max + 1)
+            spread[gate] = rep_weight_rounding(k, n, lam_max, p) / scale
+        running, err = np.cumsum(contrib), np.cumsum(spread)
+        for L in lam_values:
+            if not err[L] <= _ROUNDOFF_SHARE * running[L]:  # also refuses a NaN or negative sum
+                raise NumericError(
+                    f"p={p:g} on [0, {L}]: FFT roundoff (estimated {err[L]:.3g}) is above "
+                    f"{_ROUNDOFF_SHARE:g} of norm^p ({running[L]:.3g}); lower p or the range"
+                )
         norms = [float(running[L] ** (1.0 / p)) for L in lam_values]
     slope = None
     if len(lam_values) >= 2 and all(v > 0 for v in norms):

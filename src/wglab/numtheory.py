@@ -1,6 +1,5 @@
 """Elementary arithmetic substrate: primes, multiplicative functions, unit groups."""
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
@@ -12,21 +11,6 @@ from .errors import InputError
 # stays proportional to the segment, not the limit.
 _SEGMENT_THRESHOLD = 10_000_000
 _SEGMENT_SIZE = 10_000_000
-
-
-@dataclass(frozen=True)
-class UnitGroup:
-    """The multiplicative group of residues coprime to q.
-
-    For q = 1 the group is represented by the single residue 0, with the
-    convention phi(1) = 1.
-    """
-
-    q: int
-    elements: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 def _dense_sieve(limit: int) -> np.ndarray:
@@ -114,10 +98,10 @@ def divisor_count(m: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def units(q: int) -> UnitGroup:
-    """Residues coprime to q, ascending; {0} for q = 1.
+def units(q: int) -> np.ndarray:
+    """Residues coprime to q, ascending, as int64; [0] for q = 1 (phi(1) = 1).
 
-    Groups are shared between callers, so ``elements`` is read-only.
+    Arrays are shared between callers, so they are read-only.
     """
     if q < 1:
         raise InputError("units needs q >= 1")
@@ -127,7 +111,7 @@ def units(q: int) -> UnitGroup:
         r = np.arange(q, dtype=np.int64)
         elements = r[np.gcd(r, q) == 1]
     elements.flags.writeable = False
-    return UnitGroup(q=q, elements=elements)
+    return elements
 
 
 def int_kth_root(x: int, k: int) -> int:

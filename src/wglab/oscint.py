@@ -91,13 +91,12 @@ def _osc_phase_exp(phase: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * (phase - np.rint(phase)))
 
 
-def _gl_value(delta: float, eta: float, k: int, N: float, panels: int) -> complex:
-    edges = np.linspace(0.0, N, panels + 1)
+def _gl_panels(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 16-point Gauss-Legendre rule on each of ``panels`` equal panels of [lo, hi]."""
+    edges = np.linspace(lo, hi, panels + 1)
     h = 0.5 * (edges[1] - edges[0])
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    x = centers[:, None] + h * _GL_X[None, :]
-    vals = _osc_phase_exp(delta * x**k + eta * x)
-    return complex((vals * _GL_W[None, :]).sum() * h)
+    x = ((0.5 * (edges[:-1] + edges[1:]))[:, None] + h * _GL_X[None, :]).ravel()
+    return x, np.tile(_GL_W, panels) * h
 
 
 def osc_integral(query: OscQuery, tol: float = None) -> OscResult:
@@ -112,11 +111,16 @@ def osc_integral(query: OscQuery, tol: float = None) -> OscResult:
     cycles = abs(delta) * N**k + abs(eta) * N
     panels = max(8, int(ceil(cycles)) + 8)
     budget = 2_000_000  # total integrand evaluations
-    prev = _gl_value(delta, eta, k, N, panels)
+
+    def value(panels: int) -> complex:
+        x, w = _gl_panels(0.0, N, panels)
+        return complex(_osc_phase_exp(delta * x**k + eta * x) @ w)
+
+    prev = value(panels)
     used = 16 * panels
     while True:
         panels *= 2
-        cur = _gl_value(delta, eta, k, N, panels)
+        cur = value(panels)
         used += 16 * panels
         err = abs(cur - prev)
         if err <= tol:
@@ -180,11 +184,7 @@ def _i1_adaptive(thetas: np.ndarray, eta: float, k: int, oversample: int) -> np.
     if len(th) == 0:
         return np.zeros(0, dtype=complex)
     panels = (max(6, int(ceil(np.abs(th).max() + abs(eta))) + 6)) * oversample
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    h = 0.5 * (edges[1] - edges[0])
-    x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + h * _GL_X[None, :]
-    x = x.ravel()
-    w = np.tile(_GL_W, panels) * h
+    x, w = _gl_panels(0.0, 1.0, panels)
     out = np.empty(len(th), dtype=complex)
     # chunked so the (theta, node) phase matrix stays small
     chunk = max(1, int(4_000_000 // max(len(x), 1)))
@@ -228,9 +228,8 @@ def _shell_value(
 ) -> complex:
     """Shell integral over sign * [lo, hi], evaluated as integral of F(sign*u) du."""
     panels = max(2, int(ceil((hi - lo) / (width / oversample))))
-    edges = np.linspace(lo, hi, panels + 1)
-    h = 0.5 * (edges[1] - edges[0])
-    th = sign * ((0.5 * (edges[:-1] + edges[1:]))[:, None] + h * _GL_X[None, :]).ravel()
+    u, w = _gl_panels(lo, hi, panels)
+    th = sign * u
     prod = np.ones(len(th), dtype=complex)
     inner: dict[float, np.ndarray] = {}  # equal frequencies (0.0 and -0.0 too) share I_1
     for eta_j in map(float, query.eta):
@@ -240,7 +239,6 @@ def _shell_value(
             c_track.append(float((np.abs(vals) * (1.0 + np.abs(th)) ** (1.0 / query.k)).max()))
         prod *= vals
     prod *= _osc_phase_exp(-query.lam0 * th)
-    w = np.tile(_GL_W, panels) * h
     return complex(prod @ w)
 
 

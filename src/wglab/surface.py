@@ -9,7 +9,6 @@ approximation formula at a frequency point.
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd, log
 from typing import Optional
@@ -46,47 +45,6 @@ class GammaVerdict:
     def label(self) -> str:
         tag = "member" if self.member else "non_member"
         return tag if self.exact else f"heuristic_{tag}"
-
-
-@dataclass(frozen=True)
-class DimensionGates:
-    """Dimension thresholds and the critical exponent for a given (k, n)."""
-
-    n0: int
-    n1: int
-    n2: int
-    p_crit: Optional[Fraction]
-
-
-def _n0(k: int) -> int:
-    if k in (2, 3, 4):
-        return 2**k + 1
-    best = max(
-        ceil(Fraction(k * j - min(2**j, j * j + j), k - j + 1)) for j in range(1, k - 1)
-    )
-    return k * k + 3 - best
-
-
-def _n1(k: int) -> int:
-    if k == 2:
-        return 7
-    if k == 3:
-        return 13
-    return k * k + k + 3
-
-
-def _n2(k: int) -> int:
-    if k >= 7:
-        return k * k * (k - 1) + 1
-    return k * 2 ** (k - 1) + 1
-
-
-def dimension_gates(k: int, n: int) -> DimensionGates:
-    if k < 2 or n < 1:
-        raise InputError("need k >= 2 and n >= 1")
-    n2 = _n2(k)
-    p_crit = Fraction(2 * n, 2 * n - n2) if 2 * n > n2 else None
-    return DimensionGates(n0=_n0(k), n1=_n1(k), n2=n2, p_crit=p_crit)
 
 
 @lru_cache(maxsize=None)
@@ -315,19 +273,16 @@ class ApproxParams:
     Qsing: int
 
     @classmethod
-    def for_instance(cls, instance, C=2.0, N=None, Qsing=100):
-        base = instance.lam ** (1.0 / instance.k)
-        if N is None:
-            N = base
-        if not base * (1 - 1e-12) <= N <= 2 * base * (1 + 1e-12):
-            raise InputError("N must lie between lam^(1/k) and 2*lam^(1/k)")
+    def for_instance(cls, instance, C=2.0, Qsing=100):
+        """Scales for ``instance``: N = lam^(1/k), Q = (log N)^C, series truncated at Qsing."""
+        N = instance.lam ** (1.0 / instance.k)
         if not C > 0:
             raise InputError(f"major-arc exponent C (--C) must be > 0, got {C}")
         try:
             log(N) ** C
         except OverflowError:
             raise InputError(f"major-arc exponent C (--C) = {C} overflows Q = log(N)^C") from None
-        return cls(C=C, N=float(N), Qsing=int(Qsing))
+        return cls(C=C, N=N, Qsing=int(Qsing))
 
     @property
     def Q(self) -> float:
@@ -382,7 +337,7 @@ def singular_series(k: int, n: int, lams, avec, qvec, Qsing: int) -> list[Series
         terms = np.zeros((Qsing + 1, len(block)), dtype=complex)  # row q: the terms at q; row 0 stays 0
         neg_lams = -np.array(block, dtype=np.int64)[:, None]
         for q in range(1, Qsing + 1):
-            us = units(q).elements
+            us = units(q)
             prod = _g_over_a(q, *first, k) ** first_mult  # a new array: the in-place products spare the table
             for (ai, qi), mult in rest:
                 g = _g_over_a(q, ai, qi, k)
@@ -639,6 +594,26 @@ def rep_weight_array(k: int, n: int, lam_max: int, power: float = 1.0) -> np.nda
     """Sum over solutions of prod_i (log p_i)^power, for every lam <= lam_max."""
     primes = _range_primes(k, n, lam_max)
     return _value_array(primes**k, lam_max, [np.log(primes.astype(np.float64)) ** power] * n)
+
+
+def rep_weight_rounding(k: int, n: int, lam_max: int, power: float) -> float:
+    """Estimated float error of each entry of ``rep_weight_array(k, n, lam_max, power)``.
+
+    ``_count_rounding_bound``'s argument, with the fill f = (log p)^power
+    in place of ones (a block of d coordinates has 1-norm at most
+    ||f||_1^d and, by Young's inequality, 2-norm at most ||f||_2
+    ||f||_1^(d - 1)), bounds the 2-norm of the error of the whole output
+    by about 16 ceil(n/2) u log2(L) ||f||_2 ||f||_1^(n - 1), with L the
+    transform length and u = 2^-53.  Spread evenly over the L entries and
+    without the constant, that is u log2(L) ||f||_2 ||f||_1^(n - 1) /
+    sqrt(L), returned here: an estimate, not a bound.  At (k, n) = (2, 5),
+    for powers 1.2 to 50 on ranges 2^8 to 2^18, it lay 3.8 to 1.8e5 times
+    above the largest error measured against exact sums.
+    """
+    primes = _primes_to_root(k, lam_max)
+    size = _fft_size(ceil(n / 2) * lam_max + 1)
+    f = np.log(primes.astype(np.float64)) ** power
+    return float(2.0**-53 * log(size, 2) * np.sqrt((f * f).sum()) * f.sum() ** (n - 1) / np.sqrt(size))
 
 
 def fourier_numerator_array(k: int, n: int, lam_max: int, xi) -> np.ndarray:

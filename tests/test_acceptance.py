@@ -51,9 +51,9 @@ def test_criterion_01_reduction_identity_and_aggregate_bound():
             for r in range(1, 25):
                 r0 = r // gcd(q, r)
                 bound = divisor_count(r) * r / euler_phi(r0)
-                for a in units(q).elements:
+                for a in units(q):
                     a = int(a)
-                    for b in units(r).elements:
+                    for b in units(r):
                         query = GSumQuery(a, q, int(b), r, k)
                         worst = max(worst, abs(g_via_lemma(query) - g_sum(query)))
                     total = sum(abs(aggregate_g(a, q, r, u, k)) for u in range(r))

@@ -32,7 +32,7 @@ def e(x):
 def g_brute(a, q, b, r, k):
     m = int(np.lcm(q, r))
     total = 0j
-    for x in units(m).elements:
+    for x in units(m):
         phase = Fraction(a * int(x) ** k, q) + Fraction(b * int(x), r)
         total += e(phase - int(phase))
     return total / len(units(m))
@@ -40,7 +40,7 @@ def g_brute(a, q, b, r, k):
 
 def coprime_pairs(limit):
     for q in range(1, limit + 1):
-        for a in units(q).elements:
+        for a in units(q):
             yield int(a), q
 
 
@@ -110,8 +110,8 @@ def test_reduction_identity_sampled():
     for k in (2, 3):
         for q in range(1, 13):
             for r in range(1, 13):
-                for a in units(q).elements[:4]:
-                    for b in units(r).elements[:4]:
+                for a in units(q)[:4]:
+                    for b in units(r)[:4]:
                         query = GSumQuery(int(a), q, int(b), r, k)
                         assert g_via_lemma(query) == pytest.approx(
                             g_sum(query), abs=1e-10
@@ -121,8 +121,8 @@ def test_reduction_identity_sampled():
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), q=st.integers(1, 60), r=st.integers(1, 60), k=st.integers(2, 5))
 def test_reduction_identity_property(data, q, r, k):
-    a = data.draw(st.sampled_from(units(q).elements.tolist()))
-    b = data.draw(st.sampled_from(units(r).elements.tolist()))
+    a = data.draw(st.sampled_from(units(q).tolist()))
+    b = data.draw(st.sampled_from(units(r).tolist()))
     query = GSumQuery(a, q, b, r, k)
     assert g_via_lemma(query) == pytest.approx(g_sum(query), abs=1e-11)
 
@@ -156,7 +156,7 @@ def test_singular_series_at_a_nonzero_center(k):
         e(Fraction(-lam * int(a), q))
         * np.prod([g_brute(int(a), q, ai, qi, k) for ai, qi in zip(avec, qvec)])
         for q in range(1, Qsing + 1)
-        for a in units(q).elements
+        for a in units(q)
     )
     got = singular_series(k, 5, [lam], avec, qvec, Qsing)[0].value
     assert abs(want) > 1e-3
@@ -203,12 +203,12 @@ def test_aggregate_matches_direct_sum():
     rng = np.random.default_rng(8)
     for _ in range(30):
         q, r = int(rng.integers(1, 16)), int(rng.integers(1, 16))
-        a = int(units(q).elements[rng.integers(len(units(q)))])
+        a = int(units(q)[rng.integers(len(units(q)))])
         u = int(rng.integers(0, r))
         k = int(rng.integers(2, 4))
         direct = sum(
             g_sum(GSumQuery(a, q, int(b), r, k)) * e(-u * int(b) / r)
-            for b in units(r).elements
+            for b in units(r)
         )
         assert aggregate_g(a, q, r, u, k) == pytest.approx(direct, abs=1e-11)
 
@@ -310,9 +310,9 @@ def test_vinogradov_counter_limits():
 
 def _random_center(rng, q_hi, n):
     q = int(rng.integers(1, q_hi))
-    a = int(units(q).elements[rng.integers(len(units(q)))])
+    a = int(units(q)[rng.integers(len(units(q)))])
     qvec = [int(v) for v in rng.integers(1, 20, n)]
-    avec = [int(units(qi).elements[rng.integers(len(units(qi)))]) for qi in qvec]
+    avec = [int(units(qi)[rng.integers(len(units(qi)))]) for qi in qvec]
     return a, q, avec, qvec
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 from wglab import surface
-from wglab.errors import InputError, UndefinedMeasureError
+from wglab.errors import InputError, NumericError, UndefinedMeasureError
 from wglab.maxops import (
     GridFunction,
     OperatorReport,
@@ -20,6 +20,7 @@ from wglab.maxops import (
 )
 from wglab.surface import (
     ProblemInstance,
+    admissible_mask,
     enumerate_prime_points,
     gamma_member_mask,
     rep_count_array,
@@ -71,7 +72,7 @@ def test_convolve_constant_total_mass(measure77):
     assert out.at((1, -1, 0, 2, -2)) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_convolve_paths_agree(measure77):
+def test_convolve_matches_linear_window_in_each_dimension(measure77):
     rng = np.random.default_rng(14)
     for n, lam in [(5, 77), (3, 83), (2, 13)]:
         measure = enumerate_prime_points(ProblemInstance(2, n, lam))
@@ -98,7 +99,7 @@ def _assert_roundoff(got, want):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_convolve_fft_matches_linear_window(measure77):
+def test_convolve_direct_matches_linear_window(measure77):
     rng = np.random.default_rng(3)
     K, n = 4, measure77.instance.n
     reps, weights = _pruned(measure77, K)
@@ -112,7 +113,7 @@ def test_convolve_fft_matches_linear_window(measure77):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(1, 3), K=st.integers(1, 4), complex_grid=st.booleans())
-def test_convolve_fft_matches_linear_window_property(data, n, K, complex_grid):
+def test_convolve_direct_matches_linear_window_property(data, n, K, complex_grid):
     point = st.tuples(*[st.integers(-2 * K, 2 * K)] * n)
     reps = np.array(data.draw(st.lists(point, min_size=1, max_size=12)), dtype=int).reshape(-1, n)
     weights = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=len(reps), max_size=len(reps))))
@@ -245,6 +246,19 @@ def test_lp_norm_examples():
         lp_norm(g, 0.5)
 
 
+@pytest.mark.parametrize("p", [1000, 5000])
+@pytest.mark.parametrize("top", [0.4, 3.0])
+def test_lp_norm_at_large_p(p, top):
+    """|f|^p alone underflows (top < 1) or overflows (top > 1) at these p."""
+    g = GridFunction.zeros(2, 3, dtype=float)
+    g.values[...] = 0.5 * top
+    g.values[0, 0] = g.values[1, 2] = -top
+    got = lp_norm(g, p)
+    assert lp_norm(g, np.inf) == top
+    assert got > top  # a p-norm is never below the sup norm
+    assert got == pytest.approx(top * 2.0 ** (1.0 / p), rel=1e-12)  # the rest adds 47 * 2^-p
+
+
 def test_delta_probe_against_enumeration():
     """The convolution route equals the per-lambda definition on small ranges."""
     k, n, p, lam_max = 2, 3, 1.2, 600
@@ -257,6 +271,26 @@ def test_delta_probe_against_enumeration():
         m = enumerate_prime_points(ProblemInstance(k, n, lam))
         total += ((m.weights / m.R) ** p).sum()
     assert report.norms[0] == pytest.approx(total ** (1 / p), rel=1e-9)
+
+
+def test_delta_probe_accepted_norms_match_enumeration_and_the_rest_are_refused():
+    """Every norm the probe prints on [0, 4096] agrees with exact enumeration to 1e-6."""
+    k, n = 2, 5
+    gate = admissible_mask(k, n, rep_count_array(k, n, 4096))
+    measures = [enumerate_prime_points(ProblemInstance(k, n, int(lam))) for lam in np.flatnonzero(gate)]
+    accepted = set()
+    for p in (1, 1.2, 1.5, 2, 3, 4, 5, 6, 8, 12, 20):
+        for L in (2**8, 2**10, 2**12):
+            try:
+                got = delta_scaling_probe(k, n, p, [L]).norms[0]
+            except NumericError:
+                continue
+            want = sum(((m.weights / m.R) ** p).sum() for m in measures if m.instance.lam <= L) ** (1 / p)
+            assert got == pytest.approx(want, rel=1e-6), (p, L)
+            accepted.add((p, L))
+    assert {(p, 2**12) for p in (1, 1.2, 1.5, 2, 3)} <= accepted
+    assert not any(p >= 6 and L == 2**12 for p, L in accepted)
+    assert not any(p == 20 for p, L in accepted)  # wrong by 80% on [0, 256] when the FFT is trusted
 
 
 def test_delta_probe_monotone_norms():

@@ -127,17 +127,17 @@ def test_divisor_sums():
 
 
 def test_units_examples():
-    assert units(1).elements.tolist() == [0]
-    assert units(8).elements.tolist() == [1, 3, 5, 7]
-    assert units(7).elements.tolist() == [1, 2, 3, 4, 5, 6]
+    assert units(1).tolist() == [0]
+    assert units(8).tolist() == [1, 3, 5, 7]
+    assert units(7).tolist() == [1, 2, 3, 4, 5, 6]
 
 
 def test_units_are_shared_and_read_only():
     assert units(12) is units(12)
     with pytest.raises(ValueError):
-        units(12).elements[0] = 5
+        units(12)[0] = 5
     with pytest.raises(ValueError):
-        units(1).elements[0] = 5
+        units(1)[0] = 5
 
 
 def test_units_cardinality_is_phi():

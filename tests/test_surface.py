@@ -25,7 +25,6 @@ from wglab.surface import (
     admissible_mask,
     bump,
     check_array_memory,
-    dimension_gates,
     enumerate_integer_points,
     enumerate_prime_points,
     error_term,
@@ -93,19 +92,6 @@ def test_gamma_mask_matches_scalar():
     mask = gamma_member_mask(2, 5, lams)
     for lam, bit in zip(lams[:200], mask[:200]):
         assert bit == gamma_membership(ProblemInstance(2, 5, int(lam))).member
-
-
-def test_dimension_gates():
-    g = dimension_gates(2, 5)
-    assert (g.n0, g.n1, g.n2) == (5, 7, 5)
-    assert g.p_crit == 2
-    assert dimension_gates(3, 13).n1 == 13
-    assert dimension_gates(4, 20).n1 == 23
-    assert dimension_gates(3, 13).n0 == 9
-    assert dimension_gates(5, 30).n0 == 25
-    assert dimension_gates(6, 100).n2 == 193
-    assert dimension_gates(7, 300).n2 == 295
-    assert dimension_gates(2, 2).p_crit is None  # 2n <= n2
 
 
 # --- enumeration -------------------------------------------------------------
@@ -275,7 +261,7 @@ def test_params_defaults_and_validation():
     p = ApproxParams.for_instance(inst)
     assert p.N == pytest.approx(10061**0.5)
     assert p.Q == pytest.approx(log(p.N) ** 2.0)
-    with pytest.raises(InputError):
+    with pytest.raises(TypeError):  # N is always lam^(1/k); there is no knob to set it
         ApproxParams.for_instance(inst, N=3 * 10061**0.5)
     for C in (0.0, -1.0, 1e300):
         with pytest.raises(InputError, match="C"):
@@ -326,7 +312,7 @@ def _series_one_lam(k, n, lam, avec, qvec, Qsing):
     term_mags = np.empty(Qsing)
     total = 0j
     for q in range(1, Qsing + 1):
-        us = units(q).elements
+        us = units(q)
         phases = _roots(q)[((-lam % q) * us) % q]
         prod = np.ones(len(us), dtype=complex)
         for (ai, qi), mult in pairs.items():
