@@ -10,9 +10,15 @@ x_1^k + ... + x_n^k = lam0} by the coordinate cube,
     ds(eta) = integral over R of { prod_j I_1(theta, eta_j) } e(-lam0 theta) dtheta.
 
 Quadrature is panel Gauss-Legendre with panel widths chosen so each panel
-sees O(1) oscillations; degree-2 inner integrals use an exact Faddeeva-function
-form and zero-linear-frequency inner integrals use an asymptotic series, which
-keeps the theta-truncation radius affordable.
+sees O(1) oscillations.  Substituting u = x^k turns I_1(theta, eta_j) into
+an integral of e(theta u) over u in [0, 1] (against e(eta_j x) dx carried to
+u), so as a function of theta it has frequencies in [0, 1], and the theta
+integrand of ds has frequencies in the band [-lam0, n - lam0].  Its panels
+are sized by that band: a coarse panel spans two cycles of the highest
+frequency, where the 16-point rule is already at roundoff for functions of
+exponential type.  Degree-2 inner integrals use an exact Faddeeva-function
+form and zero-linear-frequency inner integrals use an asymptotic series,
+which keeps the theta-truncation radius affordable.
 """
 
 from dataclasses import dataclass
@@ -253,9 +259,16 @@ def surface_transform(query: SurfaceQuery, abs_tol: float = 0.0) -> SurfaceResul
     in closed form and added.  The tail estimate combines that model with
     the absolute bound from |I_1| <= C (1 + |theta|)^(-1/k) decay (finite
     only for n > k); a warning flag marks tails above 1e-4 of the value.
+
+    Each shell is split into panels of width 2 / max(lam0, n - lam0): two
+    cycles of the integrand's highest frequency per coarse panel, one per
+    fine panel.  The work budget counts the outer nodes this rule uses,
+    so at k >= 3 (where each outer node pays for its own inner panels)
+    the same budget reaches further in theta than it did with the older
+    0.5-cycle panels.
     """
-    density = query.lam0 + query.n + 0.5  # max cycles of the integrand per unit theta
-    width = 0.5 / density
+    band = max(query.lam0, query.n - query.lam0)  # the integrand's frequencies lie in [-lam0, n - lam0]
+    width = 2.0 / band  # two cycles per coarse panel: the 16-point rule is at roundoff there
     total = 0j
     quad_err = 0.0
     shells: list[complex] = []

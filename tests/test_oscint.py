@@ -209,21 +209,30 @@ def test_singular_integral_volume_derivative():
     assert singular_integral(n, k, u) == pytest.approx(oracle, rel=0.02)
 
 
-@pytest.mark.parametrize("eta, abs_tol, per_shell, pinned", [
-    # pinned: repr of the result before equal frequencies shared one I_1
-    ((0.0,) * 5, 0.0, 1,
-     "SurfaceResult(value=(0.4112335287436101+0j), quad_error=2.6956703315567934e-16, "
-     "tail_estimate=9.69175221875746e-09, tail_warning=False, theta_max=109.95116277760006)"),
-    ((1.5, -2.0, 1.5, 0.0, 0.0), 1e-5, 3,
-     "SurfaceResult(value=(-0.003540032199701912+0.001149899368625442j), "
-     "quad_error=1.664439805642677e-17, tail_estimate=1.1665482369414697e-06, "
+# Values of the same three transforms on the older, finer theta panels
+# (0.5 / (lam0 + n + 0.5) wide); the band-sized panels must reproduce them
+# to roundoff, with the same truncation radius and tail flag.
+_NARROW_PANEL_VALUES = {
+    "zeros": (0.4112335287436101 + 0j, 109.95116277760006, False),
+    "mixed": (-0.003540032199701912 + 0.001149899368625442j, 42.94967296000002, True),
+}
+
+
+@pytest.mark.parametrize("eta, abs_tol, per_shell, before, pinned", [
+    # pinned: repr of the result on band-sized panels (2 / max(lam0, n - lam0) wide)
+    ((0.0,) * 5, 0.0, 1, "zeros",
+     "SurfaceResult(value=(0.4112335287436101+0j), quad_error=3.273667823529724e-16, "
+     "tail_estimate=9.691752218760313e-09, tail_warning=False, theta_max=109.95116277760006)"),
+    ((1.5, -2.0, 1.5, 0.0, 0.0), 1e-5, 3, "mixed",
+     "SurfaceResult(value=(-0.0035400321997019033+0.0011498993686254442j), "
+     "quad_error=6.3463447388807074e-18, tail_estimate=1.1665482369414162e-06, "
      "tail_warning=True, theta_max=42.94967296000002)"),
-    ((1.5, -2.0, 1.5, -0.0, 0.0), 1e-5, 3,
-     "SurfaceResult(value=(-0.003540032199701912+0.001149899368625442j), "
-     "quad_error=1.664439805642677e-17, tail_estimate=1.1665482369414697e-06, "
+    ((1.5, -2.0, 1.5, -0.0, 0.0), 1e-5, 3, "mixed",
+     "SurfaceResult(value=(-0.0035400321997019033+0.0011498993686254442j), "
+     "quad_error=6.3463447388807074e-18, tail_estimate=1.1665482369414162e-06, "
      "tail_warning=True, theta_max=42.94967296000002)"),
 ], ids=["zeros", "mixed", "mixed-negative-zero"])
-def test_one_inner_integral_per_distinct_frequency(monkeypatch, eta, abs_tol, per_shell, pinned):
+def test_one_inner_integral_per_distinct_frequency(monkeypatch, eta, abs_tol, per_shell, before, pinned):
     calls = {"shell": 0, "i1": 0}
 
     def counted(name, fn):
@@ -238,3 +247,41 @@ def test_one_inner_integral_per_distinct_frequency(monkeypatch, eta, abs_tol, pe
     assert calls["shell"] > 0
     assert calls["i1"] == per_shell * calls["shell"]
     assert repr(res) == pinned
+    value, theta_max, warning = _NARROW_PANEL_VALUES[before]
+    assert abs(res.value - value) <= 1e-16
+    assert res.theta_max == theta_max
+    assert res.tail_warning == warning
+
+
+def _band_rule_queries():
+    rng = np.random.default_rng(19)
+    queries = []
+    for _ in range(20):
+        n = int(rng.integers(3, 7))
+        eta = tuple(float(v) for v in rng.uniform(-40.0, 40.0, n))
+        queries.append((SurfaceQuery(n, 2, float(rng.uniform(0.0, n)), eta), 110.0))
+    for n in (3, 4):  # k = 3 pays for its inner panels, so fewer shells and smaller frequencies
+        eta = tuple(float(v) for v in rng.uniform(-10.0, 10.0, n))
+        queries.append((SurfaceQuery(n, 3, float(rng.uniform(0.0, n)), eta), 27.0))
+    return queries
+
+
+def test_band_sized_panels_are_converged():
+    """Two cycles per 16-point panel sit at roundoff: 4x narrower panels agree to 1e-14.
+
+    The coarse panels of the coarse/fine pair are checked, on both signs of
+    every shell out to |theta| = 110 at k = 2 (the farthest any `wg approx`
+    transform reaches) and 27 at k = 3.
+    """
+    edges = [0.0, 1.0]
+    while edges[-1] * 1.6 < 110.0:
+        edges.append(edges[-1] * 1.6)
+    for query, radius in _band_rule_queries():
+        width = 2.0 / max(query.lam0, query.n - query.lam0)
+        for lo, hi in zip(edges, edges[1:]):
+            if hi > radius:
+                break
+            for sign in (1, -1):
+                value = oscint._shell_value(lo, hi, sign, query, width, 1, [])
+                fine = oscint._shell_value(lo, hi, sign, query, width / 4, 1, [])
+                assert abs(value - fine) <= 1e-14 * (1.0 + abs(value)), (query, lo, hi, sign)
