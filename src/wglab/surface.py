@@ -363,7 +363,8 @@ def main_term(measure: SurfaceMeasure, params: ApproxParams, xi) -> complex:
     a_i/q_i (q_i <= Q), then the nearest, whose bump window contains xi_i;
     if every coordinate has one, evaluates
     (N^(n-k)/R) * G(avec, qvec) * psi((N/Q)(q xi - a)) * ds(N(xi - a/q)),
-    and otherwise returns 0.
+    and otherwise returns 0.  ds(0) is Dirichlet's closed form
+    (`singular_integral`); every other ds comes from `surface_transform`.
     """
     if measure.R <= 0:
         raise UndefinedMeasureError("measure has zero mass")
@@ -385,10 +386,16 @@ def main_term(measure: SurfaceMeasure, params: ApproxParams, xi) -> complex:
         return 0j
     eta = tuple(N * d / q for d, q in zip(dvec, qvec))
     [series] = singular_series(k, n, [inst.lam], avec, qvec, params.Qsing)
-    # absolute tolerance: the transform factor is bounded by its zero value,
-    # so 1e-5 absolute keeps the main term far below the error-decay scales
-    ds = surface_transform(SurfaceQuery(n=n, k=k, lam0=lam0, eta=eta), abs_tol=1e-5)
-    return (N ** (n - k) / measure.R) * series.value * psival * ds.value
+    if any(eta):
+        # absolute tolerance: the transform factor is bounded by its zero value,
+        # so 1e-5 absolute keeps the main term far below the error-decay scales
+        ds = surface_transform(SurfaceQuery(n=n, k=k, lam0=lam0, eta=eta), abs_tol=1e-5).value
+    else:
+        # ds(0) is the singular integral.  N^k = lam exactly (N = lam^(1/k)), so
+        # lam0 is 1 up to rounding: 1 + 2.2e-16 at lam = 4099, which the closed
+        # form, defined for lam0 <= 1, would refuse.
+        ds = singular_integral(n, k, min(lam0, 1.0))
+    return (N ** (n - k) / measure.R) * series.value * psival * ds
 
 
 def error_term(measure: SurfaceMeasure, params: ApproxParams, xi) -> complex:

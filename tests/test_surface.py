@@ -397,16 +397,31 @@ def desk_instance():
 
 
 def test_main_term_zero_frequency_structure(desk_instance):
-    # at xi = 0 only the center 0/1 contributes, with unit bump value
+    # at xi = 0 only the center 0/1 contributes, with unit bump value, and
+    # ds(0) is the singular integral at lam0 = lam / N^2 = 1
     inst, measure = desk_instance
     params = ApproxParams.for_instance(inst)
     got = main_term(measure, params, np.zeros(5))
     series = singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, params.Qsing)[0].value
-    ds = surface_transform(
-        SurfaceQuery(5, 2, inst.lam / params.N**2, (0.0,) * 5), abs_tol=1e-5
-    ).value
+    lam0 = inst.lam / params.N**2
+    assert lam0 == pytest.approx(1.0, abs=1e-15)
+    ds = singular_integral(5, 2, min(lam0, 1.0))
     want = params.N ** 3 / measure.R * series * ds
     assert got == pytest.approx(want, rel=1e-12)
+    # the theta shells give the same transform within their error report
+    shells = surface_transform(SurfaceQuery(5, 2, lam0, (0.0,) * 5), abs_tol=1e-5)
+    assert abs(shells.value - ds) <= shells.quad_error + shells.tail_estimate
+
+
+def test_main_term_zero_frequency_above_level_one_by_rounding():
+    # lam / (lam^(1/2))^2 rounds to 1 + 2.2e-16 here; the closed form must still serve it
+    inst = ProblemInstance(2, 5, 4099)
+    measure = enumerate_prime_points(inst)
+    params = ApproxParams.for_instance(inst)
+    assert inst.lam / params.N**2 > 1.0
+    series = singular_series(2, 5, [inst.lam], [0] * 5, [1] * 5, params.Qsing)[0].value
+    want = params.N ** 3 / measure.R * series * singular_integral(5, 2, 1.0)
+    assert main_term(measure, params, np.zeros(5)) == pytest.approx(want, rel=1e-12)
 
 
 def test_main_term_vanishes_off_support():
