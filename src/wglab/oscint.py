@@ -262,10 +262,10 @@ def surface_transform(query: SurfaceQuery, abs_tol: float = 0.0) -> SurfaceResul
 
     Each shell is split into panels of width 2 / max(lam0, n - lam0): two
     cycles of the integrand's highest frequency per coarse panel, one per
-    fine panel.  The work budget counts the outer nodes this rule uses,
-    so at k >= 3 (where each outer node pays for its own inner panels)
-    the same budget reaches further in theta than it did with the older
-    0.5-cycle panels.
+    fine panel.  The work budget counts the outer nodes this rule uses.
+    At k >= 3 each outer node pays for its own inner panels and the budget
+    usually ends the shells, so the panel width sets how far in theta the
+    budget reaches.
     """
     band = max(query.lam0, query.n - query.lam0)  # the integrand's frequencies lie in [-lam0, n - lam0]
     width = 2.0 / band  # two cycles per coarse panel: the 16-point rule is at roundoff there

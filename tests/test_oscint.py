@@ -209,25 +209,22 @@ def test_singular_integral_volume_derivative():
     assert singular_integral(n, k, u) == pytest.approx(oracle, rel=0.02)
 
 
-# Values of the same three transforms on the older, finer theta panels
-# (0.5 / (lam0 + n + 0.5) wide); the band-sized panels must reproduce them
-# to roundoff, with the same truncation radius and tail flag.
-_NARROW_PANEL_VALUES = {
-    "zeros": (0.4112335287436101 + 0j, 109.95116277760006, False),
-    "mixed": (-0.003540032199701912 + 0.001149899368625442j, 42.94967296000002, True),
-}
+_ZEROS_BEFORE = (0.4112335287436101 + 0j, 109.95116277760006, False)
+_MIXED_BEFORE = (-0.003540032199701912 + 0.001149899368625442j, 42.94967296000002, True)
 
 
 @pytest.mark.parametrize("eta, abs_tol, per_shell, before, pinned", [
+    # before: (value, theta_max, tail_warning) on the 0.5 / (lam0 + n + 0.5) wide panels
+    # that preceded the band-sized ones, which must reproduce them to roundoff;
     # pinned: repr of the result on band-sized panels (2 / max(lam0, n - lam0) wide)
-    ((0.0,) * 5, 0.0, 1, "zeros",
+    ((0.0,) * 5, 0.0, 1, _ZEROS_BEFORE,
      "SurfaceResult(value=(0.4112335287436101+0j), quad_error=3.273667823529724e-16, "
      "tail_estimate=9.691752218760313e-09, tail_warning=False, theta_max=109.95116277760006)"),
-    ((1.5, -2.0, 1.5, 0.0, 0.0), 1e-5, 3, "mixed",
+    ((1.5, -2.0, 1.5, 0.0, 0.0), 1e-5, 3, _MIXED_BEFORE,
      "SurfaceResult(value=(-0.0035400321997019033+0.0011498993686254442j), "
      "quad_error=6.3463447388807074e-18, tail_estimate=1.1665482369414162e-06, "
      "tail_warning=True, theta_max=42.94967296000002)"),
-    ((1.5, -2.0, 1.5, -0.0, 0.0), 1e-5, 3, "mixed",
+    ((1.5, -2.0, 1.5, -0.0, 0.0), 1e-5, 3, _MIXED_BEFORE,
      "SurfaceResult(value=(-0.0035400321997019033+0.0011498993686254442j), "
      "quad_error=6.3463447388807074e-18, tail_estimate=1.1665482369414162e-06, "
      "tail_warning=True, theta_max=42.94967296000002)"),
@@ -247,7 +244,7 @@ def test_one_inner_integral_per_distinct_frequency(monkeypatch, eta, abs_tol, pe
     assert calls["shell"] > 0
     assert calls["i1"] == per_shell * calls["shell"]
     assert repr(res) == pinned
-    value, theta_max, warning = _NARROW_PANEL_VALUES[before]
+    value, theta_max, warning = before
     assert abs(res.value - value) <= 1e-16
     assert res.theta_max == theta_max
     assert res.tail_warning == warning
