@@ -1,13 +1,16 @@
+import ast
 import json
 import math
 from collections import Counter
 import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import wglab
 from wglab import maxops
 from wglab.cli import build_parser, main
 from wglab.ergodic import weyl_decay_scan
@@ -336,25 +339,36 @@ def test_cli_import_skips_scipy_signal():
     assert out.stdout.strip() == "False"
 
 
+def test_package_source_never_imports_scipy():
+    """numpy is the only runtime dependency: no module of the package imports scipy."""
+    sources = sorted(pathlib.Path(wglab.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 
-class Watch:  # whether scipy was already loading when numpy.ma was first imported
-    ma_after_scipy = None
-
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy.ma" and Watch.ma_after_scipy is None:
-            Watch.ma_after_scipy = "scipy" in sys.modules
-
-sys.meta_path.insert(0, Watch())
 from wglab.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     codes = [main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
-                  "numpy_ma": "numpy.ma" in sys.modules, "ma_after_scipy": Watch.ma_after_scipy,
-                  "stdout": out.getvalue()}))
+                  "numpy_ma": "numpy.ma" in sys.modules}))
 """
+
+_SMALL_APPROX = ["approx", "--k", "2", "--n", "5", "--lambda-min", "512", "--blocks", "1",
+                 "--per-block", "2", "--xi-count", "1"]
 
 
 def _probe_scipy(*argvs):
@@ -376,27 +390,19 @@ def test_commands_without_special_functions_never_import_scipy():
         ["equidist", "--k", "2", "--n", "5", "--lambda", "77", "--alpha", "0.31,0.71,0.12,0.55,0.9",
          "--boxes", "10"],
         ["surface", "--k", "3", "--n", "5", "--eta", "0,0,0,0,0"],
+        # k = 2 transforms take the Faddeeva function from oscint, not scipy.special
+        ["surface", "--k", "2", "--n", "3", "--eta", "1,0,0"],
+        _SMALL_APPROX,
     )
-    assert doc["codes"] == [0] * 6
+    assert doc["codes"] == [0] * 8
     assert doc["scipy"] == []
 
 
 def test_hua_and_approx_never_import_numpy_ma_themselves():
     hua = ["hua", "--k", "2", "--n", "5", "--lo", "1000", "--hi", "3000", "--samples", "4", "--qsing", "20"]
-    doc = _probe_scipy(hua)
-    assert doc["codes"] == [0] and not doc["numpy_ma"]
-    # approx at k = 2 loads scipy.special, which imports numpy.ma; nothing before it does
-    doc = _probe_scipy(["approx", "--k", "2", "--n", "5", "--lambda-min", "512", "--blocks", "1",
-                        "--per-block", "2", "--xi-count", "1"])
-    assert doc["codes"] == [0] and doc["ma_after_scipy"] is not False
-
-
-def test_quadratic_surface_transform_loads_scipy_special(capsys):
-    argv = ["surface", "--k", "2", "--n", "3", "--eta", "1,0,0"]
-    doc = _probe_scipy(argv)
-    assert doc["codes"] == [0]
-    assert "scipy.special" in doc["scipy"]
-    assert doc["stdout"] == run(capsys, *argv)[1]
+    for argv in (hua, _SMALL_APPROX):
+        doc = _probe_scipy(argv)
+        assert doc["codes"] == [0] and not doc["numpy_ma"], argv
 
 
 @pytest.mark.parametrize("argv", [

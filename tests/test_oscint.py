@@ -136,6 +136,60 @@ def test_quadratic_route_matches_mpmath():
         assert np.abs(_i1_quadratic(small, eta) - panel).max() < 1e-12
 
 
+def _w_mpmath(z: complex) -> complex:
+    """The Faddeeva function exp(-z^2) erfc(-i z) from mpmath at 30 digits."""
+    with mp.workdps(30):
+        v = mp.mpc(z.real, z.imag)
+        return complex(mp.exp(-v * v) * mp.erfc(-1j * v))
+
+
+def test_faddeeva_matches_mpmath_and_wofz():
+    """Weideman's w against mpmath, with scipy's wofz as a second, test-only oracle.
+
+    On the ray r e^(i pi/4) that _i1_quadratic uses, and on a sample of the
+    upper half-plane, the error is about 1e-15 (worst seen 1.0e-15).  Below
+    the axis the reflection w(z) = 2 exp(-z^2) - w(-z) carries the roundoff
+    of the phase of exp(-z^2), which grows like r^2: 4.5e-13 at r = -37 on
+    the ray down to r = -56 (wofz: 4.1e-13).
+    """
+    from scipy.special import wofz
+    ray = np.exp(0.25j * np.pi)
+    rng = np.random.default_rng(5)
+    above = np.concatenate([
+        np.concatenate([[0.0], np.geomspace(1e-6, 1e5, 250)]) * ray,
+        rng.uniform(-50.0, 50.0, 200) + 1j * rng.uniform(0.0, 50.0, 200),
+        np.geomspace(1e-4, 1e5, 100) * np.exp(1j * np.pi * rng.uniform(0.0, 1.0, 100)),
+        rng.uniform(-30.0, 30.0, 20) + 0j,  # the real axis
+    ])
+    below = -np.geomspace(1e-3, 56.0, 150) * ray
+    for z, bound in ((above, 1e-14), (below, 1e-12)):
+        got = oscint._faddeeva(z)
+        ref = np.array([_w_mpmath(v) for v in z])
+        assert np.abs(got - ref).max() <= bound
+        assert np.abs(got - wofz(z)).max() <= bound
+    assert oscint._faddeeva(np.array([0j]))[0] == 1.0
+
+
+def test_quadratic_route_is_chunked_exactly():
+    """One _i1_quadratic call over more (eta, theta) pairs than one batch holds.
+
+    The chunks must give the values of small separate calls bit for bit, and
+    a sample of them must match mpmath as in test_quadratic_route_matches_mpmath.
+    """
+    etas = np.array([0.0, 3.5, -41.0])[:, None]
+    size = oscint._BATCH_ELEMENTS // len(etas) + 2_000
+    thetas = np.linspace(-1150.0, 1150.0, size)
+    thetas = thetas[thetas != 0.0]
+    assert etas.size * len(thetas) > oscint._BATCH_ELEMENTS
+    got = _i1_quadratic(thetas, etas)
+    assert got.shape == (len(etas), len(thetas))
+    for lo in range(0, len(thetas), 10_000):
+        assert np.array_equal(got[:, lo : lo + 10_000], _i1_quadratic(thetas[lo : lo + 10_000], etas))
+    rng = np.random.default_rng(3)
+    for row, col in zip(rng.integers(0, len(etas), 12), rng.integers(0, len(thetas), 12)):
+        assert abs(got[row, col] - _i1_mpmath(thetas[col], etas[row, 0])) <= 1e-13
+
+
 def test_series_route_matches_adaptive():
     thetas = np.array([9.0, 25.0, 120.0, -18.0, -300.0])
     for k in (3, 4):
@@ -216,33 +270,38 @@ _MIXED_BEFORE = (-0.003540032199701912 + 0.001149899368625442j, 42.9496729600000
 @pytest.mark.parametrize("eta, abs_tol, per_shell, before, pinned", [
     # before: (value, theta_max, tail_warning) on the 0.5 / (lam0 + n + 0.5) wide panels
     # that preceded the band-sized ones, which must reproduce them to roundoff;
-    # pinned: repr of the result on band-sized panels (2 / max(lam0, n - lam0) wide)
+    # pinned: repr of the result on band-sized panels (2 / max(lam0, n - lam0) wide),
+    # with the numpy Faddeeva function
     ((0.0,) * 5, 0.0, 1, _ZEROS_BEFORE,
-     "SurfaceResult(value=(0.4112335287436101+0j), quad_error=3.273667823529724e-16, "
-     "tail_estimate=9.691752218760313e-09, tail_warning=False, theta_max=109.95116277760006)"),
+     "SurfaceResult(value=(0.4112335287436101+0j), quad_error=2.264364614692746e-16, "
+     "tail_estimate=9.691752218760338e-09, tail_warning=False, theta_max=109.95116277760006)"),
     ((1.5, -2.0, 1.5, 0.0, 0.0), 1e-5, 3, _MIXED_BEFORE,
-     "SurfaceResult(value=(-0.0035400321997019033+0.0011498993686254442j), "
-     "quad_error=6.3463447388807074e-18, tail_estimate=1.1665482369414162e-06, "
+     "SurfaceResult(value=(-0.0035400321997019024+0.001149899368625436j), "
+     "quad_error=4.200999339070297e-18, tail_estimate=1.1665482369414301e-06, "
      "tail_warning=True, theta_max=42.94967296000002)"),
     ((1.5, -2.0, 1.5, -0.0, 0.0), 1e-5, 3, _MIXED_BEFORE,
-     "SurfaceResult(value=(-0.0035400321997019033+0.0011498993686254442j), "
-     "quad_error=6.3463447388807074e-18, tail_estimate=1.1665482369414162e-06, "
+     "SurfaceResult(value=(-0.0035400321997019024+0.001149899368625436j), "
+     "quad_error=4.200999339070297e-18, tail_estimate=1.1665482369414301e-06, "
      "tail_warning=True, theta_max=42.94967296000002)"),
 ], ids=["zeros", "mixed", "mixed-negative-zero"])
 def test_one_inner_integral_per_distinct_frequency(monkeypatch, eta, abs_tol, per_shell, before, pinned):
-    calls = {"shell": 0, "i1": 0}
+    shells, rows = [], []  # one _i1_quadratic call per shell, one eta row per distinct frequency
+    shell_sums, quadratic = oscint._shell_sums, oscint._i1_quadratic
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_shell(*args):
+        shells.append(args[:2])
+        return shell_sums(*args)
 
-    monkeypatch.setattr(oscint, "_shell_value", counted("shell", oscint._shell_value))
-    monkeypatch.setattr(oscint, "_i1_batch", counted("i1", oscint._i1_batch))
+    def counted_quadratic(thetas, eta):
+        rows.append(np.size(eta))
+        return quadratic(thetas, eta)
+
+    monkeypatch.setattr(oscint, "_shell_sums", counted_shell)
+    monkeypatch.setattr(oscint, "_i1_quadratic", counted_quadratic)
+    monkeypatch.setattr(oscint, "_i1_batch", None)  # the k >= 3 route is never taken
     res = surface_transform(SurfaceQuery(5, 2, 1.0, eta), abs_tol=abs_tol)
-    assert calls["shell"] > 0
-    assert calls["i1"] == per_shell * calls["shell"]
+    assert len(shells) > 0
+    assert rows == [per_shell] * len(shells)
     assert repr(res) == pinned
     value, theta_max, warning = before
     assert abs(res.value - value) <= 1e-16
@@ -278,7 +337,8 @@ def test_band_sized_panels_are_converged():
         for lo, hi in zip(edges, edges[1:]):
             if hi > radius:
                 break
+            sums = oscint._shell_sums(lo, hi, query, width, [])
+            narrow = oscint._shell_sums(lo, hi, query, width / 2, [])  # fine set: width / 4 panels
             for sign in (1, -1):
-                value = oscint._shell_value(lo, hi, sign, query, width, 1, [])
-                fine = oscint._shell_value(lo, hi, sign, query, width / 4, 1, [])
+                value, fine = sums[sign, 1], narrow[sign, 2]
                 assert abs(value - fine) <= 1e-14 * (1.0 + abs(value)), (query, lo, hi, sign)
