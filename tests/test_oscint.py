@@ -296,9 +296,12 @@ def test_one_inner_integral_per_distinct_frequency(monkeypatch, eta, abs_tol, pe
         rows.append(np.size(eta))
         return quadratic(thetas, eta)
 
+    def k3_route(*args):
+        raise AssertionError("k = 2 took the k >= 3 inner route")
+
     monkeypatch.setattr(oscint, "_shell_sums", counted_shell)
     monkeypatch.setattr(oscint, "_i1_quadratic", counted_quadratic)
-    monkeypatch.setattr(oscint, "_i1_batch", None)  # the k >= 3 route is never taken
+    monkeypatch.setattr(oscint, "_i1_batch", k3_route)
     res = surface_transform(SurfaceQuery(5, 2, 1.0, eta), abs_tol=abs_tol)
     assert len(shells) > 0
     assert rows == [per_shell] * len(shells)
