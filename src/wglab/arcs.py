@@ -7,7 +7,6 @@ from math import ceil, floor, gcd
 from typing import Optional
 
 from .errors import InputError
-from .numtheory import euler_phi
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,10 @@ class RationalPoint:
 class ArcSystem:
     """Parameters (X, Q) of the arc family |q*theta - a| <= Q/X, q <= Q.
 
-    When 2Q < X the arcs are pairwise disjoint.
+    The arcs are pairwise disjoint when X > Q(2Q - 1): centers a/q != a'/q'
+    lie at least 1/(q q') apart, and the two half-widths add up to
+    Q (q + q') / (X q q').  2Q < X only separates arcs of equal q; at X = 25,
+    Q = 10, theta = 0.105 lies in the arcs of both 1/9 and 1/10.
     """
 
     X: float
@@ -123,7 +125,7 @@ def _arc_center(theta: float, Q: float, halfwidth: float) -> Optional[tuple[Rati
 def major_arc_membership(theta: float, system: ArcSystem) -> Optional[RationalPoint]:
     """The center a/q of the arc containing theta, or None on the minor arcs.
 
-    Overlaps (possible when 2Q >= X) resolve to the smallest q, then the
+    Overlaps (possible unless X > Q(2Q - 1)) resolve to the smallest q, then the
     nearest a.  That is also the smallest a: below halfwidth 1/2 a window
     |q*theta - a| <= Q/X holds at most one integer, and from 1/2 on the
     q = 1 window covers every theta and gives 0/1.  theta is reduced to
@@ -132,11 +134,3 @@ def major_arc_membership(theta: float, system: ArcSystem) -> Optional[RationalPo
     """
     hit = _arc_center(theta % 1.0, system.Q, system.halfwidth)
     return hit[0] if hit else None
-
-
-def major_arcs_measure(system: ArcSystem) -> float:
-    """Total length of the arc family, summed arc by arc (no union dedup)."""
-    total = 0.0
-    for q in range(1, floor(system.Q) + 1):
-        total += euler_phi(q) * min(2 * system.halfwidth / q, 1.0)
-    return total

@@ -17,7 +17,7 @@ import numpy as np
 
 from .arcs import ArcSystem, convergents, dirichlet_approx, major_arc_membership, torus_distance
 from .errors import InputError, NumericError, UndefinedMeasureError
-from .expsums import GSumQuery, count_vinogradov_system, g_sum, g_via_lemma
+from .expsums import GSumQuery, count_vinogradov_system, g_sum
 from .ergodic import (
     TorusSystem,
     TrigPolynomial,
@@ -185,8 +185,7 @@ def _cmd_fourier(args):
 
 
 def _cmd_gsum(args):
-    query = GSumQuery(a=args.a, q=args.q, b=args.b, r=args.r, k=args.k)
-    value = g_via_lemma(query) if args.via_lemma else g_sum(query)
+    value = g_sum(GSumQuery(a=args.a, q=args.q, b=args.b, r=args.r, k=args.k))
     return _complex_scalars("g", value), (["value_re", "value_im"], [[value.real, value.imag]])
 
 
@@ -404,7 +403,6 @@ _COMMANDS = {
         _arg("--a", type=int, required=True), _arg("--q", type=int, required=True),
         _arg("--b", type=int, required=True), _arg("--r", type=int, required=True),
         _K,
-        _arg("--via-lemma", action="store_true"),
     )),
     "singular": (_cmd_singular, "truncated singular series at a center; tail_estimate is null where the fitted tail diverges (n <= 4)", _INSTANCE + (
         _QSING,

@@ -14,30 +14,27 @@ sees O(1) oscillations.  Substituting u = x^k turns I_1(theta, eta_j) into
 an integral of e(theta u) over u in [0, 1] (against e(eta_j x) dx carried to
 u), so as a function of theta it has frequencies in [0, 1], and the theta
 integrand of ds has frequencies in the band [-lam0, n - lam0].  Its panels
-are sized by that band: a coarse panel spans two cycles of the highest
-frequency, where the 16-point rule is already at roundoff for functions of
+are sized by that band: a panel spans two cycles of the highest frequency,
+where the 16-point rule is already at roundoff for functions of
 exponential type.  Degree-2 inner integrals use an exact Faddeeva-function
 form and zero-linear-frequency inner integrals use an asymptotic series,
-which keeps the theta-truncation radius affordable.
+which keeps the theta-truncation radius affordable; other inner panels
+span two cycles of the inner phase's top frequency.
 
 The Faddeeva function w(z) is Weideman's rational approximation (SIAM J.
-Numer. Anal. 31, 1994) with N = 40 terms, in numpy, the package's only
-runtime dependency.  N = 40 is the smallest multiple of 4 whose truncation
-error stays under half an ulp: at N = 36 it is 2.9e-16 at the origin,
-where every eta_j = 0 puts a w argument.  On and above the real axis it
-agrees with mpmath to 1.0e-15; below it, w(z) = 2 exp(-z^2) - w(-z)
-carries the roundoff of the phase of exp(-z^2), at most 4.5e-13 for
-|z| <= 56.
+Numer. Anal. 31, 1994) with N = 40 terms (see _WEIDEMAN_N), in numpy, the
+package's only runtime dependency.  On and above the real axis it agrees
+with mpmath to 1.0e-15; below it, w(z) = 2 exp(-z^2) - w(-z) carries the
+roundoff of the phase of exp(-z^2), at most 4.5e-13 for |z| <= 56.
 
-Each theta shell is one pass: the nodes of both signs at both panel
-resolutions are built together, and each distinct eta_j's inner integral
-is evaluated once over all of them (at k = 2, every distinct eta_j in a
-single Faddeeva batch).
+Each theta shell is one pass over one node set per sign, with each distinct
+eta_j's inner integral evaluated once over the nodes of both signs (at
+k = 2, in a single Faddeeva batch); its quadrature error is a priori.
 """
 
 from dataclasses import dataclass
 from functools import cache
-from math import ceil, gamma, pi, sqrt
+from math import ceil, factorial, gamma, pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +49,14 @@ _REL_TOL = 1e-6  # surface_transform stops once two shells fall below this share
 _MAX_SHELLS = 16
 _WORK_BUDGET = 40_000_000  # estimated integrand evaluations per surface_transform
 _BATCH_ELEMENTS = 1 << 18  # (eta, theta) pairs per Faddeeva batch, so a deep shell's arrays stay small
-_WEIDEMAN_N = 40  # 36 terms leave 2.9e-16 at the origin; 40 leave 8e-18, under half an ulp
+_WEIDEMAN_N = 40  # 36 terms leave 2.9e-16 at the origin, where eta_j = 0 puts w; 40 leave 8e-18
+# 16-point remainder per unit half-panel length on two cycles of e(nu theta), real and imaginary parts
+_GL_REMAINDER = 2 * 2**33 * factorial(16) ** 4 / (33 * factorial(32) ** 3) * (2 * pi) ** 32
+_FADDEEVA_ERR = 1.0e-15  # |w - mpmath| on and above the real axis; below, 4.5e-13 at |theta| = 2000,
+_FADDEEVA_ERR_PER_THETA = 4.5e-13 / 2000  # growing like r^2 <= pi |theta| / 2
+# k >= 3: two-cycle inner panels err by <= 6.6e-15 against 4x refinement (k = 2..6,
+# |theta| <= 200, |eta| <= 30); the gamma series' remainder is <= 1.7e-14 at |theta| = 8
+_INNER_PANEL_ERR = 2e-14
 
 
 @dataclass(frozen=True)
@@ -191,7 +195,7 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
     for c in coeffs[1:]:
         p *= big_z
         p += c
-    out = 2.0 * p / (d * d) + (1.0 / sqrt(pi)) / d
+    out = 2.0 * p / d / d + (1.0 / sqrt(pi)) / d  # d * d overflows above |z| ~ 1e154
     if below.any():
         zb = z[below]
         out[below] = 2.0 * np.exp(-(zb * zb)) - out[below]
@@ -255,16 +259,19 @@ def _i1_series_eta0(thetas: np.ndarray, k: int) -> np.ndarray:
     return (lead - tail) / k
 
 
-def _i1_adaptive(thetas: np.ndarray, eta: float, k: int, oversample: int) -> np.ndarray:
+def _inner_panels(theta_max: float, eta: float, k: int) -> int:
+    """Panels on [0, 1] of two cycles each of theta x^k + eta x's top frequency k theta_max + |eta|."""
+    return max(1, ceil((k * theta_max + abs(eta)) / 2.0))
+
+
+def _i1_adaptive(thetas: np.ndarray, eta: float, k: int) -> np.ndarray:
     """Panel Gauss-Legendre for I_1(theta, eta), vectorized over theta."""
     th = np.asarray(thetas, dtype=float)
     if len(th) == 0:
         return np.zeros(0, dtype=complex)
-    panels = (max(6, int(ceil(np.abs(th).max() + abs(eta))) + 6)) * oversample
-    x, w = _gl_panels(0.0, 1.0, panels)
+    x, w = _gl_panels(0.0, 1.0, _inner_panels(float(np.abs(th).max()), eta, k))
     out = np.empty(len(th), dtype=complex)
-    # chunked so the (theta, node) phase matrix stays small
-    chunk = max(1, int(4_000_000 // max(len(x), 1)))
+    chunk = max(1, 4_000_000 // len(x))  # so the (theta, node) phase matrix stays small
     xk = x**k
     for lo in range(0, len(th), chunk):
         tt = th[lo : lo + chunk]
@@ -273,15 +280,15 @@ def _i1_adaptive(thetas: np.ndarray, eta: float, k: int, oversample: int) -> np.
     return out
 
 
-def _i1_batch(thetas: np.ndarray, eta: float, k: int, oversample: int) -> np.ndarray:
+def _i1_batch(thetas: np.ndarray, eta: float, k: int) -> np.ndarray:
     """I_1(theta, eta) for an array of thetas at k >= 3, picking the cheaper route."""
     th = np.asarray(thetas, dtype=float)
     if eta != 0.0:
-        return _i1_adaptive(th, eta, k, oversample)
+        return _i1_adaptive(th, eta, k)
     out = np.empty(len(th), dtype=complex)
     closed = np.abs(th) >= _SERIES_MIN_THETA
     out[closed] = _i1_series_eta0(th[closed], k)
-    out[~closed] = _i1_adaptive(th[~closed], eta, k, oversample)
+    out[~closed] = _i1_adaptive(th[~closed], eta, k)
     return out
 
 
@@ -289,42 +296,33 @@ def _inner_cost(query: SurfaceQuery, hi: float) -> float:
     """Rough inner-node count per outer node for a shell reaching |theta| = hi."""
     if query.k == 2:
         return 16.0 * query.n
-    return float(sum(16.0 if v == 0.0 else 16.0 * (hi + abs(v) + 12.0) for v in query.eta))
+    series = hi > _SERIES_MIN_THETA  # zero frequencies take the gamma series there
+    return sum(16.0 if v == 0.0 and series else 16.0 * _inner_panels(hi, v, query.k) for v in query.eta)
 
 
-def _shell_sums(lo: float, hi: float, query: SurfaceQuery, width: float, c_track: list) -> dict:
-    """Shell integrals over sign * [lo, hi], keyed (sign, oversample), each of F(sign*u) du.
+def _shell_sums(lo: float, hi: float, query: SurfaceQuery, width: float, c_track: list) -> tuple:
+    """The integrals of F(u) and F(-u) over u in [lo, hi], and their inner and rounding error.
 
-    Oversample 1 is the coarse panel set, 2 the fine one.  The nodes of all
-    four sets are built first; each distinct eta_j's I_1 is evaluated once
-    over all of them (at k = 2 every distinct eta_j in one Faddeeva batch, at
-    k >= 3 both signs of a resolution in one call, since the inner panel
-    count depends only on max |theta|).  Each set keeps its own sum, with the
-    factors multiplied in query.eta order.
+    One set of panels at most ``width`` wide serves both signs, and the
+    factors are multiplied in query.eta order.
     """
-    sets = ((1, 1), (-1, 1), (1, 2), (-1, 2))
-    nodes, weights = [], []
-    for oversample in (1, 2):
-        panels = max(2, int(ceil((hi - lo) / (width / oversample))))
-        u, w = _gl_panels(lo, hi, panels)
-        nodes += [u, -u]
-        weights += [w, w]
-    th = np.concatenate(nodes)
-    bounds = np.cumsum([0] + [len(x) for x in nodes])
+    u, w = _gl_panels(lo, hi, max(2, int(ceil((hi - lo) / width))))
+    th = np.concatenate([u, -u])
     distinct = list(dict.fromkeys(map(float, query.eta)))  # equal frequencies (0.0 and -0.0 too) share I_1
     if query.k == 2:
         inner = _i1_quadratic(th, np.array(distinct)[:, None])
     else:
-        inner = np.empty((len(distinct), len(th)), dtype=complex)
-        for a, b, oversample in ((0, bounds[2], 1), (bounds[2], bounds[4], 2)):
-            for row, eta_j in enumerate(distinct):
-                inner[row, a:b] = _i1_batch(th[a:b], eta_j, query.k, oversample)
+        inner = np.array([_i1_batch(th, eta_j, query.k) for eta_j in distinct])
     c_track.append(float((np.abs(inner) * (1.0 + np.abs(th)) ** (1.0 / query.k)).max()))
     prod = np.ones(len(th), dtype=complex)
     for eta_j in map(float, query.eta):
         prod *= inner[distinct.index(eta_j)]
     prod *= _osc_phase_exp(-query.lam0 * th)
-    return {key: complex(prod[a:b] @ w) for key, a, b, w in zip(sets, bounds, bounds[1:], weights)}
+    plus, minus = prod[: len(u)], prod[len(u) :]
+    route = _FADDEEVA_ERR + _FADDEEVA_ERR_PER_THETA * hi if query.k == 2 else _INNER_PANEL_ERR
+    phases = 2.0 * pi * (query.n + 1) * (hi + max(map(abs, query.eta)))
+    relative = query.n * route + 0.5 * np.finfo(float).eps * (len(u) + phases)
+    return complex(plus @ w), complex(minus @ w), float((np.abs(plus) + np.abs(minus)) @ w * relative)
 
 
 def surface_transform(query: SurfaceQuery, abs_tol: float = 0.0) -> SurfaceResult:
@@ -339,64 +337,64 @@ def surface_transform(query: SurfaceQuery, abs_tol: float = 0.0) -> SurfaceResul
     the absolute bound from |I_1| <= C (1 + |theta|)^(-1/k) decay (finite
     only for n > k); a warning flag marks tails above 1e-4 of the value.
 
-    Each shell is split into panels of width 2 / max(lam0, n - lam0): two
-    cycles of the integrand's highest frequency per coarse panel, one per
-    fine panel.  The work budget counts the outer nodes this rule uses.
-    At k >= 3 each outer node pays for its own inner panels and the budget
-    usually ends the shells, so the panel width sets how far in theta the
-    budget reaches.
+    Each shell is evaluated once, on panels of width 2 / max(lam0, n - lam0):
+    two cycles of the integrand's highest frequency.  The work budget counts
+    the outer nodes times their inner cost; a first shell above it is
+    refused.  At k >= 3 the budget usually ends the shells, so the panel
+    widths set how far in theta it reaches.
+
+    quad_error is a priori.  F(theta) = integral of e(theta nu) d mu(nu) for
+    a measure mu of total variation <= 1 on the band, so the 16-point
+    remainder is at most _GL_REMAINDER = 1.9e-19 per unit of half-panel
+    length, 1.9e-19 theta_max in all.  Each shell adds sum |w_i F(theta_i)|
+    times n times its inner route's accuracy, plus one rounding unit per
+    node of a sign's sum and 2 pi |phase| for each of the n + 1 phases e(.),
+    whose arguments reach hi + max |eta_j|.
     """
     band = max(query.lam0, query.n - query.lam0)  # the integrand's frequencies lie in [-lam0, n - lam0]
-    width = 2.0 / band  # two cycles per coarse panel: the 16-point rule is at roundoff there
+    width = 2.0 / band  # two cycles per panel: the 16-point rule is at roundoff there
     total = 0j
     quad_err = 0.0
     shells: list[complex] = []
     c_track: list[float] = []
     work = 0.0
-    theta_hi = 0.0
 
     edges = [0.0, 1.0]
     while len(edges) <= _MAX_SHELLS:
         edges.append(edges[-1] * 1.6)
 
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i], edges[i + 1]
-        outer_nodes = 16.0 * ceil((hi - lo) / width) * 6  # both signs, both resolutions
-        estimated = outer_nodes * _inner_cost(query, hi) / 16.0
-        if i >= 1 and work + estimated > _WORK_BUDGET:
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        estimated = 2.0 * ceil((hi - lo) / width) * _inner_cost(query, hi)  # both signs
+        if work + estimated > _WORK_BUDGET:
+            if i == 0:
+                raise NumericError(f"the first theta shell needs about {estimated:.3g} evaluations")
             break
-        sums = _shell_sums(lo, hi, query, width, c_track)
-        shell = 0j
-        shell_err = 0.0
-        for sign in (1, -1):
-            fine = sums[sign, 2]
-            shell += fine
-            shell_err += abs(fine - sums[sign, 1])
+        plus, minus, err = _shell_sums(lo, hi, query, width, c_track)
+        shell = plus + minus
         work += estimated
         total += shell
-        quad_err += shell_err
+        quad_err += _GL_REMAINDER * (hi - lo) + err
         shells.append(shell)
         theta_hi = hi
         tol = max(_REL_TOL * abs(total), abs_tol)
         if i >= 3 and abs(shells[-1]) + abs(shells[-2]) <= 0.5 * tol:
             break
 
+    if not np.isfinite(total + quad_err):
+        raise NumericError("the surface transform overflowed at these frequencies")
     correction = _geometric_correction(shells)
     mags = [abs(s) for s in shells]
     ratios = [
         mags[i] / mags[i - 1] for i in range(max(1, len(mags) - 3), len(mags)) if mags[i - 1] > 0
     ]
     rho = min(0.95, max(ratios)) if ratios else 0.5
-    tail_raw = mags[-1] * rho / (1.0 - rho) if mags else 0.0
+    tail = mags[-1] * rho / (1.0 - rho)  # the first shell always runs
     if correction != 0:
         total += correction
         tail = 0.5 * abs(correction) + 2.0 * quad_err
-    else:
-        tail = tail_raw
     if query.n > query.k:
-        c_emp = max(c_track) if c_track else 1.0
         nk = query.n / query.k
-        tail_abs = 2.0 * c_emp**query.n * (1.0 + theta_hi) ** (1.0 - nk) / (nk - 1.0)
+        tail_abs = 2.0 * max(c_track) ** query.n * (1.0 + theta_hi) ** (1.0 - nk) / (nk - 1.0)
         tail = min(tail, tail_abs)
     warning = tail > 1e-4 * max(abs(total), 1e-300)
     return SurfaceResult(total, quad_err, tail, bool(warning), theta_hi)

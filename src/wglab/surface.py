@@ -17,7 +17,7 @@ import numpy as np
 
 from .arcs import _arc_center
 from .errors import InputError, NumericError, UndefinedMeasureError
-from .expsums import _g_over_a, _roots
+from .expsums import _g_over_a, _pow_mod, _roots
 from .numtheory import factorize, int_kth_root, sieve_primes, units
 from .oscint import SurfaceQuery, singular_integral, surface_transform
 
@@ -52,21 +52,26 @@ def _local_unit_sum_masks(k: int, n: int) -> tuple:
     """(modulus, admissible-residue mask) pairs for every prime p <= k + 1.
 
     The modulus is p^(v_p(k) + 2), one power higher at p = 2; the mask
-    marks residues reachable as a sum of n k-th powers of units.
+    marks residues reachable as a sum of n k-th powers of units.  Each of
+    the n steps is a cyclic convolution of indicator arrays by FFT, whose
+    integer counts it thresholds at 1/2: the roundoff, about
+    log2(m) eps m, stays far below that.  The steps stop once every
+    residue is reached.
     """
     pairs = []
     v_p = dict(factorize(k))
     for p in sieve_primes(k + 1).tolist():
         gam = v_p.get(p, 0) + 2 + (1 if p == 2 else 0)
         m = p**gam
-        kth_powers = sorted({pow(x, k, m) for x in range(m) if gcd(x, m) == 1})
+        kth_powers = np.zeros(m)
+        kth_powers[_pow_mod(units(m), k, m)] = 1.0
+        spectrum = np.fft.rfft(kth_powers)
         reach = np.zeros(m, dtype=bool)
         reach[0] = True
         for _ in range(n):
-            nxt = np.zeros(m, dtype=bool)
-            for s in kth_powers:
-                nxt[np.roll(reach, s)] = True
-            reach = nxt
+            if reach.all():
+                break
+            reach = np.fft.irfft(np.fft.rfft(reach) * spectrum, m) > 0.5
         pairs.append((m, reach))
     return tuple(pairs)
 

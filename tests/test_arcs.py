@@ -8,7 +8,6 @@ from wglab.arcs import (
     convergents,
     dirichlet_approx,
     major_arc_membership,
-    major_arcs_measure,
     torus_distance,
 )
 from wglab.errors import InputError
@@ -102,28 +101,28 @@ def test_membership_tie_prefers_smaller_q():
 
 
 def test_disjointness_on_grid():
+    """The arcs are pairwise disjoint when X > Q(2Q - 1), and no longer just below it.
+
+    At X = 25, Q = 10 (2Q < X) theta = 0.105 lies in the arcs of 1/9 and 1/10.
+    """
     from math import gcd
 
-    X, Q = 1000.0, 10.0
-    w = Q / X
     thetas = np.linspace(0.0, 1.0, 100_000, endpoint=False)
-    hits = np.zeros(len(thetas), dtype=np.int64)
-    for q in range(1, int(Q) + 1):
-        t = q * thetas
-        a = np.rint(t)
-        ok = np.abs(t - a) <= w
-        amod = a.astype(np.int64) % q
-        cop_lookup = np.array([gcd(v, q) == 1 for v in range(q)])
-        hits += (ok & cop_lookup[amod]).astype(np.int64)
-    assert hits.max() <= 1
-
-
-def test_total_measure_bound():
-    for X in (100.0, 1000.0, 20000.0):
-        for Q in (2.0, 5.0, 10.0, 30.0):
-            if 2 * Q >= X:
-                continue
-            assert major_arcs_measure(ArcSystem(X=X, Q=Q)) <= 4 * Q * Q / X
+    for X, Q, disjoint in ((1000.0, 10.0, True), (191.0, 10.0, True), (189.0, 10.0, False),
+                           (25.0, 10.0, False)):
+        assert (X > Q * (2 * Q - 1)) == disjoint
+        w = Q / X
+        hits = np.zeros(len(thetas), dtype=np.int64)
+        for q in range(1, int(Q) + 1):
+            t = q * thetas
+            a = np.rint(t)
+            ok = np.abs(t - a) <= w
+            amod = a.astype(np.int64) % q
+            cop_lookup = np.array([gcd(v, q) == 1 for v in range(q)])
+            hits += (ok & cop_lookup[amod]).astype(np.int64)
+        assert (hits.max() <= 1) == disjoint, (X, Q)
+    w = 10.0 / 25.0
+    assert abs(9 * 0.105 - 1) <= w and abs(10 * 0.105 - 1) <= w
 
 
 def _smallest_a_center(theta, Q, halfwidth):

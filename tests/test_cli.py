@@ -475,6 +475,32 @@ def test_nothing_to_compute_is_an_error(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("n, k, eta, code", [
+    (2, 2, "1e160,0", 0),  # the Faddeeva function's d * d overflowed to NaN above |z| ~ 1e154
+    (2, 2, "1e308,0", 1),  # the Faddeeva arguments themselves overflow
+    (3, 3, "1e300,0,0", 1),  # inner panels beyond any array size
+    (3, 3, "1e9,0,0", 1),  # about 1.6e10 inner nodes in the first shell
+], ids=["k2-1e160", "k2-1e308", "k3-1e300", "k3-1e9"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings at 1e308
+def test_huge_surface_frequencies(capsys, monkeypatch, n, k, eta, code):
+    """Finite numbers or one error line; at k = 3 the refusal comes before any shell is evaluated."""
+    from wglab import oscint
+
+    if k == 3:
+        monkeypatch.setattr(oscint, "_shell_sums", lambda *args: pytest.fail("evaluated a shell"))
+    assert main(["surface", "--n", str(n), "--k", str(k), "--eta", eta]) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    else:
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        scalars = json.loads(captured.out, parse_constant=refuse)["scalars"]
+        assert all(math.isfinite(v) for v in scalars.values())
+
+
 @pytest.fixture
 def no_sieve(monkeypatch):
     """Make the library's only sieve fail, for requests that must be refused before it."""
@@ -584,7 +610,7 @@ CONFIG_PINS = [
     (["fourier", "--k", "2", "--n", "5", "--lambda", "77", "--xi", "0,0,0,0,0"],
      {**_INSTANCE, "xi": "0,0,0,0,0"}),
     (["gsum", "--a", "1", "--q", "2", "--b", "1", "--r", "4", "--k", "2"],
-     {"a": 1, "q": 2, "b": 1, "r": 4, "k": 2, "via_lemma": False}),
+     {"a": 1, "q": 2, "b": 1, "r": 4, "k": 2}),
     (["singular", "--k", "2", "--n", "5", "--lambda", "77"],
      {**_INSTANCE, "qsing": 100, "avec": None, "qvec": None}),
     (["surface", "--n", "2", "--k", "2", "--eta", "0,0"],

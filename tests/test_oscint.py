@@ -132,7 +132,7 @@ def test_quadratic_route_matches_mpmath():
     # small |theta| against the panel integrator, a reference outside mpmath
     small = np.array([1e-4, -1e-4, 0.05, -0.2, 0.5, -0.74, 0.749])
     for eta in (0.0, 2.5, -0.3, -20.0, 61.0):
-        panel = _i1_adaptive(small, eta, 2, 4)
+        panel = _i1_adaptive(small, eta, 2)
         assert np.abs(_i1_quadratic(small, eta) - panel).max() < 1e-12
 
 
@@ -194,7 +194,7 @@ def test_series_route_matches_adaptive():
     thetas = np.array([9.0, 25.0, 120.0, -18.0, -300.0])
     for k in (3, 4):
         closed = _i1_series_eta0(thetas, k)
-        panel = _i1_adaptive(thetas, 0.0, k, 4)
+        panel = _i1_adaptive(thetas, 0.0, k)
         assert np.abs(closed - panel).max() < 1e-11
 
 
@@ -270,18 +270,19 @@ _MIXED_BEFORE = (-0.003540032199701912 + 0.001149899368625442j, 42.9496729600000
 @pytest.mark.parametrize("eta, abs_tol, per_shell, before, pinned", [
     # before: (value, theta_max, tail_warning) on the 0.5 / (lam0 + n + 0.5) wide panels
     # that preceded the band-sized ones, which must reproduce them to roundoff;
-    # pinned: repr of the result on band-sized panels (2 / max(lam0, n - lam0) wide),
-    # with the numpy Faddeeva function
+    # pinned: repr of the result of one pass per shell on band-sized panels
+    # (2 / max(lam0, n - lam0) wide), with the numpy Faddeeva function and the
+    # a-priori quad_error
     ((0.0,) * 5, 0.0, 1, _ZEROS_BEFORE,
-     "SurfaceResult(value=(0.4112335287436101+0j), quad_error=2.264364614692746e-16, "
-     "tail_estimate=9.691752218760338e-09, tail_warning=False, theta_max=109.95116277760006)"),
+     "SurfaceResult(value=(0.4112335287436101+0j), quad_error=8.42906303482906e-15, "
+     "tail_estimate=9.69175221878197e-09, tail_warning=False, theta_max=109.95116277760006)"),
     ((1.5, -2.0, 1.5, 0.0, 0.0), 1e-5, 3, _MIXED_BEFORE,
-     "SurfaceResult(value=(-0.0035400321997019024+0.001149899368625436j), "
-     "quad_error=4.200999339070297e-18, tail_estimate=1.1665482369414301e-06, "
+     "SurfaceResult(value=(-0.003540032199701902+0.0011498993686254353j), "
+     "quad_error=3.371695370235167e-16, tail_estimate=1.1665482369413929e-06, "
      "tail_warning=True, theta_max=42.94967296000002)"),
     ((1.5, -2.0, 1.5, -0.0, 0.0), 1e-5, 3, _MIXED_BEFORE,
-     "SurfaceResult(value=(-0.0035400321997019024+0.001149899368625436j), "
-     "quad_error=4.200999339070297e-18, tail_estimate=1.1665482369414301e-06, "
+     "SurfaceResult(value=(-0.003540032199701902+0.0011498993686254353j), "
+     "quad_error=3.371695370235167e-16, tail_estimate=1.1665482369413929e-06, "
      "tail_warning=True, theta_max=42.94967296000002)"),
 ], ids=["zeros", "mixed", "mixed-negative-zero"])
 def test_one_inner_integral_per_distinct_frequency(monkeypatch, eta, abs_tol, per_shell, before, pinned):
@@ -312,6 +313,62 @@ def test_one_inner_integral_per_distinct_frequency(monkeypatch, eta, abs_tol, pe
     assert res.tail_warning == warning
 
 
+def _shell_edges(radius):
+    """The shell edges of surface_transform up to |theta| = radius."""
+    edges = [0.0, 1.0]
+    while edges[-1] * 1.6 <= radius * (1 + 1e-12):
+        edges.append(edges[-1] * 1.6)
+    return edges
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_one_node_set_per_sign(monkeypatch, k):
+    """Each shell hands the inner integrals one node set per sign, and nothing else.
+
+    The thetas are the 16-point nodes of the shell's panels followed by their
+    negatives.  At k = 2 the Faddeeva function sees two arguments per distinct
+    frequency per node; at k >= 3 each distinct frequency takes one call.
+    """
+    query = SurfaceQuery(5, k, 1.0, (1.5, -2.0, 1.5, 0.0, 0.0))
+    width = 2.0 / max(query.lam0, query.n - query.lam0)
+    shells, calls, arguments = [], [], []
+    shell_sums, quadratic, batch, faddeeva = (
+        oscint._shell_sums, oscint._i1_quadratic, oscint._i1_batch, oscint._faddeeva)
+
+    def counted_shell(lo, hi, *args):
+        first, before = len(calls), sum(arguments)
+        out = shell_sums(lo, hi, *args)
+        shells.append((lo, hi, calls[first:], sum(arguments) - before))
+        return out
+
+    def counted_quadratic(thetas, eta):
+        calls.append(np.array(thetas))
+        return quadratic(thetas, eta)
+
+    def counted_batch(thetas, eta, k):
+        calls.append(np.array(thetas))
+        return batch(thetas, eta, k)
+
+    def counted_faddeeva(z):
+        arguments.append(np.size(z))
+        return faddeeva(z)
+
+    monkeypatch.setattr(oscint, "_shell_sums", counted_shell)
+    monkeypatch.setattr(oscint, "_i1_quadratic", counted_quadratic)
+    monkeypatch.setattr(oscint, "_i1_batch", counted_batch)
+    monkeypatch.setattr(oscint, "_faddeeva", counted_faddeeva)
+    monkeypatch.setattr(oscint, "_WORK_BUDGET", 1_000_000)  # a few shells suffice at k = 3
+    surface_transform(query, abs_tol=1e-5)
+    distinct = 3
+    assert len(shells) >= 4
+    for lo, hi, shell_calls, shell_arguments in shells:
+        u, _ = oscint._gl_panels(lo, hi, max(2, int(np.ceil((hi - lo) / width))))
+        assert len(shell_calls) == (1 if k == 2 else distinct)
+        for thetas in shell_calls:
+            assert np.array_equal(thetas, np.concatenate([u, -u]))
+        assert shell_arguments == (2 * distinct * 2 * len(u) if k == 2 else 0)
+
+
 def _band_rule_queries():
     rng = np.random.default_rng(19)
     queries = []
@@ -319,29 +376,66 @@ def _band_rule_queries():
         n = int(rng.integers(3, 7))
         eta = tuple(float(v) for v in rng.uniform(-40.0, 40.0, n))
         queries.append((SurfaceQuery(n, 2, float(rng.uniform(0.0, n)), eta), 110.0))
-    for n in (3, 4):  # k = 3 pays for its inner panels, so fewer shells and smaller frequencies
+    # k >= 3 pays for its inner panels, so fewer shells and smaller frequencies
+    for k, n, radius in ((3, 3, 27.0), (3, 4, 27.0), (4, 4, 17.0), (4, 5, 17.0), (5, 5, 11.0)):
         eta = tuple(float(v) for v in rng.uniform(-10.0, 10.0, n))
-        queries.append((SurfaceQuery(n, 3, float(rng.uniform(0.0, n)), eta), 27.0))
+        queries.append((SurfaceQuery(n, k, float(rng.uniform(0.0, n)), eta), radius))
     return queries
 
 
-def test_band_sized_panels_are_converged():
+def _refined_shell_sums(monkeypatch, lo, hi, query, width):
+    """_shell_sums on 4x narrower outer panels and, at k >= 3, 2x narrower inner panels."""
+    inner_panels = oscint._inner_panels
+    with monkeypatch.context() as patch:
+        patch.setattr(oscint, "_inner_panels", lambda *args: 2 * inner_panels(*args))
+        return oscint._shell_sums(lo, hi, query, width / 4, [])
+
+
+def test_band_sized_panels_are_converged(monkeypatch):
     """Two cycles per 16-point panel sit at roundoff: 4x narrower panels agree to 1e-14.
 
-    The coarse panels of the coarse/fine pair are checked, on both signs of
-    every shell out to |theta| = 110 at k = 2 (the farthest any `wg approx`
-    transform reaches) and 27 at k = 3.
+    Both signs of every shell's single pass are checked against 4x narrower
+    outer panels (and at k >= 3 2x narrower inner panels), out to
+    |theta| = 110 at k = 2 (the farthest any `wg approx` transform reaches)
+    and 27, 17 and 11 at k = 3, 4 and 5.
     """
-    edges = [0.0, 1.0]
-    while edges[-1] * 1.6 < 110.0:
-        edges.append(edges[-1] * 1.6)
     for query, radius in _band_rule_queries():
         width = 2.0 / max(query.lam0, query.n - query.lam0)
+        edges = _shell_edges(radius)
         for lo, hi in zip(edges, edges[1:]):
-            if hi > radius:
-                break
-            sums = oscint._shell_sums(lo, hi, query, width, [])
-            narrow = oscint._shell_sums(lo, hi, query, width / 2, [])  # fine set: width / 4 panels
-            for sign in (1, -1):
-                value, fine = sums[sign, 1], narrow[sign, 2]
-                assert abs(value - fine) <= 1e-14 * (1.0 + abs(value)), (query, lo, hi, sign)
+            plus, minus, _ = oscint._shell_sums(lo, hi, query, width, [])
+            fine = _refined_shell_sums(monkeypatch, lo, hi, query, width)
+            for value, ref in zip((plus, minus), fine):
+                assert abs(value - ref) <= 1e-14 * (1.0 + abs(value)), (query, lo, hi)
+
+
+def _coverage_queries():
+    rng = np.random.default_rng(21)
+    queries = []
+    for k in range(2, 6):
+        for n in range(k, 7):
+            bound = 40.0 if k == 2 else 10.0
+            eta = tuple(float(v) for v in rng.uniform(-bound, bound, n))
+            queries.append(SurfaceQuery(n, k, float(rng.uniform(0.0, n)), eta))
+    return queries
+
+
+def test_quad_error_covers_refined_shells(monkeypatch):
+    """The a-priori quad_error covers the distance to the same shells on refined panels.
+
+    The reference sums the transform's shells again on 4x narrower outer and
+    2x narrower inner panels, with the same geometric continuation.  A
+    smaller work budget keeps the k >= 3 transforms short; the figure must
+    hold wherever the shells end.
+    """
+    monkeypatch.setattr(oscint, "_WORK_BUDGET", 100_000)
+    for query in _coverage_queries():
+        res = surface_transform(query)
+        width = 2.0 / max(query.lam0, query.n - query.lam0)
+        edges = _shell_edges(res.theta_max)
+        assert edges[-1] == res.theta_max
+        shells = [sum(_refined_shell_sums(monkeypatch, lo, hi, query, width)[:2])
+                  for lo, hi in zip(edges, edges[1:])]
+        ref = sum(shells) + oscint._geometric_correction(shells)
+        assert 0 < res.quad_error < 1e-9
+        assert abs(res.value - ref) <= res.quad_error, (query, res, ref)

@@ -87,6 +87,50 @@ def test_gamma_heuristic_recovers_known_progression():
         assert heuristic == (lam % 24 == 5)
 
 
+def _unit_sum_masks_by_rolls(k, m, n_max):
+    """Oracle: residues mod m reachable as sums of n unit k-th powers, for n = 1..n_max.
+
+    One np.roll per k-th power per step, the construction the FFT steps replaced.
+    """
+    from math import gcd
+
+    kth_powers = sorted({pow(x, k, m) for x in range(m) if gcd(x, m) == 1})
+    reach = np.zeros(m, dtype=bool)
+    reach[0] = True
+    masks = []
+    for _ in range(n_max):
+        nxt = np.zeros(m, dtype=bool)
+        for shift in kth_powers:
+            nxt[np.roll(reach, shift)] = True
+        reach = nxt
+        masks.append(reach)
+    return masks
+
+
+def test_unit_sum_masks_match_the_roll_construction():
+    for k in range(2, 41, 2):
+        moduli = [m for m, _ in _local_unit_sum_masks(k, 2)]
+        oracle = {m: _unit_sum_masks_by_rolls(k, m, 8) for m in moduli}
+        for n in range(2, 9):
+            masks = _local_unit_sum_masks(k, n)
+            assert [m for m, _ in masks] == moduli
+            for m, mask in masks:
+                assert np.array_equal(mask, oracle[m][n - 1]), (k, n, m)
+
+
+def test_unit_sum_masks_at_large_even_k():
+    """k = 150: the FFT steps take a fraction of a second where the rolls took about 14 s.
+
+    The smallest and largest moduli are checked against the roll construction.
+    """
+    masks = _local_unit_sum_masks(150, 7)
+    assert len(masks) == len(sieve_primes(151))
+    for m, mask in (masks[0], masks[1], masks[-1]):
+        assert np.array_equal(mask, _unit_sum_masks_by_rolls(150, m, 7)[-1]), m
+    assert (masks[0][0], masks[-1][0]) == (16, 151**2)  # v_2(150) = 1; 151 does not divide 150
+    assert not gamma_membership(ProblemInstance(150, 7, 1)).member  # 1 is not 7 or 15 mod 16
+
+
 def test_gamma_mask_matches_scalar():
     lams = np.arange(1, 500)
     mask = gamma_member_mask(2, 5, lams)
