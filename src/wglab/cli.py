@@ -192,10 +192,8 @@ def _cmd_gsum(args):
 def _cmd_singular(args):
     avec = _parse_list(args.avec, int) if args.avec else [0] * args.n
     qvec = _parse_list(args.qvec, int) if args.qvec else [1] * args.n
-    [res] = singular_series(args.k, args.n, [args.lam], avec, qvec, args.qsing)
-    tail = res.tail_estimate if np.isfinite(res.tail_estimate) else None  # JSON has no Infinity
-    scalars = {**_complex_scalars("series", res.value), "tail_estimate": tail}
-    return scalars, (["q", "unused"], [])
+    [series] = singular_series(args.k, args.n, [args.lam], avec, qvec, args.qsing)
+    return _complex_scalars("series", series), (["field", "value"], [])
 
 
 def _cmd_surface(args):
@@ -404,7 +402,7 @@ _COMMANDS = {
         _arg("--b", type=int, required=True), _arg("--r", type=int, required=True),
         _K,
     )),
-    "singular": (_cmd_singular, "truncated singular series at a center; tail_estimate is null where the fitted tail diverges (n <= 4)", _INSTANCE + (
+    "singular": (_cmd_singular, "singular series at a center, truncated: the sum over q <= --qsing, with no error figure", _INSTANCE + (
         _QSING,
         _arg("--avec", default=None, help="comma-separated numerators"),
         _arg("--qvec", default=None, help="comma-separated denominators"),

@@ -7,9 +7,11 @@ import numpy as np
 
 from .errors import InputError, NumericError, UndefinedMeasureError
 from .surface import (
+    ProblemInstance,
     SurfaceMeasure,
     admissible_mask,
     available_memory,
+    enumerate_prime_points,
     max_weight_array,
     rep_count_array,
     rep_weight_array,
@@ -169,7 +171,7 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
     an additive total over lam.  The fitted slope is the log-log
     regression of the norm against the cutoff; growth is expected for
     p < n/(n - k), the exponent below which the delta example alone forces
-    it, while p = inf just reports the largest single weight.
+    it, while p = inf just reports the largest single weight over R(lam).
     If no admissible lam up to the largest cutoff has a prime solution,
     there is no operator to measure: UndefinedMeasureError.
 
@@ -179,6 +181,10 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
     _ROUNDOFF_SHARE of norm^p is refused with NumericError.  At (k, n) =
     (2, 5), a single cutoff 2^8, 2^10, 2^12, 2^14, 2^16 or 2^18 accepts p
     up to about 9.3, 5.3, 3.9, 2.9, 2.3 or 1.9; p = inf is always accepted.
+    At p = inf the FFT ratios only pick each cutoff's argmax lam, whose
+    ratio is then taken from ``enumerate_prime_points``, once per distinct
+    lam; a lam whose true ratio beats it by less than the FFT roundoff can
+    still be missed.
     """
     if k < 2 or n < 2:
         raise InputError("need k >= 2, n >= 2")
@@ -193,8 +199,12 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
         ratio = np.zeros(lam_max + 1)
         maxw = max_weight_array(k, n, lam_max)
         ratio[gate] = maxw[gate] / weight_tot[gate]
-        running = np.maximum.accumulate(ratio)
-        norms = [float(running[L]) for L in lam_values]
+        argmax = [int(np.argmax(ratio[: L + 1])) for L in lam_values]
+        exact = {0: 0.0}  # argmax 0: no gated lam up to the cutoff
+        for lam in set(argmax) - {0}:
+            measure = enumerate_prime_points(ProblemInstance(k, n, lam))
+            exact[lam] = float(measure.weights.max() / measure.R)
+        norms = [exact[lam] for lam in argmax]
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow at large p is refused below
             powsum = rep_weight_array(k, n, lam_max, power=p)

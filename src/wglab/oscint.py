@@ -81,7 +81,9 @@ class SurfaceQuery:
 
     Requires n >= k; the theta-tail is absolutely integrable only for
     n > k, and on the boundary n = k the value is recovered through the
-    oscillatory cancellation of the e(-lam0 theta) factor.
+    oscillatory cancellation of the e(-lam0 theta) factor.  |eta_j| >= 2^52
+    is refused: a double that size has no bits below the units place, so
+    no digit of e(eta_j x) near x = 1 survives.
     """
 
     n: int
@@ -98,6 +100,8 @@ class SurfaceQuery:
             raise InputError("level lam0 must lie in (0, n)")
         if len(self.eta) != self.n:
             raise InputError("frequency vector must have length n")
+        if not all(abs(e) < 2.0**52 for e in self.eta):  # also refuses NaN
+            raise InputError(f"each |eta_j| must be below 2^52 = 4503599627370496, got {self.eta}")
 
 
 class OscResult(NamedTuple):

@@ -294,28 +294,19 @@ class ApproxParams:
         return log(self.N) ** self.C
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    value: complex
-    tail_estimate: float
+_PHASE_BLOCK = 1_000_000  # entries of the phase block of one chunk of lams
 
 
-_TAIL_EPS = 0.25
-
-_PHASE_BLOCK = 1_000_000  # entries of the phase block and of the held terms of one chunk of lams
-
-
-def singular_series(k: int, n: int, lams, avec, qvec, Qsing: int) -> list[SeriesResult]:
+def singular_series(k: int, n: int, lams, avec, qvec, Qsing: int) -> list[complex]:
     """Truncated modulus sum of the arithmetic factor at center avec/qvec, for every lam in ``lams``.
 
     Sums, over q <= Qsing and units a mod q, the phase e(-lam a / q) times
     the product over coordinates of g(a, q; a_i, q_i).  Only the phases
     depend on lam, so one pass over q serves a whole chunk of up to
     _PHASE_BLOCK // Qsing lams: each q reads its units and builds the
-    g-product once, and one phase block gives the terms of every lam in the
-    chunk.  Each lam's terms are then added in q order.  The tail estimate
-    follows the q^(1 - n/2 + eps) envelope of the terms, with the constant
-    fitted on the computed range (finite for n >= 5).
+    g-product once, and one phase block gives the term of every lam in the
+    chunk, added to that lam's total in q order.  The sums carry no error
+    figure: no bound on the terms beyond Qsing is computed.
     """
     lams = [int(v) for v in lams]
     avec = [int(v) for v in avec]
@@ -330,16 +321,11 @@ def singular_series(k: int, n: int, lams, avec, qvec, Qsing: int) -> list[Series
     if Qsing < 1:
         raise InputError("Qsing must be >= 1")
     (first, first_mult), *rest = Counter((ai % qi, qi) for ai, qi in zip(avec, qvec)).items()
-    exponent = 1.0 - n / 2.0 + _TAIL_EPS
-    fit_lo = max(2, Qsing // 2)
-    envelope = (np.arange(fit_lo, Qsing + 1, dtype=float) ** exponent)[:, None]
-    decay = n / 2.0 - 2.0 - _TAIL_EPS
-    growth = Qsing ** (2.0 - n / 2.0 + _TAIL_EPS)
-    chunk = max(1, _PHASE_BLOCK // Qsing)  # per lam: at most Qsing units at each q, Qsing + 1 held terms
+    chunk = max(1, _PHASE_BLOCK // Qsing)  # per lam: at most Qsing units at each q
     results = []
     for lo in range(0, len(lams), chunk):
         block = lams[lo : lo + chunk]
-        terms = np.zeros((Qsing + 1, len(block)), dtype=complex)  # row q: the terms at q; row 0 stays 0
+        totals = np.zeros(len(block), dtype=complex)
         neg_lams = -np.array(block, dtype=np.int64)[:, None]
         for q in range(1, Qsing + 1):
             us = units(q)
@@ -349,15 +335,8 @@ def singular_series(k: int, n: int, lams, avec, qvec, Qsing: int) -> list[Series
                 prod *= g if mult == 1 else g**mult  # g**1 would only copy g
             idx = (neg_lams % q) * us
             idx %= q
-            np.add.reduce(_roots(q).take(idx) * prod, axis=1, out=terms[q])
-        # hypot rounds as abs() of a Python complex does; np.abs may not
-        fit = terms[fit_lo:]
-        c_fit = (np.hypot(fit.real, fit.imag) / envelope).max(axis=0, initial=0.0)
-        totals = np.add.accumulate(terms, axis=0, out=terms)[-1]  # 0 + term(1) + term(2) + ..., in q order
-        results += [
-            SeriesResult(value=complex(t), tail_estimate=float(c) * growth / decay if decay > 0 else float("inf"))
-            for t, c in zip(totals, c_fit)
-        ]
+            totals += np.add.reduce(_roots(q).take(idx) * prod, axis=1)
+        results += [complex(t) for t in totals]
     return results
 
 
@@ -400,7 +379,7 @@ def main_term(measure: SurfaceMeasure, params: ApproxParams, xi) -> complex:
         # lam0 is 1 up to rounding: 1 + 2.2e-16 at lam = 4099, which the closed
         # form, defined for lam0 <= 1, would refuse.
         ds = singular_integral(n, k, min(lam0, 1.0))
-    return (N ** (n - k) / measure.R) * series.value * psival * ds
+    return (N ** (n - k) / measure.R) * series * psival * ds
 
 
 def error_term(measure: SurfaceMeasure, params: ApproxParams, xi) -> complex:
@@ -420,8 +399,7 @@ def hua_series_ratios(k: int, n: int, lams, Rs, Qsing: int = 100) -> list[tuple[
         raise UndefinedMeasureError("measure has zero mass")
     mu_inf = singular_integral(n, k, 1.0)
     out = []
-    for lam, R, series in zip(lams, Rs, singular_series(k, n, lams, [0] * n, [1] * n, Qsing)):
-        sval = series.value
+    for lam, R, sval in zip(lams, Rs, singular_series(k, n, lams, [0] * n, [1] * n, Qsing)):
         if abs(sval.imag) > 1e-8 * (1.0 + abs(sval)):
             raise NumericError(f"singular series came out non-real at lam = {lam}: {sval!r}")
         out.append((sval, R / (sval.real * mu_inf * lam ** (n / k - 1.0))))
@@ -456,6 +434,11 @@ def _fft_size(length: int) -> int:
     return best
 
 
+def _range_length(n: int, lam_max: int) -> int:
+    """Points that hold the product of ``_value_array``'s ceil(n/2) blocks on [0, lam_max] without wrap-around."""
+    return max(1, ceil(n / 2) * lam_max + 1)
+
+
 # cgroup v2, then v1; read only, never written
 _CGROUP_LIMIT_FILES = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
@@ -485,12 +468,11 @@ def available_memory() -> int:
 def check_array_memory(n: int, lam_max: int) -> None:
     """MemoryError if the transform of ``_value_array`` on [0, lam_max] exceeds ``available_memory()``.
 
-    That transform alone holds 16 bytes per point of ``_fft_size(ceil(n/2) *
-    lam_max + 1)``.
+    That transform alone holds 16 bytes per point of ``_fft_size(_range_length(n, lam_max))``.
     """
-    length = max(1, ceil(n / 2) * lam_max + 1)
+    length = _range_length(n, lam_max)
     memory = available_memory()
-    # the first test keeps lengths beyond any transform away from _fft_size
+    # the first test keeps lengths beyond any transform away from _fft_size, whose loops grow with the digits
     if 16 * length > memory or 16 * _fft_size(length) > memory:
         raise MemoryError(f"arrays on [0, {lam_max}] for n={n} need a transform above {memory} bytes of memory")
 
@@ -526,11 +508,9 @@ def _value_array(powers: np.ndarray, lam_max: int, fills) -> np.ndarray:
     Equal fills are paired with each other first, the leftovers with one
     another, and an odd one stays alone, giving ceil(n/2) blocks.  Each
     distinct block is built exactly (``_pair_block``) and transformed once at
-    length ``_fft_size(ceil(n/2) * lam_max + 1)``, which holds the product of
-    ceil(n/2) arrays on [0, lam_max] without wrap-around; a repeated block
+    length ``_fft_size(_range_length(n, lam_max))``; a repeated block
     multiplies in as often as it repeats.  One inverse transform follows.
     """
-    n = len(fills)
     groups = {}
     for fill in fills:
         groups.setdefault(fill.tobytes(), []).append(fill)
@@ -545,7 +525,7 @@ def _value_array(powers: np.ndarray, lam_max: int, fills) -> np.ndarray:
         blocks.append(((loose[-1],), 1))
     real = not any(np.iscomplexobj(f) for f in fills)
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    size = _fft_size(ceil(n / 2) * lam_max + 1)
+    size = _fft_size(_range_length(len(fills), lam_max))
     spectrum = 1.0
     for pair, mult in blocks:
         spec = fft(_pair_block(powers, pair, lam_max), size)
@@ -594,7 +574,7 @@ def rep_count_array(k: int, n: int, lam_max: int) -> np.ndarray:
     """
     primes = _range_primes(k, n, lam_max)
     P = len(primes)
-    bound = _count_rounding_bound(n, _fft_size(ceil(n / 2) * lam_max + 1), P)
+    bound = _count_rounding_bound(n, _fft_size(_range_length(n, lam_max)), P)
     if bound > 0.25:
         raise NumericError(
             f"float counts for n={n} over {P} primes may round wrongly (error bound {bound:.3g} > 0.25)"
@@ -623,7 +603,7 @@ def rep_weight_rounding(k: int, n: int, lam_max: int, power: float) -> float:
     above the largest error measured against exact sums.
     """
     primes = _primes_to_root(k, lam_max)
-    size = _fft_size(ceil(n / 2) * lam_max + 1)
+    size = _fft_size(_range_length(n, lam_max))
     f = np.log(primes.astype(np.float64)) ** power
     return float(2.0**-53 * log(size, 2) * np.sqrt((f * f).sum()) * f.sum() ** (n - 1) / np.sqrt(size))
 

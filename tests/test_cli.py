@@ -257,19 +257,17 @@ def test_numeric_error_exit_code(capsys):
     assert code == 1
 
 
-def test_singular_prints_strict_json_when_the_tail_diverges(capsys):
+def test_singular_prints_the_truncated_sum_as_strict_json(capsys):
     def refuse(name):
         raise ValueError(f"non-JSON constant {name}")
 
-    code, out = run(capsys, "singular", "--k", "2", "--n", "4", "--lambda", "500")
-    assert code == 0
-    doc = json.loads(out, parse_constant=refuse)
-    assert doc["scalars"]["tail_estimate"] is None
-    assert doc["scalars"]["series_re"] > 0
-    code, out = run(capsys, "singular", "--k", "2", "--n", "5", "--lambda", "77")
-    assert json.loads(out, parse_constant=refuse)["scalars"]["tail_estimate"] > 0
-    code, out = run(capsys, "singular", "--k", "2", "--n", "4", "--lambda", "500", "--format", "csv")
-    assert "# scalar,tail_estimate,\n" in out
+    for n, lam in ((4, "500"), (5, "77")):  # n = 4: the series need not converge, the sum is still finite
+        code, out = run(capsys, "singular", "--k", "2", "--n", str(n), "--lambda", lam)
+        assert code == 0
+        doc = json.loads(out, parse_constant=refuse)
+        assert set(doc["scalars"]) == {"series_re", "series_im", "series_abs"}
+        assert math.isfinite(doc["scalars"]["series_re"]) and doc["scalars"]["series_re"] > 0
+        assert doc["table"] == {"columns": ["field", "value"], "rows": []}
 
 
 def test_singular_with_vector_center(capsys):
@@ -475,30 +473,24 @@ def test_nothing_to_compute_is_an_error(capsys, argv):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("n, k, eta, code", [
-    (2, 2, "1e160,0", 0),  # the Faddeeva function's d * d overflowed to NaN above |z| ~ 1e154
-    (2, 2, "1e308,0", 1),  # the Faddeeva arguments themselves overflow
-    (3, 3, "1e300,0,0", 1),  # inner panels beyond any array size
-    (3, 3, "1e9,0,0", 1),  # about 1.6e10 inner nodes in the first shell
+@pytest.mark.parametrize("n, k, eta, code, prefix", [
+    (2, 2, "1e160,0", 2, "usage error: "),  # |eta_j| >= 2^52: no digit of e(eta_j x) survives
+    (2, 2, "1e308,0", 2, "usage error: "),
+    (3, 3, "1e300,0,0", 2, "usage error: "),
+    (3, 3, "1e9,0,0", 1, "error: "),  # below 2^52, but about 1.6e10 inner nodes in the first shell
 ], ids=["k2-1e160", "k2-1e308", "k3-1e300", "k3-1e9"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings at 1e308
-def test_huge_surface_frequencies(capsys, monkeypatch, n, k, eta, code):
-    """Finite numbers or one error line; at k = 3 the refusal comes before any shell is evaluated."""
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_surface_frequencies(capsys, monkeypatch, n, k, eta, code, prefix):
+    """One error line, before any shell is evaluated and without numpy warnings."""
     from wglab import oscint
 
-    if k == 3:
-        monkeypatch.setattr(oscint, "_shell_sums", lambda *args: pytest.fail("evaluated a shell"))
+    monkeypatch.setattr(oscint, "_shell_sums", lambda *args: pytest.fail("evaluated a shell"))
     assert main(["surface", "--n", str(n), "--k", str(k), "--eta", eta]) == code
     captured = capsys.readouterr()
-    if code == 1:
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    else:
-        def refuse(name):
-            raise ValueError(f"non-JSON constant {name}")
-
-        scalars = json.loads(captured.out, parse_constant=refuse)["scalars"]
-        assert all(math.isfinite(v) for v in scalars.values())
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    if code == 2:
+        assert "2^52" in captured.err
 
 
 @pytest.fixture

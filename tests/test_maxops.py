@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
-from wglab import surface
+from wglab import maxops, surface
 from wglab.errors import InputError, NumericError, UndefinedMeasureError
 from wglab.maxops import (
     GridFunction,
@@ -303,6 +303,30 @@ def test_delta_probe_monotone_norms():
 def test_delta_probe_sup_norm_bounded():
     report = delta_scaling_probe(2, 5, np.inf, [4096])
     assert 0 < report.norms[0] <= 1.0
+
+
+@pytest.mark.parametrize("k, n, cutoffs", [
+    (2, 5, [64, 256, 1024, 4096]),  # lam = 149 attains 0.2 from 256 on; the FFT ratio read 0.19999999843601
+    (2, 4, [64, 256, 1024]),
+    (3, 4, [200, 2000]),
+])
+def test_delta_probe_sup_norm_is_exact(monkeypatch, k, n, cutoffs):
+    """At p = inf every norm equals the largest enumerated weight share over the gated lam <= L."""
+    gate = admissible_mask(k, n, rep_count_array(k, n, cutoffs[-1]))
+    shares = {}
+    for lam in np.flatnonzero(gate):
+        m = enumerate_prime_points(ProblemInstance(k, n, int(lam)))
+        shares[int(lam)] = float(m.weights.max() / m.R)
+    want = [max([v for lam, v in shares.items() if lam <= L], default=0.0) for L in cutoffs]
+    enumerated = []
+
+    def counted(instance):
+        enumerated.append(instance.lam)
+        return enumerate_prime_points(instance)
+
+    monkeypatch.setattr(maxops, "enumerate_prime_points", counted)
+    assert list(delta_scaling_probe(k, n, np.inf, cutoffs).norms) == want
+    assert len(enumerated) == len(set(enumerated)) <= len(cutoffs)  # once per distinct argmax lam
 
 
 def test_delta_probe_without_admissible_lam_is_undefined():

@@ -230,6 +230,10 @@ def test_surface_query_validation():
         SurfaceQuery(3, 2, 4.0, (0.0,) * 3)  # level outside (0, n)
     with pytest.raises(InputError):
         SurfaceQuery(3, 2, 1.0, (0.0,) * 2)  # frequency length
+    for bad in (2.0**52, -(2.0**52), float("nan"), float("inf")):  # no digit of e(eta x) survives
+        with pytest.raises(InputError, match="2\\^52"):
+            SurfaceQuery(2, 2, 1.0, (0.0, bad))
+    SurfaceQuery(2, 2, 1.0, (0.0, 2.0**52 - 1))
 
 
 def test_singular_integral_known_values():

@@ -317,8 +317,8 @@ def test_params_defaults_and_validation():
 
 def test_singular_series_truncations():
     inst = ProblemInstance(2, 5, 77)
-    assert singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, 1)[0].value == pytest.approx(1.0)
-    assert singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, 2)[0].value == pytest.approx(
+    assert singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, 1)[0] == pytest.approx(1.0)
+    assert singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, 2)[0] == pytest.approx(
         2.0, abs=1e-12
     )
 
@@ -327,7 +327,7 @@ def test_singular_series_first_term_general_center():
     # the q = 1 term is the product of the single-modulus averages
     inst = ProblemInstance(2, 5, 77)
     avec, qvec = [1, 2, 1, 0, 1], [3, 5, 4, 1, 2]
-    got = singular_series(inst.k, inst.n, [inst.lam], avec, qvec, 1)[0].value
+    got = singular_series(inst.k, inst.n, [inst.lam], avec, qvec, 1)[0]
     want = np.prod(
         [complex(g_sum(GSumQuery(0, 1, a, q, 2))) for a, q in zip(avec, qvec)]
     )
@@ -342,18 +342,9 @@ def test_singular_series_validation():
         singular_series(inst.k, inst.n, [inst.lam], [0] * 4, [1] * 4, 10)
 
 
-def test_singular_series_partial_sums_cauchy():
-    for lam in (10061, 24029, 50021):
-        inst = ProblemInstance(2, 5, lam)
-        s1 = singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, 80)[0]
-        s2 = singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, 160)[0]
-        assert abs(s2.value - s1.value) <= s1.tail_estimate
-
-
 def _series_one_lam(k, n, lam, avec, qvec, Qsing):
-    """The per-lam loop the batched series replaced: (value, tail_estimate) for one lam."""
+    """The per-lam loop the batched series replaced: the truncated sum for one lam."""
     pairs = Counter((ai % qi, qi) for ai, qi in zip(avec, qvec))
-    term_mags = np.empty(Qsing)
     total = 0j
     for q in range(1, Qsing + 1):
         us = units(q)
@@ -361,15 +352,8 @@ def _series_one_lam(k, n, lam, avec, qvec, Qsing):
         prod = np.ones(len(us), dtype=complex)
         for (ai, qi), mult in pairs.items():
             prod *= _g_over_a(q, ai, qi, k) ** mult
-        term = complex((phases * prod).sum())
-        term_mags[q - 1] = abs(term)
-        total += term
-    exponent = 1.0 - n / 2.0 + 0.25
-    fit_lo = max(2, Qsing // 2)
-    qs = np.arange(fit_lo, Qsing + 1, dtype=float)
-    c_fit = float((term_mags[fit_lo - 1 :] / qs**exponent).max()) if Qsing >= 2 else 0.0
-    decay = n / 2.0 - 2.25
-    return total, c_fit * Qsing ** (2.25 - n / 2.0) / decay if decay > 0 else float("inf")
+        total += complex((phases * prod).sum())
+    return total
 
 
 _CENTERS = {
@@ -387,11 +371,10 @@ def test_singular_series_batch_is_bit_identical_to_the_per_lam_loop(k, center, Q
     lams = [1, 5, 77, 149, 150, 151, 1000, 10061, 99989]  # below, at and above Qsing
     got = singular_series(k, 5, lams, avec, qvec, Qsing)
     assert len(got) == len(lams)
-    for lam, res in zip(lams, got):
-        assert (res.value, res.tail_estimate) == _series_one_lam(k, 5, lam, avec, qvec, Qsing)
-    # n = 4: the same terms, and a tail that diverges
-    for lam, res in zip(lams, singular_series(k, 4, lams, avec[:4], qvec[:4], Qsing)):
-        assert (res.value, res.tail_estimate) == _series_one_lam(k, 4, lam, avec[:4], qvec[:4], Qsing)
+    for lam, value in zip(lams, got):
+        assert value == _series_one_lam(k, 5, lam, avec, qvec, Qsing)
+    for lam, value in zip(lams, singular_series(k, 4, lams, avec[:4], qvec[:4], Qsing)):
+        assert value == _series_one_lam(k, 4, lam, avec[:4], qvec[:4], Qsing)
 
 
 def test_singular_series_reads_units_and_g_products_once_per_q(monkeypatch):
@@ -446,7 +429,7 @@ def test_main_term_zero_frequency_structure(desk_instance):
     inst, measure = desk_instance
     params = ApproxParams.for_instance(inst)
     got = main_term(measure, params, np.zeros(5))
-    series = singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, params.Qsing)[0].value
+    series = singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, params.Qsing)[0]
     lam0 = inst.lam / params.N**2
     assert lam0 == pytest.approx(1.0, abs=1e-15)
     ds = singular_integral(5, 2, min(lam0, 1.0))
@@ -463,7 +446,7 @@ def test_main_term_zero_frequency_above_level_one_by_rounding():
     measure = enumerate_prime_points(inst)
     params = ApproxParams.for_instance(inst)
     assert inst.lam / params.N**2 > 1.0
-    series = singular_series(2, 5, [inst.lam], [0] * 5, [1] * 5, params.Qsing)[0].value
+    series = singular_series(2, 5, [inst.lam], [0] * 5, [1] * 5, params.Qsing)[0]
     want = params.N ** 3 / measure.R * series * singular_integral(5, 2, 1.0)
     assert main_term(measure, params, np.zeros(5)) == pytest.approx(want, rel=1e-12)
 
@@ -546,12 +529,14 @@ def test_hua_ratio_positive(desk_instance):
 
 
 def test_hua_ratio_truncation_stability(desk_instance):
+    # the truncation reaches the ratio only through the series: ratio * series stays put
     inst, measure = desk_instance
     r1 = hua_ratio(measure, Qsing=100)
     r2 = hua_ratio(measure, Qsing=150)
-    s = singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, 100)[0]
-    rel = s.tail_estimate / abs(s.value)
-    assert abs(r2 - r1) <= r1 * rel / (1 - min(rel, 0.9)) + 1e-12
+    [s1] = singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, 100)
+    [s2] = singular_series(inst.k, inst.n, [inst.lam], [0] * 5, [1] * 5, 150)
+    assert r1 != r2
+    assert r2 * s2.real == pytest.approx(r1 * s1.real, rel=1e-14)
 
 
 def test_hua_series_ratios_match_one_lam_at_a_time(desk_instance):
@@ -560,9 +545,9 @@ def test_hua_series_ratios_match_one_lam_at_a_time(desk_instance):
     got = hua_series_ratios(2, 5, lams, Rs, 100)
     assert got[0][1] == hua_ratio(measure)
     for lam, R, (series, ratio) in zip(lams, Rs, got):
-        [res] = singular_series(2, 5, [lam], [0] * 5, [1] * 5, 100)
-        assert series == res.value
-        assert ratio == R / (res.value.real * singular_integral(5, 2, 1.0) * lam ** 1.5)
+        [value] = singular_series(2, 5, [lam], [0] * 5, [1] * 5, 100)
+        assert series == value
+        assert ratio == R / (value.real * singular_integral(5, 2, 1.0) * lam ** 1.5)
     with pytest.raises(UndefinedMeasureError):
         hua_series_ratios(2, 5, lams, [1.0, 0.0, 1.0], 100)
     with pytest.raises(InputError):
@@ -644,8 +629,11 @@ def test_rep_count_array_refuses_unsafe_rounding():
 def test_check_array_memory_refuses_above_physical_memory(monkeypatch):
     monkeypatch.setattr(surface, "_CGROUP_LIMIT_FILES", ("/nonexistent/memory.max", "/nonexistent/v1"))
     check_array_memory(5, 2**18)  # the largest benchmark range
-    with pytest.raises(MemoryError):  # too large for any transform, refused without sizing one
-        check_array_memory(5, 2**62)
+    with monkeypatch.context() as m:  # too large for any transform: refused without sizing one
+        m.setattr(surface, "_fft_size", lambda length: pytest.fail("sized a transform"))
+        for lam_max in (2**62, 10**3000):  # _fft_size would loop for minutes over 10^3000's digits
+            with pytest.raises(MemoryError):
+                check_array_memory(5, lam_max)
     n, lam_max = 5, 100_000
     need = 16 * _fft_size(ceil(n / 2) * lam_max + 1)
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need, "SC_PAGE_SIZE": 1}.__getitem__)
