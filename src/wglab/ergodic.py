@@ -139,6 +139,10 @@ def weyl_decay_scan(k: int, n: int, xi, lam_min: int, num_blocks: int) -> list[W
     return blocks
 
 
+# set bits of each byte value
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
 def discrepancy(points, num_boxes: int = 10_000, seed: int = 0) -> float:
     """Randomized star-discrepancy estimate of a point set on the torus.
 
@@ -146,24 +150,40 @@ def discrepancy(points, num_boxes: int = 10_000, seed: int = 0) -> float:
     deviation between the empirical fraction and the box volume.  This is
     an estimator (a lower bound up to sampling): exact star discrepancy
     is exponential in the dimension.
+
+    The counts are exact integers.  A point lies below a corner in
+    coordinate j exactly when its rank among the distinct values of that
+    coordinate is below the number of those values under the corner.  Per
+    coordinate, each such threshold that a chunk of boxes uses gets a
+    packed bit row of the points below it, and a box's count is the
+    popcount of the AND of its n rows.  A chunk holds up to
+    2_000_000 // len(points) boxes, so that each coordinate's rows take at
+    most about 2 MB while they are built.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float)) % 1.0
     if points.size == 0 or num_boxes < 1:
         raise InputError("discrepancy needs a nonempty point set and num_boxes >= 1")
     m, n = points.shape
+    width = (m + 7) // 8  # bytes of one packed row
+    columns = [np.unique(points[:, j], return_inverse=True) for j in range(n)]  # (distinct values, ranks)
+    byte, bit = np.arange(m) // 8, 1 << (np.arange(m) % 8)  # where point i sits in a packed row
     rng = np.random.default_rng(seed)
     worst = 0.0
-    chunk = max(1, int(2_000_000 // max(m * n, 1)))
+    chunk = max(1, 2_000_000 // m)
     done = 0
     while done < num_boxes:
         take = min(chunk, num_boxes - done)
         boxes = rng.random((take, n))
-        inside = points[:, 0] < boxes[:, 0, None]
-        for j in range(1, n):
-            inside &= points[:, j] < boxes[:, j, None]
-        inside = inside.sum(axis=1) / m
-        vols = boxes.prod(axis=1)
-        worst = max(worst, float(np.abs(inside - vols).max()))
+        inside = np.full((take, width), 255, dtype=np.uint8)
+        for corners, (values, ranks) in zip(boxes.T, columns):
+            used, which = np.unique(np.searchsorted(values, corners), return_inverse=True)
+            # point i first belongs to the row of the smallest used threshold above its rank, and to every
+            # later row; the points of one byte carry distinct bits, so a sum of bit values is their OR
+            first = np.searchsorted(used, np.arange(len(values)), side="right")[ranks]
+            rows = np.bincount(first * width + byte, bit, (len(used) + 1) * width).astype(np.uint8)
+            inside &= np.bitwise_or.accumulate(rows.reshape(-1, width), axis=0)[which]
+        counts = _POPCOUNT.take(inside).sum(axis=1, dtype=np.int64)
+        worst = max(worst, float(np.abs(counts / m - boxes.prod(axis=1)).max()))
         done += take
     return worst
 

@@ -10,7 +10,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import ceil, gcd, log
+from math import gcd, log
 from typing import Optional
 
 import numpy as np
@@ -434,9 +434,14 @@ def _fft_size(length: int) -> int:
     return best
 
 
+def _block_count(n: int) -> int:
+    """Blocks of at most three coordinates that ``_value_array`` cuts n coordinates into: ceil(n/3)."""
+    return -(-n // 3)
+
+
 def _range_length(n: int, lam_max: int) -> int:
-    """Points that hold the product of ``_value_array``'s ceil(n/2) blocks on [0, lam_max] without wrap-around."""
-    return max(1, ceil(n / 2) * lam_max + 1)
+    """Points that hold the product of ``_value_array``'s ceil(n/3) blocks on [0, lam_max] without wrap-around."""
+    return max(1, _block_count(n) * lam_max + 1)
 
 
 # cgroup v2, then v1; read only, never written
@@ -465,33 +470,74 @@ def available_memory() -> int:
     return min(memory, _cgroup_memory_limit() or memory)
 
 
-def check_array_memory(n: int, lam_max: int) -> None:
-    """MemoryError if the transform of ``_value_array`` on [0, lam_max] exceeds ``available_memory()``.
+# Bytes per point of [0, lam_max] that a block's tuples hold while ``_block_array`` builds it: at most
+# 28, rounded up.  There are at most P^2 <= (lam_max + 1) / 2 pairs, as P <= pi(x) <= (x + 1) / 2 for
+# x = lam_max^(1/2).  Sorting them takes 56 B per pair; afterwards they keep 24 B each, while a chunk
+# of at most as many triples takes 24 B each and an 8 B copy of their real or imaginary parts.
+_TUPLE_BYTES = 32
 
-    That transform alone holds 16 bytes per point of ``_fft_size(_range_length(n, lam_max))``.
+
+def check_array_memory(n: int, lam_max: int) -> None:
+    """MemoryError if the arrays of ``_value_array`` on [0, lam_max] exceed ``available_memory()``.
+
+    Counted are its transform, 16 bytes per point of
+    ``_fft_size(_range_length(n, lam_max))``, and the tuples of the block
+    being built, _TUPLE_BYTES per point of [0, lam_max].
     """
     length = _range_length(n, lam_max)
+    tuples = _TUPLE_BYTES * (lam_max + 1)
     memory = available_memory()
     # the first test keeps lengths beyond any transform away from _fft_size, whose loops grow with the digits
-    if 16 * length > memory or 16 * _fft_size(length) > memory:
-        raise MemoryError(f"arrays on [0, {lam_max}] for n={n} need a transform above {memory} bytes of memory")
+    if 16 * length + tuples > memory or 16 * _fft_size(length) + tuples > memory:
+        raise MemoryError(f"arrays on [0, {lam_max}] for n={n} need more than {memory} bytes of memory")
 
 
-def _pair_block(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
-    """Dense array on [0, lam_max] of one block of one or two coordinates.
+def _add_at(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+    """Add each of vals at its index in out, in place (real and imaginary parts apart where complex)."""
+    if np.iscomplexobj(vals):
+        out.real += np.bincount(idx, vals.real, len(out))
+        out.imag += np.bincount(idx, vals.imag, len(out))
+    else:
+        out += np.bincount(idx, vals, len(out))
 
-    Entry s is the sum over primes with p^k (+ q^k) = s of fill(p) (* fill'(q)).
-    Sums above lam_max are dropped: they cannot reach any lam <= lam_max.
+
+def _block_array(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
+    """Dense array on [0, lam_max] of one block of one to three coordinates.
+
+    Entry s is the sum over primes with p^k (+ q^k (+ r^k)) = s of
+    fill(p) (* fill'(q) (* fill''(r))).  Sums above lam_max are dropped:
+    they cannot reach any lam <= lam_max.  A three-coordinate block sorts
+    the pair sums of its last two coordinates once; each prime p of the
+    first then takes the prefix that stays <= lam_max - p^k.  The triples
+    are summed in chunks of at most max(pairs, (lam_max + 1) // 2), so
+    their arrays stay within ``_TUPLE_BYTES`` per point.
     """
-    idx, vals = powers, fills[0]
-    if len(fills) == 2:
+    idx, vals = powers, fills[-1]
+    if len(fills) >= 2:
         idx = np.add.outer(powers, powers).ravel()
-        vals = np.multiply.outer(fills[0], fills[1]).ravel()
+        vals = np.multiply.outer(fills[-2], fills[-1]).ravel()
         keep = idx <= lam_max
         idx, vals = idx[keep], vals[keep]
-    if np.iscomplexobj(vals):
-        return np.bincount(idx, vals.real, lam_max + 1) + 1j * np.bincount(idx, vals.imag, lam_max + 1)
-    return np.bincount(idx, vals, lam_max + 1)
+    out = np.zeros(lam_max + 1, dtype=vals.dtype)
+    if len(fills) < 3:
+        _add_at(out, idx, vals)
+        return out
+    order = np.argsort(idx, kind="stable")
+    idx, vals = idx[order], vals[order]
+    del order
+    room = max(len(idx), (lam_max + 1) // 2)
+    buf_idx, buf_vals = np.empty(room, dtype=np.int64), np.empty(room, dtype=vals.dtype)
+    used = 0
+    ends = np.searchsorted(idx, lam_max - powers, side="right")
+    for v, f, end in zip(powers.tolist(), fills[0].tolist(), ends.tolist()):
+        if used + end > room:
+            _add_at(out, buf_idx[:used], buf_vals[:used])
+            used = 0
+        np.add(idx[:end], v, out=buf_idx[used : used + end])
+        np.multiply(vals[:end], f, out=buf_vals[used : used + end])
+        used += end
+    _add_at(out, buf_idx[:used], buf_vals[:used])
+    return out
 
 
 def _range_primes(k: int, n: int, lam_max: int) -> np.ndarray:
@@ -504,49 +550,55 @@ def _value_array(powers: np.ndarray, lam_max: int, fills) -> np.ndarray:
     """Sum over prime solutions of prod_i fills[i](p_i), for every lam <= lam_max.
 
     ``powers`` holds p^k for each prime p with p^k <= lam_max, and
-    ``fills[i]`` coordinate i's value at each of those primes.
-    Equal fills are paired with each other first, the leftovers with one
-    another, and an odd one stays alone, giving ceil(n/2) blocks.  Each
-    distinct block is built exactly (``_pair_block``) and transformed once at
-    length ``_fft_size(_range_length(n, lam_max))``; a repeated block
-    multiplies in as often as it repeats.  One inverse transform follows.
+    ``fills[i]`` coordinate i's value at each of those primes.  The fills
+    are ordered with equal ones adjacent, the most frequent first, and cut
+    into ceil(n/3) blocks of near-equal size (3+2 at n = 5, 3+2+2 at
+    n = 7).  Each distinct block is built exactly (``_block_array``).  With
+    one block (n <= 3) that array is the answer; otherwise each distinct
+    block is transformed once at length ``_fft_size(_range_length(n,
+    lam_max))``, a repeated block multiplies in as often as it repeats, and
+    one inverse transform follows.
     """
     groups = {}
     for fill in fills:
         groups.setdefault(fill.tobytes(), []).append(fill)
-    blocks, loose = [], []
-    for same in groups.values():
-        if len(same) >= 2:
-            blocks.append(((same[0], same[0]), len(same) // 2))
-        if len(same) % 2:
-            loose.append(same[0])
-    blocks += [((a, b), 1) for a, b in zip(loose[::2], loose[1::2])]
-    if len(loose) % 2:
-        blocks.append(((loose[-1],), 1))
+    ranked = sorted(groups.values(), key=len, reverse=True)  # stable: equal counts keep their order
+    ordered = [(g, same[0]) for g, same in enumerate(ranked) for _ in same]  # (group index, fill)
+    n, m = len(ordered), _block_count(len(ordered))
+    blocks, start = {}, 0  # group indices of a block -> [its fills, how often it repeats]
+    for i in range(m):
+        part = ordered[start : start + n // m + (i < n % m)]
+        start += len(part)
+        key = tuple(g for g, _ in part)
+        blocks.setdefault(key, [tuple(f for _, f in part), 0])[1] += 1
+    if m == 1:
+        [(block, _)] = blocks.values()
+        return _block_array(powers, block, lam_max)
     real = not any(np.iscomplexobj(f) for f in fills)
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    size = _fft_size(_range_length(len(fills), lam_max))
+    size = _fft_size(_range_length(n, lam_max))
     spectrum = 1.0
-    for pair, mult in blocks:
-        spec = fft(_pair_block(powers, pair, lam_max), size)
+    for block, mult in blocks.values():
+        spec = fft(_block_array(powers, block, lam_max), size)
         for _ in range(mult):
             spectrum = spectrum * spec
         del spec  # free this block's spectrum before the next one is transformed
     return ifft(spectrum, size)[: lam_max + 1]
 
 
-def _count_rounding_bound(n: int, size: int, P: int) -> float:
-    """Bound 16 * ceil(n/2) * 2^-53 * log2(size) * P^(n - 1/2) on the float error of every n-fold count.
+def _count_rounding_bound(n: int, m: int, size: int, P: int) -> float:
+    """Bound 16 * m * 2^-53 * log2(size) * P^(n - 1/2) on the float error of every n-fold count from m blocks.
 
-    The counts come from m = ceil(n/2) blocks (``_value_array``): pair
-    blocks B of two coordinates and at most one single coordinate a of P
-    ones, all exact integers (a ``bincount`` of ones).  The derivation uses
-    two norms of each block:
-    - the 1-norm, which bounds its spectrum: at most P^2 for B (P^2
-      ordered pairs) and P for a;
+    The counts come from m = ceil(n/3) blocks (``_value_array``), each a
+    block B of d <= 3 coordinates whose entries are exact integers (a
+    ``bincount`` of ones).  With m = 1 there is no transform and the counts
+    are exact, so the bound is loose there.  The derivation uses two norms
+    of each block:
+    - the 1-norm, which bounds its spectrum: at most P^d (P^d ordered
+      d-tuples);
     - the 2-norm, which bounds its transform error: ||B||_2^2 <=
-      max(B) * ||B||_1 <= P * P^2 (p and the sum fix q), so ||B||_2 <=
-      P^(3/2), and ||a||_2 = P^(1/2); P^(d - 1/2) for d coordinates.
+      max(B) * ||B||_1 <= P^(d - 1) * P^d (the sum and d - 1 coordinates
+      fix the last), so ||B||_2 <= P^(d - 1/2).
     Each transform of length L errs by at most g = 6.7 u log2(L) relative
     in the 2-norm (u = 2^-53; Higham, Accuracy and Stability of Numerical
     Algorithms, Thm 24.2, for radix 2; a radix-3 or radix-5 pass of the
@@ -563,7 +615,7 @@ def _count_rounding_bound(n: int, size: int, P: int) -> float:
     first order, below 15.7 m u log2(L) P^(n - 1/2), inside c = 16.
     """
     with np.errstate(over="ignore"):
-        return float(16.0 * ceil(n / 2) * 2.0**-53 * log(size, 2) * np.float64(P) ** (n - 0.5))
+        return float(16.0 * m * 2.0**-53 * log(size, 2) * np.float64(P) ** (n - 0.5))
 
 
 def rep_count_array(k: int, n: int, lam_max: int) -> np.ndarray:
@@ -574,7 +626,7 @@ def rep_count_array(k: int, n: int, lam_max: int) -> np.ndarray:
     """
     primes = _range_primes(k, n, lam_max)
     P = len(primes)
-    bound = _count_rounding_bound(n, _fft_size(_range_length(n, lam_max)), P)
+    bound = _count_rounding_bound(n, _block_count(n), _fft_size(_range_length(n, lam_max)), P)
     if bound > 0.25:
         raise NumericError(
             f"float counts for n={n} over {P} primes may round wrongly (error bound {bound:.3g} > 0.25)"
@@ -595,12 +647,13 @@ def rep_weight_rounding(k: int, n: int, lam_max: int, power: float) -> float:
     in place of ones (a block of d coordinates has 1-norm at most
     ||f||_1^d and, by Young's inequality, 2-norm at most ||f||_2
     ||f||_1^(d - 1)), bounds the 2-norm of the error of the whole output
-    by about 16 ceil(n/2) u log2(L) ||f||_2 ||f||_1^(n - 1), with L the
+    by about 16 ceil(n/3) u log2(L) ||f||_2 ||f||_1^(n - 1), with L the
     transform length and u = 2^-53.  Spread evenly over the L entries and
     without the constant, that is u log2(L) ||f||_2 ||f||_1^(n - 1) /
     sqrt(L), returned here: an estimate, not a bound.  At (k, n) = (2, 5),
-    for powers 1.2 to 50 on ranges 2^8 to 2^18, it lay 3.8 to 1.8e5 times
-    above the largest error measured against exact sums.
+    for powers 1.2 to 50 on ranges 2^8 to 2^18, it lay 2.6 to 3.5e15 times
+    above the largest error measured against a long-double direct
+    convolution.
     """
     primes = _primes_to_root(k, lam_max)
     size = _fft_size(_range_length(n, lam_max))
@@ -623,13 +676,15 @@ def max_weight_array(k: int, n: int, lam_max: int) -> np.ndarray:
     """Largest single-solution weight prod log(p_i) per lam, 0 where none (max-times; log p > 0)."""
     primes = _range_primes(k, n, lam_max)
     powers, logs = primes**k, np.log(primes.astype(np.float64))
-    acc = np.zeros(lam_max + 1)
+    acc, nxt, tmp = np.zeros(lam_max + 1), np.empty(lam_max + 1), np.empty(lam_max + 1)
     acc[powers] = logs
-    for _ in range(n - 1):
-        nxt = np.zeros(lam_max + 1)
+    for _ in range(n - 1):  # each round takes its products and maxima in place, in two reused buffers
+        nxt.fill(0.0)
         for v, w in zip(powers.tolist(), logs.tolist()):
-            nxt[v:] = np.maximum(nxt[v:], acc[: lam_max + 1 - v] * w)
-        acc = nxt
+            span = lam_max + 1 - v
+            np.multiply(acc[:span], w, out=tmp[:span])
+            np.maximum(nxt[v:], tmp[:span], out=nxt[v:])
+        acc, nxt = nxt, acc
     return acc
 
 

@@ -163,12 +163,17 @@ def test_discrepancy_grid_trend():
 
 
 def test_discrepancy_matches_broadcast_comparison():
-    # the per-coordinate loop must give the booleans of the (boxes, points, n) broadcast
-    pts = np.random.default_rng(4).random((700, 5))
-    boxes = np.random.default_rng(9).random((1500, 5))  # more boxes than one chunk holds
-    inside = (pts[None, :, :] < boxes[:, None, :]).all(axis=2).sum(axis=1) / len(pts)
-    expected = float(np.abs(inside - boxes.prod(axis=1)).max())
-    assert discrepancy(pts, 1500, seed=9) == expected
+    # the rank bitsets must give the counts of the (boxes, points, n) broadcast, bit for bit:
+    # on distinct random coordinates, and on orbit points, whose coordinates take at most 16 values
+    # (one per prime up to sqrt(3005))
+    orbit = orbit_points(enumerate_prime_points(ProblemInstance(2, 5, 3005)), ALPHA)
+    for pts, num_boxes in [(np.random.default_rng(4).random((700, 5)), 6000), (orbit, 3000)]:
+        assert len(pts) % 8 and num_boxes > 2_000_000 // len(pts)  # a partial byte; boxes in several chunks
+        boxes = np.random.default_rng(9).random((num_boxes, 5))
+        inside = (pts[None, :, :] < boxes[:, None, :]).all(axis=2).sum(axis=1) / len(pts)
+        expected = float(np.abs(inside - boxes.prod(axis=1)).max())
+        assert discrepancy(pts, num_boxes, seed=9) == expected
+    assert len(orbit) == 1580 and max(len(np.unique(orbit[:, j])) for j in range(5)) <= 16
 
 
 def test_discrepancy_empty_set():

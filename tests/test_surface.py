@@ -1,7 +1,7 @@
 import os
 import tracemalloc
 from collections import Counter
-from math import ceil, lcm, log
+from math import lcm, log
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from wglab.surface import (
     _count_rounding_bound,
     _fft_size,
     _local_unit_sum_masks,
+    _range_length,
     _value_array,
     admissible_mask,
     bump,
@@ -604,26 +605,29 @@ def test_value_arrays_match_enumeration_property(data, k, n, lam_max):
 
 
 def test_count_rounding_bound_covers_float_error():
-    k, n, lam_max = 2, 4, 3000
+    k, lam_max = 2, 3000
     primes = sieve_primes(int_kth_root(lam_max, k))
     ones = np.zeros(lam_max + 1, dtype=np.int64)
     ones[primes**k] = 1
     exact = ones
-    for _ in range(n - 1):
+    for n in range(2, 7):
         exact = np.convolve(exact, ones)[: lam_max + 1]  # integer arithmetic, exact
-    err = np.abs(_value_array(primes**k, lam_max, [np.ones(len(primes))] * n) - exact).max()
-    size = _fft_size(ceil(n / 2) * lam_max + 1)
-    assert 0 < err <= _count_rounding_bound(n, size, len(primes)) < 0.25
-    assert np.array_equal(rep_count_array(k, n, lam_max), exact)
+        err = np.abs(_value_array(primes**k, lam_max, [np.ones(len(primes))] * n) - exact).max()
+        if n <= 3:  # one block: a bincount of ones, no transform
+            assert err == 0
+            continue
+        size = _fft_size(_range_length(n, lam_max))  # two blocks: 2+2, 3+2 and 3+3
+        assert 0 < err <= _count_rounding_bound(n, 2, size, len(primes)) < 0.25
+        assert np.array_equal(rep_count_array(k, n, lam_max), exact)
 
 
 def test_rep_count_array_refuses_unsafe_rounding():
-    # the 86 primes up to sqrt(200000): their 7-fold float counts may round wrongly (bound 0.52)
-    assert _count_rounding_bound(7, _fft_size(4 * 200_000 + 1), 86) > 0.25
+    # the 86 primes up to sqrt(200000): their 7-fold float counts from 3+2+2 blocks may round wrongly (bound 0.38)
+    assert _count_rounding_bound(7, 3, _fft_size(_range_length(7, 200_000)), 86) > 0.25
     with pytest.raises(NumericError):
         rep_count_array(2, 7, 200_000)
     # the default hua range is far inside the bound
-    assert _count_rounding_bound(5, _fft_size(5 * 99_999 + 1), 65) < 1e-3
+    assert _count_rounding_bound(5, 2, _fft_size(_range_length(5, 99_999)), 65) < 1e-3
 
 
 def test_check_array_memory_refuses_above_physical_memory(monkeypatch):
@@ -635,7 +639,7 @@ def test_check_array_memory_refuses_above_physical_memory(monkeypatch):
             with pytest.raises(MemoryError):
                 check_array_memory(5, lam_max)
     n, lam_max = 5, 100_000
-    need = 16 * _fft_size(ceil(n / 2) * lam_max + 1)
+    need = 16 * _fft_size(_range_length(n, lam_max)) + surface._TUPLE_BYTES * (lam_max + 1)
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need, "SC_PAGE_SIZE": 1}.__getitem__)
     check_array_memory(n, lam_max)
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}.__getitem__)
@@ -645,7 +649,7 @@ def test_check_array_memory_refuses_above_physical_memory(monkeypatch):
 
 def test_check_array_memory_honours_cgroup_limit(monkeypatch, tmp_path):
     n, lam_max = 5, 100_000
-    need = 16 * _fft_size(ceil(n / 2) * lam_max + 1)
+    need = 16 * _fft_size(_range_length(n, lam_max)) + surface._TUPLE_BYTES * (lam_max + 1)
     limit = tmp_path / "memory.max"
     monkeypatch.setattr(surface, "_CGROUP_LIMIT_FILES", (str(limit), "/nonexistent/v1"))
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2 * need, "SC_PAGE_SIZE": 1}.__getitem__)
@@ -715,8 +719,39 @@ def test_max_weight_array():
             assert maxw[lam] == pytest.approx(m.weights.max(), rel=1e-12)
 
 
+@pytest.mark.parametrize("k, n, lam_max", [(2, 5, 1500), (3, 4, 10_000)])
+def test_max_weight_array_matches_enumeration_over_the_range(k, n, lam_max):
+    maxw = max_weight_array(k, n, lam_max)
+    want = np.zeros(lam_max + 1)
+    for lam in range(1, lam_max + 1):
+        m = enumerate_prime_points(ProblemInstance(k, n, lam))
+        if m.r:
+            want[lam] = m.weights.max()
+    assert np.array_equal(maxw == 0, want == 0) and (want > 0).sum() > 100
+    assert np.allclose(maxw, want, rtol=1e-13, atol=0)  # the same logs, multiplied in another order
+
+
+@pytest.mark.parametrize("n, lam_max", [(2, 1202), (3, 1203)])  # lam_max itself has a solution
+def test_one_block_plans_take_no_transform(monkeypatch, n, lam_max):
+    k = 2
+    xi = np.random.default_rng(n).random(n)
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, lambda *a, **kw: pytest.fail("took a transform"))
+    counts = rep_count_array(k, n, lam_max)
+    weights = rep_weight_array(k, n, lam_max)
+    numer = fourier_numerator_array(k, n, lam_max, xi)
+    assert counts[lam_max] > 0
+    for lam in range(1, lam_max + 1):
+        m = enumerate_prime_points(ProblemInstance(k, n, lam))
+        assert counts[lam] == m.r
+        assert weights[lam] == pytest.approx(m.R, rel=1e-14, abs=0)
+        # the enumeration reduces each phase p . xi as a whole, the arrays each p_i x_i apart
+        phases = np.exp(2j * np.pi * (m.representations @ xi))
+        assert numer[lam] == pytest.approx((m.weights * phases).sum(), abs=1e-9)
+
+
 def test_fft_size_matches_scipy_next_fast_len():
-    # the rounding-bound tests' lengths, then weyl's at --lambda-min 1000 --blocks 9
-    lengths = [*range(1, 20_001), 4 * 200_000 + 1, 5 * 99_999 + 1, 3 * 511_999 + 1]
+    # the rounding-bound tests' lengths, then weyl's at --lambda-min 1000 --blocks 9 from 3+2 and 2+2+1 blocks
+    lengths = [*range(1, 20_001), 3 * 200_000 + 1, 2 * 99_999 + 1, 2 * 511_999 + 1, 3 * 511_999 + 1]
     assert [_fft_size(L) for L in lengths] == [next_fast_len(L, real=True) for L in lengths]
-    assert _fft_size(3 * 511_999 + 1) == 1_536_000
+    assert _fft_size(_range_length(5, 511_999)) == 1_024_000
