@@ -38,6 +38,7 @@ from .surface import (
     hua_series_ratios,
     omega_hat,
     rep_count_array,
+    rep_support_array,
     rep_weight_array,
     sample_admissible_lams,
     singular_series,
@@ -231,7 +232,7 @@ def _cmd_approx(args):
     if args.xi_count < 1:
         raise InputError("--xi-count must be >= 1")
     lam_top = _dyadic_top(args)
-    mask = admissible_mask(args.k, args.n, rep_count_array(args.k, args.n, lam_top - 1))
+    mask = admissible_mask(args.k, args.n, rep_support_array(args.k, args.n, lam_top - 1))
     xi_sample = np.random.default_rng(args.seed).random((args.xi_count, args.n))
 
     def block_row(lo, hi, lams):

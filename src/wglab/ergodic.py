@@ -8,10 +8,9 @@ from .errors import InputError, NumericError, UndefinedMeasureError
 from .surface import (
     SurfaceMeasure,
     admissible_mask,
-    fourier_numerator_array,
     omega_hat,
-    rep_count_array,
-    rep_weight_array,
+    rep_support_array,
+    weight_and_numerator_arrays,
 )
 
 
@@ -114,17 +113,18 @@ def weyl_decay_scan(k: int, n: int, xi, lam_min: int, num_blocks: int) -> list[W
 
     Computed for the whole range at once by convolving the per-coordinate
     value arrays, so the scan touches every admissible lam below the top
-    block without per-lam enumeration.  Blocks without an admissible lam
-    are left out; if none is left, UndefinedMeasureError.
+    block without per-lam enumeration: the weights and numerators come
+    from one plan, and the lam with a prime solution from the exact
+    boolean sumset.  Blocks without an admissible lam are left out; if
+    none is left, UndefinedMeasureError.
     """
     if k < 2 or n < 2:
         raise InputError("need k >= 2, n >= 2")
     if lam_min < 1 or num_blocks < 1:
         raise InputError("need lam_min >= 1 and num_blocks >= 1")
     lam_max = lam_min * 2**num_blocks - 1
-    numer = fourier_numerator_array(k, n, lam_max, xi)
-    weights = rep_weight_array(k, n, lam_max)
-    valid = admissible_mask(k, n, rep_count_array(k, n, lam_max))
+    weights, numer = weight_and_numerator_arrays(k, n, lam_max, xi)
+    valid = admissible_mask(k, n, rep_support_array(k, n, lam_max))
     blocks = []
     for j in range(num_blocks):
         lo, hi = lam_min * 2**j, lam_min * 2 ** (j + 1)

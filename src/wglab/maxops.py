@@ -13,7 +13,7 @@ from .surface import (
     available_memory,
     enumerate_prime_points,
     max_weight_array,
-    rep_count_array,
+    rep_support_array,
     rep_weight_array,
     rep_weight_rounding,
 )
@@ -161,6 +161,8 @@ class OperatorReport:
 
 # delta_scaling_probe refuses a cutoff whose estimated FFT roundoff exceeds this share of norm^p
 _ROUNDOFF_SHARE = 1e-5
+# at p = inf, the first prefix [0, _PREFIX_START] on which max weights are taken
+_PREFIX_START = 1024
 
 
 def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> OperatorReport:
@@ -184,22 +186,45 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
     At p = inf the FFT ratios only pick each cutoff's argmax lam, whose
     ratio is then taken from ``enumerate_prime_points``, once per distinct
     lam; a lam whose true ratio beats it by less than the FFT roundoff can
-    still be missed.
+    still be missed.  The max weights are taken on a prefix [0, top] only:
+    every prime of a solution has p^k <= lam, so a lam's ratio is at most
+    (log(lam) / k)^n / R(lam), and no lam above top can reach the best
+    ratio on [0, top] once that bound stays below it for every gated lam
+    above top.  top starts at min(lam_max, 1024); if the bound does not
+    allow it, top moves once to the first value the bound allows, which
+    the larger best ratio there allows too.  ``max_weight_array`` on a
+    prefix equals the whole range's there bit for bit, so every argmax is
+    the same.
+
+    Which lam have a prime solution comes from the exact
+    ``rep_support_array``.
     """
     if k < 2 or n < 2:
         raise InputError("need k >= 2, n >= 2")
     _check_exponent(p)
     lam_values = sorted(int(v) for v in lam_values)
     lam_max = lam_values[-1]
-    gate = admissible_mask(k, n, rep_count_array(k, n, lam_max))
+    gate = admissible_mask(k, n, rep_support_array(k, n, lam_max))
     if not gate.any():
         raise UndefinedMeasureError(f"no admissible lam <= {lam_max} has a prime solution")
     weight_tot = rep_weight_array(k, n, lam_max)
     if np.isinf(p):
-        ratio = np.zeros(lam_max + 1)
-        maxw = max_weight_array(k, n, lam_max)
-        ratio[gate] = maxw[gate] / weight_tot[gate]
-        argmax = [int(np.argmax(ratio[: L + 1])) for L in lam_values]
+        # beyond[t]: the largest ratio bound (log(lam) / k)^n / R(lam) over the gated lam > t, non-increasing
+        bound = np.zeros(lam_max + 2)
+        lams = np.flatnonzero(gate)
+        bound[lams] = (np.log(lams) / k) ** n / weight_tot[lams]
+        beyond = np.maximum.accumulate(bound[::-1])[::-1][1:]
+        top = min(lam_max, _PREFIX_START)
+        while True:  # at most twice: the best ratio only grows with top
+            on = gate[: top + 1]
+            ratio = np.zeros(top + 1)
+            ratio[on] = max_weight_array(k, n, top)[on] / weight_tot[: top + 1][on]
+            # the first t with beyond[t] below the best ratio: no lam above it can reach that ratio
+            enough = min(lam_max, int(np.searchsorted(-beyond, -ratio.max(), side="right")))
+            if enough <= top:
+                break
+            top = enough
+        argmax = [int(np.argmax(ratio[: min(L, top) + 1])) for L in lam_values]
         exact = {0: 0.0}  # argmax 0: no gated lam up to the cutoff
         for lam in set(argmax) - {0}:
             measure = enumerate_prime_points(ProblemInstance(k, n, lam))

@@ -435,12 +435,12 @@ def _fft_size(length: int) -> int:
 
 
 def _block_count(n: int) -> int:
-    """Blocks of at most three coordinates that ``_value_array`` cuts n coordinates into: ceil(n/3)."""
+    """Blocks of at most three coordinates that ``_value_arrays`` cuts n coordinates into: ceil(n/3)."""
     return -(-n // 3)
 
 
 def _range_length(n: int, lam_max: int) -> int:
-    """Points that hold the product of ``_value_array``'s ceil(n/3) blocks on [0, lam_max] without wrap-around."""
+    """Points that hold the product of ``_value_arrays``'s ceil(n/3) blocks on [0, lam_max] without wrap-around."""
     return max(1, _block_count(n) * lam_max + 1)
 
 
@@ -475,20 +475,29 @@ def available_memory() -> int:
 # x = lam_max^(1/2).  Sorting them takes 56 B per pair; afterwards they keep 24 B each, while a chunk
 # of at most as many triples takes 24 B each and an 8 B copy of their real or imaginary parts.
 _TUPLE_BYTES = 32
+# Bytes that ``_value_arrays`` holds at once, per transform point: a spectrum kept for the next output
+# (a shared block is all log p, so real: one part, 8 B), the working spectrum and the one copied or
+# multiplied into it (two parts each: a part is the rfft of a real array, 8 B), and one irfft output or
+# the first output kept while the second is made (8 B).
+_SPECTRUM_BYTES = 8 + 2 * 16 + 8
+# ... and per point of [0, lam_max]: the block being built, complex at most, and its tuples.
+_RANGE_BYTES = 16 + _TUPLE_BYTES
 
 
 def check_array_memory(n: int, lam_max: int) -> None:
-    """MemoryError if the arrays of ``_value_array`` on [0, lam_max] exceed ``available_memory()``.
+    """MemoryError if the arrays of ``_value_arrays`` on [0, lam_max] exceed ``available_memory()``.
 
-    Counted are its transform, 16 bytes per point of
-    ``_fft_size(_range_length(n, lam_max))``, and the tuples of the block
-    being built, _TUPLE_BYTES per point of [0, lam_max].
+    Counted are _SPECTRUM_BYTES per point of the transform,
+    ``_fft_size(_range_length(n, lam_max))``, and _RANGE_BYTES per point
+    of [0, lam_max]: the most ``_value_arrays`` keeps alive at once, for
+    one output or for weyl's two.  numpy 1.x pads each block to the
+    transform length before its rfft, 8 B more per transform point.
     """
     length = _range_length(n, lam_max)
-    tuples = _TUPLE_BYTES * (lam_max + 1)
+    per_lam = _RANGE_BYTES * (lam_max + 1)
     memory = available_memory()
     # the first test keeps lengths beyond any transform away from _fft_size, whose loops grow with the digits
-    if 16 * length + tuples > memory or 16 * _fft_size(length) + tuples > memory:
+    if _SPECTRUM_BYTES * length + per_lam > memory or _SPECTRUM_BYTES * _fft_size(length) + per_lam > memory:
         raise MemoryError(f"arrays on [0, {lam_max}] for n={n} need more than {memory} bytes of memory")
 
 
@@ -518,7 +527,7 @@ def _block_array(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
         vals = np.multiply.outer(fills[-2], fills[-1]).ravel()
         keep = idx <= lam_max
         idx, vals = idx[keep], vals[keep]
-    out = np.zeros(lam_max + 1, dtype=vals.dtype)
+    out = np.zeros(lam_max + 1, dtype=np.result_type(*fills))
     if len(fills) < 3:
         _add_at(out, idx, vals)
         return out
@@ -526,7 +535,7 @@ def _block_array(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
     idx, vals = idx[order], vals[order]
     del order
     room = max(len(idx), (lam_max + 1) // 2)
-    buf_idx, buf_vals = np.empty(room, dtype=np.int64), np.empty(room, dtype=vals.dtype)
+    buf_idx, buf_vals = np.empty(room, dtype=np.int64), np.empty(room, dtype=out.dtype)
     used = 0
     ends = np.searchsorted(idx, lam_max - powers, side="right")
     for v, f, end in zip(powers.tolist(), fills[0].tolist(), ends.tolist()):
@@ -546,50 +555,132 @@ def _range_primes(k: int, n: int, lam_max: int) -> np.ndarray:
     return _primes_to_root(k, lam_max)
 
 
-def _value_array(powers: np.ndarray, lam_max: int, fills) -> np.ndarray:
-    """Sum over prime solutions of prod_i fills[i](p_i), for every lam <= lam_max.
+def _block_plan(fills, group_of: dict) -> dict:
+    """Blocks of one output's fills: {block key: [its fills, how often it repeats]}.
 
-    ``powers`` holds p^k for each prime p with p^k <= lam_max, and
-    ``fills[i]`` coordinate i's value at each of those primes.  The fills
+    Equal fills (by their bytes) share a group index from ``group_of``, which
+    several outputs share; a block's key is its group indices.  The fills
     are ordered with equal ones adjacent, the most frequent first, and cut
-    into ceil(n/3) blocks of near-equal size (3+2 at n = 5, 3+2+2 at
-    n = 7).  Each distinct block is built exactly (``_block_array``).  With
-    one block (n <= 3) that array is the answer; otherwise each distinct
-    block is transformed once at length ``_fft_size(_range_length(n,
-    lam_max))``, a repeated block multiplies in as often as it repeats, and
-    one inverse transform follows.
+    into ceil(n/3) blocks of near-equal size (3+2 at n = 5, 3+2+2 at n = 7).
     """
     groups = {}
     for fill in fills:
-        groups.setdefault(fill.tobytes(), []).append(fill)
-    ranked = sorted(groups.values(), key=len, reverse=True)  # stable: equal counts keep their order
-    ordered = [(g, same[0]) for g, same in enumerate(ranked) for _ in same]  # (group index, fill)
+        groups.setdefault(group_of.setdefault(fill.tobytes(), len(group_of)), []).append(fill)
+    ranked = sorted(groups.items(), key=lambda item: len(item[1]), reverse=True)  # stable: ties keep order
+    ordered = [(g, same[0]) for g, same in ranked for _ in same]  # (group index, fill)
     n, m = len(ordered), _block_count(len(ordered))
-    blocks, start = {}, 0  # group indices of a block -> [its fills, how often it repeats]
+    blocks, start = {}, 0
     for i in range(m):
         part = ordered[start : start + n // m + (i < n % m)]
         start += len(part)
-        key = tuple(g for g, _ in part)
-        blocks.setdefault(key, [tuple(f for _, f in part), 0])[1] += 1
-    if m == 1:
-        [(block, _)] = blocks.values()
-        return _block_array(powers, block, lam_max)
-    real = not any(np.iscomplexobj(f) for f in fills)
-    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+        blocks.setdefault(tuple(g for g, _ in part), [tuple(f for _, f in part), 0])[1] += 1
+    return blocks
+
+
+def _block_spectrum(powers: np.ndarray, fills: tuple, lam_max: int, size: int) -> tuple:
+    """rfft at length ``size`` of a block's real part and of its imaginary part (None for a real block)."""
+    block = _block_array(powers, fills, lam_max)
+    if not np.iscomplexobj(block):
+        return np.fft.rfft(block, size), None
+    return np.fft.rfft(block.real, size), np.fft.rfft(block.imag, size)
+
+
+# a product of two complex spectra goes chunk by chunk, so that its temporaries stay this small
+_PRODUCT_CHUNK = 1 << 16
+
+
+def _times(acc: tuple, spec: tuple) -> tuple:
+    """acc * spec for spectra held as (real part, imaginary part or None); acc's arrays are overwritten.
+
+    A complex spec needs a complex acc: ``_value_arrays`` multiplies complex blocks first.
+    """
+    a, b = acc
+    c, d = spec
+    if d is None:
+        a *= c
+        if b is not None:
+            b *= c
+        return a, b
+    for lo in range(0, len(a), _PRODUCT_CHUNK):  # (a + ib)(c + id) = (ac - bd) + i(ad + bc)
+        x, y, u, v = (part[lo : lo + _PRODUCT_CHUNK] for part in (a, b, c, d))
+        xv = x * v
+        x *= u
+        x -= y * v
+        y *= u
+        y += xv
+    return a, b
+
+
+def _value_arrays(powers: np.ndarray, lam_max: int, fill_lists) -> list:
+    """Sum over prime solutions of prod_i fills[i](p_i), for every lam <= lam_max and each fill list.
+
+    ``powers`` holds p^k for each prime p with p^k <= lam_max, and each
+    fill coordinate i's value at each of those primes.  A complex fill
+    whose imaginary part is zero (a coordinate with xi_i = 0 or an integer)
+    is taken as real, so it equals the real fill log p.  Each list is cut
+    into blocks (``_block_plan``), and each block is built exactly
+    (``_block_array``).  With one block (n <= 3) that array is the answer.
+    Otherwise every distinct block of all the lists is transformed once, at
+    length ``_fft_size(_range_length(n, lam_max))``, with real transforms
+    only: a complex block as its real and its imaginary part.  Each output
+    copies its first block's spectrum and multiplies the others into it in
+    place, a repeated block as often as it repeats, then takes one
+    ``irfft`` per nonzero part.  A spectrum is freed once no later output
+    needs it.  An output is complex if any of its fills is.
+    """
+    group_of, plans = {}, []
+    for fills in fill_lists:
+        out_complex = any(np.iscomplexobj(f) for f in fills)
+        fills = [f.real if np.iscomplexobj(f) and not f.imag.any() else f for f in fills]
+        plans.append((_block_plan(fills, group_of), out_complex))
+    n = len(fill_lists[0])
+    if _block_count(n) == 1:
+        outs = []
+        for blocks, out_complex in plans:
+            [(block, _)] = blocks.values()
+            out = _block_array(powers, block, lam_max)
+            outs.append(out.astype(complex, copy=False) if out_complex else out)
+        return outs
     size = _fft_size(_range_length(n, lam_max))
-    spectrum = 1.0
-    for block, mult in blocks.values():
-        spec = fft(_block_array(powers, block, lam_max), size)
-        for _ in range(mult):
-            spectrum = spectrum * spec
-        del spec  # free this block's spectrum before the next one is transformed
-    return ifft(spectrum, size)[: lam_max + 1]
+    uses = Counter(key for blocks, _ in plans for key in blocks)  # outputs still to read each spectrum
+    spectra, outs = {}, []
+    for blocks, out_complex in plans:
+        acc = None
+        # complex blocks first: the product starts from two parts, and every later factor multiplies in place
+        for key in sorted(blocks, key=lambda key: not any(np.iscomplexobj(f) for f in blocks[key][0])):
+            fills, mult = blocks[key]
+            if key not in spectra:
+                spectra[key] = _block_spectrum(powers, fills, lam_max, size)
+            uses[key] -= 1
+            spec = spectra.pop(key) if uses[key] == 0 else spectra[key]
+            for _ in range(mult):
+                if acc is None:
+                    # a copy, so no product writes into a spectrum that is read again.  Taking over a spectrum on
+                    # its last use instead took more page faults: 7 070 against 4 898 minor faults for one
+                    # rep_count_array and one rep_weight_array call on [0, 99 999], repeated in one process
+                    acc = tuple(None if part is None else part.copy() for part in spec)
+                else:
+                    acc = _times(acc, spec)
+            del spec
+        re, im = acc
+        del acc
+        if out_complex:
+            out = np.zeros(lam_max + 1, dtype=complex)
+            out.real = np.fft.irfft(re, size)[: lam_max + 1]
+            re = None  # freed before the second inverse
+            if im is not None:
+                out.imag = np.fft.irfft(im, size)[: lam_max + 1]
+        else:
+            out = np.fft.irfft(re, size)[: lam_max + 1]
+        outs.append(out)
+        del re, im  # freed before the next output's spectra
+    return outs
 
 
 def _count_rounding_bound(n: int, m: int, size: int, P: int) -> float:
     """Bound 16 * m * 2^-53 * log2(size) * P^(n - 1/2) on the float error of every n-fold count from m blocks.
 
-    The counts come from m = ceil(n/3) blocks (``_value_array``), each a
+    The counts come from m = ceil(n/3) blocks (``_value_arrays``), each a
     block B of d <= 3 coordinates whose entries are exact integers (a
     ``bincount`` of ones).  With m = 1 there is no transform and the counts
     are exact, so the bound is loose there.  The derivation uses two norms
@@ -631,13 +722,15 @@ def rep_count_array(k: int, n: int, lam_max: int) -> np.ndarray:
         raise NumericError(
             f"float counts for n={n} over {P} primes may round wrongly (error bound {bound:.3g} > 0.25)"
         )
-    return np.rint(_value_array(primes**k, lam_max, [np.ones(P)] * n)).astype(np.int64)
+    [counts] = _value_arrays(primes**k, lam_max, [[np.ones(P)] * n])
+    return np.rint(counts, out=counts).astype(np.int64)
 
 
 def rep_weight_array(k: int, n: int, lam_max: int, power: float = 1.0) -> np.ndarray:
     """Sum over solutions of prod_i (log p_i)^power, for every lam <= lam_max."""
     primes = _range_primes(k, n, lam_max)
-    return _value_array(primes**k, lam_max, [np.log(primes.astype(np.float64)) ** power] * n)
+    [weights] = _value_arrays(primes**k, lam_max, [[np.log(primes.astype(np.float64)) ** power] * n])
+    return weights
 
 
 def rep_weight_rounding(k: int, n: int, lam_max: int, power: float) -> float:
@@ -661,15 +754,52 @@ def rep_weight_rounding(k: int, n: int, lam_max: int, power: float) -> float:
     return float(2.0**-53 * log(size, 2) * np.sqrt((f * f).sum()) * f.sum() ** (n - 1) / np.sqrt(size))
 
 
-def fourier_numerator_array(k: int, n: int, lam_max: int, xi) -> np.ndarray:
-    """R(lam) * omega_hat(lam, xi) for every lam <= lam_max."""
+def _numerator_fills(k: int, n: int, lam_max: int, xi) -> tuple:
+    """The primes of the range, and coordinate i's fill log(p) e(p xi_i) at each, the phase reduced mod 1 first."""
     xi = np.asarray(xi, dtype=float)
     if len(xi) != n:
         raise InputError("xi must have length n")
     primes = _range_primes(k, n, lam_max)
     p = primes.astype(np.float64)
-    fills = [np.log(p) * np.exp(2j * np.pi * (p * x - np.rint(p * x))) for x in xi]
-    return _value_array(primes**k, lam_max, fills)
+    return primes, [np.log(p) * np.exp(2j * np.pi * (p * x - np.rint(p * x))) for x in xi]
+
+
+def fourier_numerator_array(k: int, n: int, lam_max: int, xi) -> np.ndarray:
+    """R(lam) * omega_hat(lam, xi) for every lam <= lam_max."""
+    primes, fills = _numerator_fills(k, n, lam_max, xi)
+    [numer] = _value_arrays(primes**k, lam_max, [fills])
+    return numer
+
+
+def weight_and_numerator_arrays(k: int, n: int, lam_max: int, xi) -> tuple:
+    """``rep_weight_array(k, n, lam_max)`` and ``fourier_numerator_array(k, n, lam_max, xi)`` from one plan.
+
+    A block the two share (the coordinates with xi_i = 0 or an integer
+    carry the weight's fill log p) is built and transformed once.
+    """
+    primes, fills = _numerator_fills(k, n, lam_max, xi)
+    logs = np.log(primes.astype(np.float64))
+    weights, numer = _value_arrays(primes**k, lam_max, [[logs] * n, fills])
+    return weights, numer
+
+
+def rep_support_array(k: int, n: int, lam_max: int) -> np.ndarray:
+    """True where lam <= lam_max has a prime solution: the n-fold sumset of the prime k-th powers.
+
+    Exact, with no float and no rounding bound, so it runs at every size
+    ``check_array_memory`` admits.  Each of the n - 1 rounds ORs the last
+    round's set, shifted by every p^k, into a second buffer; the two
+    buffers swap.
+    """
+    powers = _range_primes(k, n, lam_max) ** k
+    acc, nxt = np.zeros(lam_max + 1, dtype=bool), np.empty(lam_max + 1, dtype=bool)
+    acc[powers] = True
+    for _ in range(n - 1):
+        nxt.fill(False)
+        for v in powers.tolist():
+            np.logical_or(nxt[v:], acc[: lam_max + 1 - v], out=nxt[v:])
+        acc, nxt = nxt, acc
+    return acc
 
 
 def max_weight_array(k: int, n: int, lam_max: int) -> np.ndarray:
@@ -691,7 +821,9 @@ def max_weight_array(k: int, n: int, lam_max: int) -> np.ndarray:
 def admissible_mask(k: int, n: int, counts: np.ndarray) -> np.ndarray:
     """True where lam = 0, 1, ... is admissible for (k, n) and has a prime solution.
 
-    ``counts`` is ``rep_count_array(k, n, lam_max)``, and the mask has its length.
+    ``counts`` is positive where lam has a prime solution: the exact
+    ``rep_support_array(k, n, lam_max)``, or ``rep_count_array`` where r is
+    read too.  The mask has its length.
     """
     return (counts > 0) & gamma_member_mask(k, n, np.arange(len(counts)))
 

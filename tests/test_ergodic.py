@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wglab.errors import InputError, UndefinedMeasureError
+from wglab.errors import InputError, NumericError, UndefinedMeasureError
 from wglab.ergodic import (
     TorusSystem,
     TrigPolynomial,
@@ -10,7 +10,14 @@ from wglab.ergodic import (
     orbit_points,
     weyl_decay_scan,
 )
-from wglab.surface import ProblemInstance, enumerate_prime_points, omega_hat
+from wglab.surface import (
+    ProblemInstance,
+    admissible_mask,
+    enumerate_prime_points,
+    omega_hat,
+    rep_count_array,
+    rep_support_array,
+)
 
 ALPHA = (0.3173, 0.7193, 0.1234, 0.5551, 0.9017)
 
@@ -129,6 +136,20 @@ def test_weyl_scan_skips_empty_blocks():
     assert all(b.count > 0 for b in blocks)
     with pytest.raises(UndefinedMeasureError):
         weyl_decay_scan(3, 5, xi, 8, 2)
+
+
+def test_weyl_scan_runs_where_float_counts_are_refused():
+    # n = 7 on [0, 2e5): rep_count_array refuses (rounding bound 0.38); the mask is the exact sumset
+    with pytest.raises(NumericError):
+        rep_count_array(2, 7, 199_999)
+    xi = (0.3, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
+    blocks = weyl_decay_scan(2, 7, xi, 3125, 6)
+    assert [b.lam_lo for b in blocks] == [3125 * 2**j for j in range(6)]
+    first = blocks[0]
+    mask = admissible_mask(2, 7, rep_support_array(2, 7, first.lam_hi - 1))
+    assert first.count == mask[first.lam_lo :].sum() > 100
+    m = enumerate_prime_points(ProblemInstance(2, 7, first.argmax_lam))
+    assert first.max_abs == pytest.approx(abs(omega_hat(m, xi)), abs=1e-9)
 
 
 def test_weyl_scan_overall_decay():

@@ -23,7 +23,9 @@ from wglab.surface import (
     admissible_mask,
     enumerate_prime_points,
     gamma_member_mask,
+    max_weight_array,
     rep_count_array,
+    rep_weight_array,
 )
 
 
@@ -327,6 +329,38 @@ def test_delta_probe_sup_norm_is_exact(monkeypatch, k, n, cutoffs):
     monkeypatch.setattr(maxops, "enumerate_prime_points", counted)
     assert list(delta_scaling_probe(k, n, np.inf, cutoffs).norms) == want
     assert len(enumerated) == len(set(enumerated)) <= len(cutoffs)  # once per distinct argmax lam
+
+
+def test_delta_probe_sup_norm_takes_max_weights_on_a_prefix(monkeypatch):
+    """At (2, 5) the ratio 0.2 at lam = 149 beats every bound (log(lam)/2)^5 / R(lam) above 1024."""
+    k, n = 2, 5
+    cutoffs = [2**e for e in range(12, 19)]
+    lam_max = cutoffs[-1]
+    # the whole-range argmax of each cutoff, then its enumerated ratio
+    gate = admissible_mask(k, n, rep_count_array(k, n, lam_max))
+    ratio = np.zeros(lam_max + 1)
+    ratio[gate] = max_weight_array(k, n, lam_max)[gate] / rep_weight_array(k, n, lam_max)[gate]
+    want = []
+    for L in cutoffs:
+        m = enumerate_prime_points(ProblemInstance(k, n, int(np.argmax(ratio[: L + 1]))))
+        want.append(float(m.weights.max() / m.R))
+    tops = []
+
+    def recorded(k, n, lam_max):
+        tops.append(lam_max)
+        return max_weight_array(k, n, lam_max)
+
+    monkeypatch.setattr(maxops, "max_weight_array", recorded)
+    assert list(delta_scaling_probe(k, n, np.inf, cutoffs).norms) == want == [0.2] * len(cutoffs)
+    assert tops and max(tops) <= 2048
+
+
+def test_delta_probe_runs_where_float_counts_are_refused():
+    # n = 7 on [0, 2e5): rep_count_array refuses (rounding bound 0.38); the gate is the exact sumset
+    with pytest.raises(NumericError):
+        rep_count_array(2, 7, 199_999)
+    report = delta_scaling_probe(2, 7, np.inf, [4096, 199_999])
+    assert report.norms == pytest.approx([1 / 7, 1 / 7], rel=1e-12)  # seven orderings of one solution
 
 
 def test_delta_probe_without_admissible_lam_is_undefined():

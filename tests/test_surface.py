@@ -22,7 +22,7 @@ from wglab.surface import (
     _fft_size,
     _local_unit_sum_masks,
     _range_length,
-    _value_array,
+    _value_arrays,
     admissible_mask,
     bump,
     check_array_memory,
@@ -40,9 +40,11 @@ from wglab.surface import (
     omega_hat,
     psi,
     rep_count_array,
+    rep_support_array,
     rep_weight_array,
     sample_admissible_lams,
     singular_series,
+    weight_and_numerator_arrays,
 )
 
 
@@ -612,7 +614,8 @@ def test_count_rounding_bound_covers_float_error():
     exact = ones
     for n in range(2, 7):
         exact = np.convolve(exact, ones)[: lam_max + 1]  # integer arithmetic, exact
-        err = np.abs(_value_array(primes**k, lam_max, [np.ones(len(primes))] * n) - exact).max()
+        [counts] = _value_arrays(primes**k, lam_max, [[np.ones(len(primes))] * n])
+        err = np.abs(counts - exact).max()
         if n <= 3:  # one block: a bincount of ones, no transform
             assert err == 0
             continue
@@ -639,7 +642,7 @@ def test_check_array_memory_refuses_above_physical_memory(monkeypatch):
             with pytest.raises(MemoryError):
                 check_array_memory(5, lam_max)
     n, lam_max = 5, 100_000
-    need = 16 * _fft_size(_range_length(n, lam_max)) + surface._TUPLE_BYTES * (lam_max + 1)
+    need = surface._SPECTRUM_BYTES * _fft_size(_range_length(n, lam_max)) + surface._RANGE_BYTES * (lam_max + 1)
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need, "SC_PAGE_SIZE": 1}.__getitem__)
     check_array_memory(n, lam_max)
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}.__getitem__)
@@ -649,7 +652,7 @@ def test_check_array_memory_refuses_above_physical_memory(monkeypatch):
 
 def test_check_array_memory_honours_cgroup_limit(monkeypatch, tmp_path):
     n, lam_max = 5, 100_000
-    need = 16 * _fft_size(_range_length(n, lam_max)) + surface._TUPLE_BYTES * (lam_max + 1)
+    need = surface._SPECTRUM_BYTES * _fft_size(_range_length(n, lam_max)) + surface._RANGE_BYTES * (lam_max + 1)
     limit = tmp_path / "memory.max"
     monkeypatch.setattr(surface, "_CGROUP_LIMIT_FILES", (str(limit), "/nonexistent/v1"))
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2 * need, "SC_PAGE_SIZE": 1}.__getitem__)
@@ -729,6 +732,110 @@ def test_max_weight_array_matches_enumeration_over_the_range(k, n, lam_max):
             want[lam] = m.weights.max()
     assert np.array_equal(maxw == 0, want == 0) and (want > 0).sum() > 100
     assert np.allclose(maxw, want, rtol=1e-13, atol=0)  # the same logs, multiplied in another order
+
+
+def _shift_add_counts(k: int, n: int, lam_max: int) -> np.ndarray:
+    """r(lam) on [0, lam_max] in int64: n - 1 rounds of adding the last round's counts shifted by each p^k."""
+    powers = sieve_primes(max(2, int_kth_root(lam_max, k))) ** k
+    powers = powers[powers <= lam_max]
+    counts = np.zeros(lam_max + 1, dtype=np.int64)
+    counts[powers] = 1
+    for _ in range(n - 1):
+        nxt = np.zeros_like(counts)
+        for v in powers.tolist():
+            nxt[v:] += counts[: lam_max + 1 - v]
+        counts = nxt
+    return counts
+
+
+@pytest.mark.parametrize("k, mid", [(2, 30_000), (3, 200_000), (4, 500_000)])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_support_array_is_where_counts_are_positive(k, mid, n):
+    for lam_max in (1, 2_000, mid):
+        support = rep_support_array(k, n, lam_max)
+        assert support.dtype == bool
+        assert np.array_equal(support, rep_count_array(k, n, lam_max) > 0), lam_max
+
+
+def test_support_array_runs_where_float_counts_are_refused():
+    k, n, lam_max = 2, 7, 199_999
+    with pytest.raises(NumericError):
+        rep_count_array(k, n, lam_max)
+    support = rep_support_array(k, n, lam_max)
+    assert np.array_equal(support, _shift_add_counts(k, n, lam_max) > 0)
+    rng = np.random.default_rng(7)
+    for lam in [*range(1, 1_200), *rng.integers(1_200, 12_000, 20).tolist()]:
+        assert support[lam] == (enumerate_prime_points(ProblemInstance(k, n, lam)).r > 0), lam
+    assert not support.all() and support[-50_000:].sum() > 10_000
+
+
+def test_support_array_refuses_oversized_ranges():
+    with pytest.raises(MemoryError):
+        rep_support_array(2, 5, 2**62)
+
+
+def _xi_patterns(n: int, rng) -> dict:
+    """xi with zero, integer and all-nonzero entries, each as a complex fill pattern of its own."""
+    a, b = rng.random(2)
+    return {
+        "zeros": np.array([a] + [0.0] * (n - 1)),
+        "integers": np.array([a, 1.0] + [2.0] * (n - 3) + [b])[:n],
+        "nonzero": rng.random(n) + 0.01,
+        "repeated": np.array([a] * n),
+    }
+
+
+@pytest.mark.parametrize("k, n, lam_max", [(2, 2, 3000), (2, 3, 3000), (2, 4, 3000), (2, 5, 4000), (3, 5, 20_000),
+                                           (2, 6, 3000), (2, 7, 3000)])
+def test_shared_plan_matches_the_one_array_plans_and_enumeration(k, n, lam_max):
+    rng = np.random.default_rng(100 * k + n)
+    weights_alone = rep_weight_array(k, n, lam_max)
+    scale = 1.0 + weights_alone.max()  # the transforms' roundoff is spread over the whole range
+    lams = rng.integers(1, lam_max + 1, 25)
+    for label, xi in _xi_patterns(n, rng).items():
+        weights, numer = weight_and_numerator_arrays(k, n, lam_max, xi)
+        assert np.array_equal(weights, weights_alone), label
+        assert np.array_equal(numer, fourier_numerator_array(k, n, lam_max, xi)), label
+        assert numer.dtype == complex
+        for lam in lams.tolist():
+            m = enumerate_prime_points(ProblemInstance(k, n, lam))
+            want = m.R * omega_hat(m, xi) if m.r else 0.0
+            assert abs(numer[lam] - want) <= 1e-9 * scale, (label, lam)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_whole_range_arrays_take_real_transforms_only(monkeypatch, n):
+    k, lam_max = 2, 5000
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, lambda *a, **kw: pytest.fail("took a complex transform"))
+    for xi in _xi_patterns(n, np.random.default_rng(n)).values():
+        weight_and_numerator_arrays(k, n, lam_max, xi)
+        fourier_numerator_array(k, n, lam_max, xi)
+    rep_weight_array(k, n, lam_max, power=1.5)
+    rep_support_array(k, n, lam_max)
+    max_weight_array(k, n, lam_max)
+    if n < 7:
+        rep_count_array(k, n, lam_max)
+
+
+@pytest.mark.parametrize("n, lam_max, pattern", [
+    (5, 100_000, (0.4142135623730951, 0.7320508075688772, 0, 0, 0)),  # weyl's frequency
+    (5, 100_000, None),
+    (7, 60_000, None),
+    (7, 60_000, (0.3, 1.0, 2.0, 0.3, 0.3, 0.3, 0.3)),  # a real block shared with the weights
+])
+def test_array_memory_figure_covers_the_peak(n, lam_max, pattern):
+    xi = np.random.default_rng(n).random(n) if pattern is None else np.array(pattern)
+    figure = surface._SPECTRUM_BYTES * _fft_size(_range_length(n, lam_max)) + surface._RANGE_BYTES * (lam_max + 1)
+    sieve_primes(int_kth_root(lam_max, 2))  # the sieve's cache is not part of the arrays
+    tracemalloc.start()
+    try:
+        arrays = weight_and_numerator_arrays(2, n, lam_max, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del arrays
+    assert peak <= figure
 
 
 @pytest.mark.parametrize("n, lam_max", [(2, 1202), (3, 1203)])  # lam_max itself has a solution
