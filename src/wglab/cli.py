@@ -37,9 +37,8 @@ from .surface import (
     gamma_membership,
     hua_series_ratios,
     omega_hat,
-    rep_count_array,
     rep_support_array,
-    rep_weight_array,
+    rep_totals_at,
     sample_admissible_lams,
     singular_series,
 )
@@ -268,15 +267,14 @@ def _cmd_approx(args):
 def _cmd_hua(args):
     k, n = args.k, args.n
     hi = max(args.hi, 1)  # sample_admissible_lams refuses --hi < 1 with a usage error
-    counts = rep_count_array(k, n, hi - 1)
-    lams = sample_admissible_lams(admissible_mask(k, n, counts), args.lo, args.hi, args.samples)
+    mask = admissible_mask(k, n, rep_support_array(k, n, hi - 1))
+    lams = sample_admissible_lams(mask, args.lo, args.hi, args.samples)
     if not lams:
         raise UndefinedMeasureError(f"no admissible lam with a prime solution in [{args.lo}, {args.hi})")
-    weights = rep_weight_array(k, n, hi - 1)
-    Rs = [float(weights[lam]) for lam in lams]
+    rs, Rs = rep_totals_at(k, n, lams)
     rows = [
-        [lam, int(counts[lam]), R, series.real, ratio]
-        for lam, R, (series, ratio) in zip(lams, Rs, hua_series_ratios(k, n, lams, Rs, Qsing=args.qsing))
+        [lam, r, R, series.real, ratio]
+        for lam, r, R, (series, ratio) in zip(lams, rs, Rs, hua_series_ratios(k, n, lams, Rs, Qsing=args.qsing))
     ]
     ratios = [row[4] for row in rows]
     in_band = [r for r in ratios if 0.7 <= r <= 1.3]

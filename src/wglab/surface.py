@@ -51,17 +51,20 @@ class GammaVerdict:
 def _local_unit_sum_masks(k: int, n: int) -> tuple:
     """(modulus, admissible-residue mask) pairs for every prime p <= k + 1.
 
-    The modulus is p^(v_p(k) + 2), one power higher at p = 2; the mask
-    marks residues reachable as a sum of n k-th powers of units.  Each of
-    the n steps is a cyclic convolution of indicator arrays by FFT, whose
-    integer counts it thresholds at 1/2: the roundoff, about
-    log2(m) eps m, stays far below that.  The steps stop once every
-    residue is reached.
+    The modulus is p^gamma, gamma = v_p(k) + 1, one more at p = 2 (the
+    gamma(p) of Hua, Additive Theory of Prime Numbers, ch. VIII).  Mod any
+    higher power of p the unit k-th powers, and so their n-fold sumsets,
+    are the full preimages of those mod p^gamma: it would mark the same
+    lam.  The mask marks residues reachable as a sum of n k-th powers of
+    units.  Each of the n steps is a cyclic convolution of indicator arrays
+    by FFT, whose integer counts it thresholds at 1/2: the roundoff, about
+    log2(m) eps m, stays far below that.  The steps stop once every residue
+    is reached.
     """
     pairs = []
     v_p = dict(factorize(k))
     for p in sieve_primes(k + 1).tolist():
-        gam = v_p.get(p, 0) + 2 + (1 if p == 2 else 0)
+        gam = v_p.get(p, 0) + 1 + (1 if p == 2 else 0)
         m = p**gam
         kth_powers = np.zeros(m)
         kth_powers[_pow_mod(units(m), k, m)] = 1.0
@@ -231,15 +234,6 @@ def enumerate_integer_points(instance: ProblemInstance) -> SurfaceMeasure:
     return SurfaceMeasure.build(instance, reps, log_weighted=False)
 
 
-def naive_solutions(values, n: int, k: int, lam: int) -> np.ndarray:
-    """Plain nested-loop enumeration; the oracle for the split enumeration."""
-    from itertools import product
-
-    values = [int(v) for v in values]
-    out = [t for t in product(values, repeat=n) if sum(v**k for v in t) == lam]
-    return np.asarray(sorted(out), dtype=np.int64).reshape(-1, n)
-
-
 def omega_hat(measure: SurfaceMeasure, xi) -> complex:
     """Normalized Fourier transform of the measure at the frequency vector xi."""
     if measure.R <= 0:
@@ -307,6 +301,12 @@ def singular_series(k: int, n: int, lams, avec, qvec, Qsing: int) -> list[comple
     g-product once, and one phase block gives the term of every lam in the
     chunk, added to that lam's total in q order.  The sums carry no error
     figure: no bound on the terms beyond Qsing is computed.
+
+    Its lru tables hold at most (12 + 16 c) Qsing (Qsing + 1) bytes of data
+    for c distinct center pairs: per q the roots e(j/q) (16 q) and units
+    (8 q), per q and pair the g-table (16 q) and its values at the units
+    (16 q).  Above ``available_memory()`` the call is refused with
+    MemoryError before any table is built.  A phase block adds <= 40 MB.
     """
     lams = [int(v) for v in lams]
     avec = [int(v) for v in avec]
@@ -320,7 +320,11 @@ def singular_series(k: int, n: int, lams, avec, qvec, Qsing: int) -> list[comple
             raise InputError("each center pair (a_i, q_i) must be reduced")
     if Qsing < 1:
         raise InputError("Qsing must be >= 1")
-    (first, first_mult), *rest = Counter((ai % qi, qi) for ai, qi in zip(avec, qvec)).items()
+    pairs = Counter((ai % qi, qi) for ai, qi in zip(avec, qvec))
+    need = (12 + 16 * len(pairs)) * Qsing * (Qsing + 1)
+    if need > available_memory():
+        raise MemoryError(f"series tables for Qsing={Qsing} need {need} bytes, more than the memory available")
+    (first, first_mult), *rest = pairs.items()
     chunk = max(1, _PHASE_BLOCK // Qsing)  # per lam: at most Qsing units at each q
     results = []
     for lo in range(0, len(lams), chunk):
@@ -413,10 +417,10 @@ def hua_ratio(measure: SurfaceMeasure, Qsing: int = 100) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Whole-range totals on the value axis.  The count, weight, and transform
-# numerators of every lam <= lam_max come from n-fold additive convolution
-# of single-coordinate arrays indexed by p^k, so block sweeps never
-# enumerate solutions lam by lam.
+# Totals on the value axis.  The weight and transform numerator of every
+# lam <= lam_max come from n-fold additive convolution of single-coordinate
+# arrays indexed by p^k, and r and R at chosen lam from two exact halves,
+# so block sweeps never enumerate solutions lam by lam.
 # ---------------------------------------------------------------------------
 
 
@@ -506,8 +510,8 @@ def _add_at(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
     if np.iscomplexobj(vals):
         out.real += np.bincount(idx, vals.real, len(out))
         out.imag += np.bincount(idx, vals.imag, len(out))
-    else:
-        out += np.bincount(idx, vals, len(out))
+    else:  # an integer out takes the float sums of integer vals, exact below 2^53
+        np.add(out, np.bincount(idx, vals, len(out)), out=out, casting="unsafe")
 
 
 def _block_array(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
@@ -656,8 +660,8 @@ def _value_arrays(powers: np.ndarray, lam_max: int, fill_lists) -> list:
             for _ in range(mult):
                 if acc is None:
                     # a copy, so no product writes into a spectrum that is read again.  Taking over a spectrum on
-                    # its last use instead took more page faults: 7 070 against 4 898 minor faults for one
-                    # rep_count_array and one rep_weight_array call on [0, 99 999], repeated in one process
+                    # its last use instead took more page faults: 7 070 against 4 898 minor faults for two
+                    # one-output calls at (k, n) = (2, 5) on [0, 99 999], repeated in one process
                     acc = tuple(None if part is None else part.copy() for part in spec)
                 else:
                     acc = _times(acc, spec)
@@ -677,55 +681,6 @@ def _value_arrays(powers: np.ndarray, lam_max: int, fill_lists) -> list:
     return outs
 
 
-def _count_rounding_bound(n: int, m: int, size: int, P: int) -> float:
-    """Bound 16 * m * 2^-53 * log2(size) * P^(n - 1/2) on the float error of every n-fold count from m blocks.
-
-    The counts come from m = ceil(n/3) blocks (``_value_arrays``), each a
-    block B of d <= 3 coordinates whose entries are exact integers (a
-    ``bincount`` of ones).  With m = 1 there is no transform and the counts
-    are exact, so the bound is loose there.  The derivation uses two norms
-    of each block:
-    - the 1-norm, which bounds its spectrum: at most P^d (P^d ordered
-      d-tuples);
-    - the 2-norm, which bounds its transform error: ||B||_2^2 <=
-      max(B) * ||B||_1 <= P^(d - 1) * P^d (the sum and d - 1 coordinates
-      fix the last), so ||B||_2 <= P^(d - 1/2).
-    Each transform of length L errs by at most g = 6.7 u log2(L) relative
-    in the 2-norm (u = 2^-53; Higham, Accuracy and Stability of Numerical
-    Algorithms, Thm 24.2, for radix 2; a radix-3 or radix-5 pass of the
-    5-smooth length counts as log2(3) or log2(5) radix-2 levels, and the
-    tests check the bound against the measured error).  So a block's
-    spectrum errs by g sqrt(L) P^(d - 1/2) in the 2-norm, and the other
-    blocks' spectra multiply that by at most P^(n - d): g sqrt(L)
-    P^(n - 1/2) per block.  The exact product is the transform of counts
-    that sum to at most P^n, none above P^(n-1) (n - 1 coordinates fix the
-    last), so of 2-norm at most sqrt(L) P^(n - 1/2); the m - 1 complex
-    products add sqrt(5) u each relative to it.  The inverse transform
-    scales all of this by 1/sqrt(L) and adds g P^(n - 1/2).  Every count
-    thus errs by at most ((m + 1) g + sqrt(5) (m - 1) u) P^(n - 1/2) to
-    first order, below 15.7 m u log2(L) P^(n - 1/2), inside c = 16.
-    """
-    with np.errstate(over="ignore"):
-        return float(16.0 * m * 2.0**-53 * log(size, 2) * np.float64(P) ** (n - 0.5))
-
-
-def rep_count_array(k: int, n: int, lam_max: int) -> np.ndarray:
-    """r(lam) for every lam <= lam_max, via convolution, exact after rounding.
-
-    Refused with NumericError when ``_count_rounding_bound`` exceeds 0.25,
-    where rounding to the nearest integer could be wrong.
-    """
-    primes = _range_primes(k, n, lam_max)
-    P = len(primes)
-    bound = _count_rounding_bound(n, _block_count(n), _fft_size(_range_length(n, lam_max)), P)
-    if bound > 0.25:
-        raise NumericError(
-            f"float counts for n={n} over {P} primes may round wrongly (error bound {bound:.3g} > 0.25)"
-        )
-    [counts] = _value_arrays(primes**k, lam_max, [[np.ones(P)] * n])
-    return np.rint(counts, out=counts).astype(np.int64)
-
-
 def rep_weight_array(k: int, n: int, lam_max: int, power: float = 1.0) -> np.ndarray:
     """Sum over solutions of prod_i (log p_i)^power, for every lam <= lam_max."""
     primes = _range_primes(k, n, lam_max)
@@ -736,12 +691,13 @@ def rep_weight_array(k: int, n: int, lam_max: int, power: float = 1.0) -> np.nda
 def rep_weight_rounding(k: int, n: int, lam_max: int, power: float) -> float:
     """Estimated float error of each entry of ``rep_weight_array(k, n, lam_max, power)``.
 
-    ``_count_rounding_bound``'s argument, with the fill f = (log p)^power
-    in place of ones (a block of d coordinates has 1-norm at most
-    ||f||_1^d and, by Young's inequality, 2-norm at most ||f||_2
-    ||f||_1^(d - 1)), bounds the 2-norm of the error of the whole output
-    by about 16 ceil(n/3) u log2(L) ||f||_2 ||f||_1^(n - 1), with L the
-    transform length and u = 2^-53.  Spread evenly over the L entries and
+    With the fill f = (log p)^power, u = 2^-53 and L the transform length:
+    each transform errs by about u log2(L) relative in the 2-norm (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 24.2); a block of d
+    coordinates has 1-norm at most ||f||_1^d and, by Young's inequality,
+    2-norm at most ||f||_2 ||f||_1^(d - 1).  Through the block product and
+    the inverse, the output errs by about 16 ceil(n/3) u log2(L) ||f||_2
+    ||f||_1^(n - 1) in the 2-norm.  Spread evenly over the L entries and
     without the constant, that is u log2(L) ||f||_2 ||f||_1^(n - 1) /
     sqrt(L), returned here: an estimate, not a bound.  At (k, n) = (2, 5),
     for powers 1.2 to 50 on ranges 2^8 to 2^18, it lay 2.6 to 3.5e15 times
@@ -754,31 +710,21 @@ def rep_weight_rounding(k: int, n: int, lam_max: int, power: float) -> float:
     return float(2.0**-53 * log(size, 2) * np.sqrt((f * f).sum()) * f.sum() ** (n - 1) / np.sqrt(size))
 
 
-def _numerator_fills(k: int, n: int, lam_max: int, xi) -> tuple:
-    """The primes of the range, and coordinate i's fill log(p) e(p xi_i) at each, the phase reduced mod 1 first."""
+def weight_and_numerator_arrays(k: int, n: int, lam_max: int, xi) -> tuple:
+    """``rep_weight_array(k, n, lam_max)`` and R(lam) * omega_hat(lam, xi) for every lam <= lam_max, from one plan.
+
+    Coordinate i of the numerator has the fill log(p) e(p xi_i), the phase
+    reduced mod 1 first.  A block the two share (the coordinates with
+    xi_i = 0 or an integer carry the weight's fill log p) is built and
+    transformed once.
+    """
     xi = np.asarray(xi, dtype=float)
     if len(xi) != n:
         raise InputError("xi must have length n")
     primes = _range_primes(k, n, lam_max)
     p = primes.astype(np.float64)
-    return primes, [np.log(p) * np.exp(2j * np.pi * (p * x - np.rint(p * x))) for x in xi]
-
-
-def fourier_numerator_array(k: int, n: int, lam_max: int, xi) -> np.ndarray:
-    """R(lam) * omega_hat(lam, xi) for every lam <= lam_max."""
-    primes, fills = _numerator_fills(k, n, lam_max, xi)
-    [numer] = _value_arrays(primes**k, lam_max, [fills])
-    return numer
-
-
-def weight_and_numerator_arrays(k: int, n: int, lam_max: int, xi) -> tuple:
-    """``rep_weight_array(k, n, lam_max)`` and ``fourier_numerator_array(k, n, lam_max, xi)`` from one plan.
-
-    A block the two share (the coordinates with xi_i = 0 or an integer
-    carry the weight's fill log p) is built and transformed once.
-    """
-    primes, fills = _numerator_fills(k, n, lam_max, xi)
-    logs = np.log(primes.astype(np.float64))
+    logs = np.log(p)
+    fills = [logs * np.exp(2j * np.pi * (p * x - np.rint(p * x))) for x in xi]
     weights, numer = _value_arrays(primes**k, lam_max, [[logs] * n, fills])
     return weights, numer
 
@@ -818,14 +764,58 @@ def max_weight_array(k: int, n: int, lam_max: int) -> np.ndarray:
     return acc
 
 
-def admissible_mask(k: int, n: int, counts: np.ndarray) -> np.ndarray:
+def _half_block(powers: np.ndarray, fill: np.ndarray, d: int, lam_max: int) -> np.ndarray:
+    """Array on [0, lam_max] of d coordinates: entry s sums prod_i fill(p_i) over prime d-tuples with sum p_i^k = s.
+
+    Up to three coordinates come from ``_block_array``.  Each further one
+    is a shift-add round over the prime powers: ``max_weight_array``'s
+    rounds with + in place of max.  An int64 fill gives int64 sums.
+    """
+    acc = _block_array(powers, (fill,) * min(d, 3), lam_max)
+    nxt, tmp = np.empty_like(acc), np.empty_like(acc)
+    for _ in range(d - 3):
+        nxt.fill(0)
+        for v, w in zip(powers.tolist(), fill.tolist()):
+            span = lam_max + 1 - v
+            np.multiply(acc[:span], w, out=tmp[:span])
+            np.add(nxt[v:], tmp[:span], out=nxt[v:])
+        acc, nxt = nxt, acc
+    return acc
+
+
+def rep_totals_at(k: int, n: int, lams) -> tuple[list[int], list[float]]:
+    """The count r(lam) and the weighted count R(lam) of prime solutions at each lam in ``lams``.
+
+    The n coordinates split into halves of ceil(n/2) and floor(n/2), each
+    built exactly on [0, max(lams)] by ``_half_block``, once with unit
+    fills in int64 (A, B) and once with log p.  r(lam) = sum_m A[m]
+    B[lam - m] is one int64 dot product, R(lam) the same on the log halves;
+    every term is positive, so nothing cancels.  r(lam) <= P^(n-1) over the
+    range's P primes, so P^(n-1) >= 2^63, where int64 could overflow, is
+    refused with NumericError before any half is built.
+    """
+    lams = [int(v) for v in lams]
+    if min(lams, default=0) < 0:
+        raise InputError("need lam >= 0")
+    lam_max = max(lams, default=0)
+    primes = _range_primes(k, n, lam_max)
+    if len(primes) ** (n - 1) >= 2**63:
+        raise NumericError(f"counts for n={n} over {len(primes)} primes can reach 2^63 and overflow int64")
+    powers, logs = primes**k, np.log(primes.astype(np.float64))
+    totals = []
+    for fill in (np.ones(len(primes), dtype=np.int64), logs):
+        halves = {d: _half_block(powers, fill, d, lam_max) for d in {n - n // 2, n // 2}}
+        a, rev = halves[n - n // 2], halves[n // 2][::-1].copy()  # rev[lam_max - lam + m] = B[lam - m]
+        totals.append([np.dot(a[: lam + 1], rev[lam_max - lam :]).item() for lam in lams])
+    return tuple(totals)
+
+
+def admissible_mask(k: int, n: int, support: np.ndarray) -> np.ndarray:
     """True where lam = 0, 1, ... is admissible for (k, n) and has a prime solution.
 
-    ``counts`` is positive where lam has a prime solution: the exact
-    ``rep_support_array(k, n, lam_max)``, or ``rep_count_array`` where r is
-    read too.  The mask has its length.
+    ``support`` is ``rep_support_array(k, n, lam_max)``; the mask has its length.
     """
-    return (counts > 0) & gamma_member_mask(k, n, np.arange(len(counts)))
+    return support & gamma_member_mask(k, n, np.arange(len(support)))
 
 
 def sample_admissible_lams(mask: np.ndarray, lo: int, hi: int, count: int) -> list[int]:

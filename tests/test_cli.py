@@ -15,7 +15,7 @@ from wglab import maxops
 from wglab.cli import build_parser, main
 from wglab.ergodic import weyl_decay_scan
 from wglab.maxops import GridFunction, delta_scaling_probe
-from wglab.surface import ProblemInstance, enumerate_prime_points, hua_ratio
+from wglab.surface import ProblemInstance, enumerate_prime_points, gamma_member_mask, hua_ratio
 
 
 def run(capsys, *argv):
@@ -324,6 +324,42 @@ def test_hua_never_enumerates(capsys, tmp_path, monkeypatch):
     )
     assert doc["scalars"]["n_samples"] == 4
     assert os.listdir(tmp_path) == []
+
+
+def test_hua_takes_no_transform(capsys, monkeypatch):
+    """r and R come from exact half blocks and their dot products, and the mask from the boolean sumset."""
+    args = ["hua", "--k", "2", "--n", "7", "--lo", "2000", "--hi", "3000", "--samples", "3", "--qsing", "20"]
+    gamma_member_mask(2, 7, np.arange(1))  # the cached congruence masks: FFTs of length 8 and 3, once per (k, n)
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, lambda *a, **kw: pytest.fail("wg hua took a transform"))
+    doc = run_json(capsys, *args)
+    rows = doc["table"]["rows"]
+    assert len(rows) == 3
+    for lam, r, R, _, _ in rows:
+        m = enumerate_prime_points(ProblemInstance(2, 7, lam))
+        assert r == m.r and R == pytest.approx(m.R, rel=1e-12)
+
+
+def test_hua_refuses_counts_that_could_overflow(capsys):
+    # the 53 primes up to sqrt(59999): r(lam) <= 53^11, which exceeds 2^63
+    assert main(["hua", "--k", "2", "--n", "12", "--lo", "50000", "--hi", "60000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "int64" in captured.err
+    assert captured.out == ""
+
+
+def test_singular_refuses_oversized_qsing_at_once(capsys):
+    # the lru tables would hold about 28 * 10^14 bytes
+    assert main(["singular", "--k", "2", "--n", "5", "--lambda", "77", "--qsing", "10000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_points_at_large_even_k(capsys):
+    # the unit-sum masks at k = 1000 use moduli p^gamma: 76 777 in total
+    doc = run_json(capsys, "points", "--k", "1000", "--n", "7", "--lambda", "1")
+    assert doc["scalars"]["r"] == 0 and doc["table"]["rows"] == []
+    assert doc["scalars"]["gamma"] == "heuristic_non_member"
 
 
 def test_cli_import_skips_scipy_signal():

@@ -24,7 +24,7 @@ from wglab.surface import (
     enumerate_prime_points,
     gamma_member_mask,
     max_weight_array,
-    rep_count_array,
+    rep_support_array,
     rep_weight_array,
 )
 
@@ -265,12 +265,11 @@ def test_delta_probe_against_enumeration():
     """The convolution route equals the per-lambda definition on small ranges."""
     k, n, p, lam_max = 2, 3, 1.2, 600
     report = delta_scaling_probe(k, n, p, [lam_max])
-    counts = rep_count_array(k, n, lam_max)
     total = 0.0
     for lam in range(1, lam_max + 1):
-        if counts[lam] == 0 or not gamma_member_mask(k, n, np.array([lam]))[0]:
-            continue
         m = enumerate_prime_points(ProblemInstance(k, n, lam))
+        if m.r == 0 or not gamma_member_mask(k, n, np.array([lam]))[0]:
+            continue
         total += ((m.weights / m.R) ** p).sum()
     assert report.norms[0] == pytest.approx(total ** (1 / p), rel=1e-9)
 
@@ -278,7 +277,7 @@ def test_delta_probe_against_enumeration():
 def test_delta_probe_accepted_norms_match_enumeration_and_the_rest_are_refused():
     """Every norm the probe prints on [0, 4096] agrees with exact enumeration to 1e-6."""
     k, n = 2, 5
-    gate = admissible_mask(k, n, rep_count_array(k, n, 4096))
+    gate = admissible_mask(k, n, rep_support_array(k, n, 4096))
     measures = [enumerate_prime_points(ProblemInstance(k, n, int(lam))) for lam in np.flatnonzero(gate)]
     accepted = set()
     for p in (1, 1.2, 1.5, 2, 3, 4, 5, 6, 8, 12, 20):
@@ -314,7 +313,7 @@ def test_delta_probe_sup_norm_bounded():
 ])
 def test_delta_probe_sup_norm_is_exact(monkeypatch, k, n, cutoffs):
     """At p = inf every norm equals the largest enumerated weight share over the gated lam <= L."""
-    gate = admissible_mask(k, n, rep_count_array(k, n, cutoffs[-1]))
+    gate = admissible_mask(k, n, rep_support_array(k, n, cutoffs[-1]))
     shares = {}
     for lam in np.flatnonzero(gate):
         m = enumerate_prime_points(ProblemInstance(k, n, int(lam)))
@@ -337,7 +336,7 @@ def test_delta_probe_sup_norm_takes_max_weights_on_a_prefix(monkeypatch):
     cutoffs = [2**e for e in range(12, 19)]
     lam_max = cutoffs[-1]
     # the whole-range argmax of each cutoff, then its enumerated ratio
-    gate = admissible_mask(k, n, rep_count_array(k, n, lam_max))
+    gate = admissible_mask(k, n, rep_support_array(k, n, lam_max))
     ratio = np.zeros(lam_max + 1)
     ratio[gate] = max_weight_array(k, n, lam_max)[gate] / rep_weight_array(k, n, lam_max)[gate]
     want = []
@@ -356,9 +355,7 @@ def test_delta_probe_sup_norm_takes_max_weights_on_a_prefix(monkeypatch):
 
 
 def test_delta_probe_runs_where_float_counts_are_refused():
-    # n = 7 on [0, 2e5): rep_count_array refuses (rounding bound 0.38); the gate is the exact sumset
-    with pytest.raises(NumericError):
-        rep_count_array(2, 7, 199_999)
+    # n = 7 on [0, 2e5), where float counts from transforms could round wrongly; the gate is the exact sumset
     report = delta_scaling_probe(2, 7, np.inf, [4096, 199_999])
     assert report.norms == pytest.approx([1 / 7, 1 / 7], rel=1e-12)  # seven orderings of one solution
 

@@ -1,6 +1,7 @@
 import os
 import tracemalloc
 from collections import Counter
+from itertools import product
 from math import lcm, log
 
 import numpy as np
@@ -11,14 +12,13 @@ from scipy.fft import next_fast_len
 
 from wglab import surface
 from wglab.errors import InputError, NumericError, UndefinedMeasureError
-from wglab.expsums import GSumQuery, _g_over_a, _roots, g_sum
+from wglab.expsums import GSumQuery, _g_over_a, _g_table, _roots, g_sum
 from wglab.numtheory import int_kth_root, sieve_primes, units
 from wglab.oscint import SurfaceQuery, singular_integral, surface_transform
 from wglab.surface import (
     BUMP_OUTER,
     ApproxParams,
     ProblemInstance,
-    _count_rounding_bound,
     _fft_size,
     _local_unit_sum_masks,
     _range_length,
@@ -29,23 +29,28 @@ from wglab.surface import (
     enumerate_integer_points,
     enumerate_prime_points,
     error_term,
-    fourier_numerator_array,
     gamma_member_mask,
     gamma_membership,
     hua_ratio,
     hua_series_ratios,
     main_term,
     max_weight_array,
-    naive_solutions,
     omega_hat,
     psi,
-    rep_count_array,
     rep_support_array,
+    rep_totals_at,
     rep_weight_array,
     sample_admissible_lams,
     singular_series,
     weight_and_numerator_arrays,
 )
+
+
+def naive_solutions(values, n: int, k: int, lam: int) -> np.ndarray:
+    """Plain nested-loop enumeration; the oracle for the split enumeration."""
+    values = [int(v) for v in values]
+    out = [t for t in product(values, repeat=n) if sum(v**k for v in t) == lam]
+    return np.asarray(sorted(out), dtype=np.int64).reshape(-1, n)
 
 
 @pytest.fixture(scope="module")
@@ -110,28 +115,36 @@ def _unit_sum_masks_by_rolls(k, m, n_max):
     return masks
 
 
+def _lifted(mask: np.ndarray, modulus: int) -> np.ndarray:
+    """A mask mod m read at every residue mod a multiple of m."""
+    return mask[np.arange(modulus) % len(mask)]
+
+
 def test_unit_sum_masks_match_the_roll_construction():
+    """The masks mod p^gamma, lifted, equal the rolls one power of p higher, over each full period."""
     for k in range(2, 41, 2):
         moduli = [m for m, _ in _local_unit_sum_masks(k, 2)]
-        oracle = {m: _unit_sum_masks_by_rolls(k, m, 8) for m in moduli}
+        primes = sieve_primes(k + 1).tolist()
+        oracle = {m * p: _unit_sum_masks_by_rolls(k, m * p, 8) for m, p in zip(moduli, primes)}
         for n in range(2, 9):
             masks = _local_unit_sum_masks(k, n)
             assert [m for m, _ in masks] == moduli
-            for m, mask in masks:
-                assert np.array_equal(mask, oracle[m][n - 1]), (k, n, m)
+            for (m, mask), p in zip(masks, primes):
+                assert np.array_equal(_lifted(mask, m * p), oracle[m * p][n - 1]), (k, n, m)
 
 
 def test_unit_sum_masks_at_large_even_k():
     """k = 150: the FFT steps take a fraction of a second where the rolls took about 14 s.
 
-    The smallest and largest moduli are checked against the roll construction.
+    The two smallest and the largest moduli, lifted one power of p, are
+    checked against the roll construction there.
     """
     masks = _local_unit_sum_masks(150, 7)
     assert len(masks) == len(sieve_primes(151))
-    for m, mask in (masks[0], masks[1], masks[-1]):
-        assert np.array_equal(mask, _unit_sum_masks_by_rolls(150, m, 7)[-1]), m
-    assert (masks[0][0], masks[-1][0]) == (16, 151**2)  # v_2(150) = 1; 151 does not divide 150
-    assert not gamma_membership(ProblemInstance(150, 7, 1)).member  # 1 is not 7 or 15 mod 16
+    for (m, mask), p in ((masks[0], 2), (masks[1], 3), (masks[-1], 151)):
+        assert np.array_equal(_lifted(mask, m * p), _unit_sum_masks_by_rolls(150, m * p, 7)[-1]), m
+    assert (masks[0][0], masks[-1][0]) == (8, 151)  # gamma(2) = v_2(150) + 2 = 3; 151 does not divide 150
+    assert not gamma_membership(ProblemInstance(150, 7, 1)).member  # 1 is not 7 mod 8
 
 
 def test_gamma_mask_matches_scalar():
@@ -571,14 +584,12 @@ def test_hua_ratio_approaches_one_with_lambda():
 
 def test_value_arrays_match_enumeration():
     lam_max = 1500
-    counts = rep_count_array(2, 3, lam_max)
     weights = rep_weight_array(2, 3, lam_max)
     rng = np.random.default_rng(21)
     xi = rng.random(3)
-    numer = fourier_numerator_array(2, 3, lam_max, xi)
+    numer = weight_and_numerator_arrays(2, 3, lam_max, xi)[1]
     for lam in range(3, lam_max + 1, 97):
         m = enumerate_prime_points(ProblemInstance(2, 3, lam))
-        assert counts[lam] == m.r
         assert weights[lam] == pytest.approx(m.R, abs=1e-8)
         if m.R > 0:
             assert numer[lam] / m.R == pytest.approx(
@@ -592,45 +603,19 @@ def test_value_arrays_match_enumeration_property(data, k, n, lam_max):
     # xi from a pool of two values and zero, so equal fills pair up and blocks repeat
     pool = data.draw(st.lists(st.floats(-1, 1), min_size=2, max_size=2)) + [0.0]
     xi = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
-    counts = rep_count_array(k, n, lam_max)
     weights = rep_weight_array(k, n, lam_max)
-    numer = fourier_numerator_array(k, n, lam_max, xi)
+    numer = weight_and_numerator_arrays(k, n, lam_max, xi)[1]
+    counts_at, weights_at = rep_totals_at(k, n, range(lam_max + 1))
     r, R, N = np.zeros(lam_max + 1, dtype=np.int64), np.zeros(lam_max + 1), np.zeros(lam_max + 1, dtype=complex)
     for lam in range(1, lam_max + 1):
         m = enumerate_prime_points(ProblemInstance(k, n, lam))
         r[lam], R[lam] = m.r, m.R
         N[lam] = (m.weights * np.exp(2j * np.pi * (m.representations @ xi))).sum()
-    assert np.array_equal(counts, r)
+    assert counts_at == r.tolist()
+    assert np.allclose(weights_at, R, rtol=1e-12, atol=0)  # positive terms only: relative accuracy
     scale = 1.0 + R.max()
     assert np.abs(weights - R).max() <= 1e-9 * scale
     assert np.abs(numer - N).max() <= 1e-9 * scale
-
-
-def test_count_rounding_bound_covers_float_error():
-    k, lam_max = 2, 3000
-    primes = sieve_primes(int_kth_root(lam_max, k))
-    ones = np.zeros(lam_max + 1, dtype=np.int64)
-    ones[primes**k] = 1
-    exact = ones
-    for n in range(2, 7):
-        exact = np.convolve(exact, ones)[: lam_max + 1]  # integer arithmetic, exact
-        [counts] = _value_arrays(primes**k, lam_max, [[np.ones(len(primes))] * n])
-        err = np.abs(counts - exact).max()
-        if n <= 3:  # one block: a bincount of ones, no transform
-            assert err == 0
-            continue
-        size = _fft_size(_range_length(n, lam_max))  # two blocks: 2+2, 3+2 and 3+3
-        assert 0 < err <= _count_rounding_bound(n, 2, size, len(primes)) < 0.25
-        assert np.array_equal(rep_count_array(k, n, lam_max), exact)
-
-
-def test_rep_count_array_refuses_unsafe_rounding():
-    # the 86 primes up to sqrt(200000): their 7-fold float counts from 3+2+2 blocks may round wrongly (bound 0.38)
-    assert _count_rounding_bound(7, 3, _fft_size(_range_length(7, 200_000)), 86) > 0.25
-    with pytest.raises(NumericError):
-        rep_count_array(2, 7, 200_000)
-    # the default hua range is far inside the bound
-    assert _count_rounding_bound(5, 2, _fft_size(_range_length(5, 99_999)), 65) < 1e-3
 
 
 def test_check_array_memory_refuses_above_physical_memory(monkeypatch):
@@ -687,14 +672,14 @@ def test_cgroup_memory_limit_reads_v2_then_v1(monkeypatch, tmp_path):
 
 
 def test_sample_admissible_lams():
-    lams = sample_admissible_lams(admissible_mask(2, 5, rep_count_array(2, 5, 3999)), 2000, 4000, 4)
+    lams = sample_admissible_lams(admissible_mask(2, 5, rep_support_array(2, 5, 3999)), 2000, 4000, 4)
     assert len(lams) == 4 and lams == sorted(lams)
     for lam in lams:
         assert gamma_membership(ProblemInstance(2, 5, lam)).member
         assert enumerate_prime_points(ProblemInstance(2, 5, lam)).r > 0
     # below n * 2^k = 20 no lam has a prime solution
-    assert sample_admissible_lams(admissible_mask(2, 5, rep_count_array(2, 5, 19)), 1, 20, 4) == []
-    mask = admissible_mask(2, 5, rep_count_array(2, 5, 99))
+    assert sample_admissible_lams(admissible_mask(2, 5, rep_support_array(2, 5, 19)), 1, 20, 4) == []
+    mask = admissible_mask(2, 5, rep_support_array(2, 5, 99))
     assert len(mask) == 100
     for lo, hi, count in [(0, 101, 4), (50, 50, 4), (-1, 10, 4), (0, 100, 0)]:
         with pytest.raises(InputError):
@@ -754,13 +739,12 @@ def test_support_array_is_where_counts_are_positive(k, mid, n):
     for lam_max in (1, 2_000, mid):
         support = rep_support_array(k, n, lam_max)
         assert support.dtype == bool
-        assert np.array_equal(support, rep_count_array(k, n, lam_max) > 0), lam_max
+        assert np.array_equal(support, _shift_add_counts(k, n, lam_max) > 0), lam_max
 
 
 def test_support_array_runs_where_float_counts_are_refused():
+    # n = 7 on [0, 2e5), where float counts from transforms could round wrongly; the sumset is exact
     k, n, lam_max = 2, 7, 199_999
-    with pytest.raises(NumericError):
-        rep_count_array(k, n, lam_max)
     support = rep_support_array(k, n, lam_max)
     assert np.array_equal(support, _shift_add_counts(k, n, lam_max) > 0)
     rng = np.random.default_rng(7)
@@ -774,6 +758,66 @@ def test_support_array_refuses_oversized_ranges():
         rep_support_array(2, 5, 2**62)
 
 
+@pytest.mark.parametrize("k, n, lam_max, enum_max", [
+    (2, 2, 20_000, 5_000), (2, 3, 20_000, 5_000), (2, 4, 50_000, 20_000), (2, 5, 99_999, 20_000),
+    (3, 6, 50_000, 20_000), (2, 7, 199_999, 3_000), (2, 8, 20_000, 3_000), (3, 9, 300_000, 20_000),
+])
+def test_totals_at_are_exact_counts_and_enumerated_weights(k, n, lam_max, enum_max):
+    """r equals the int64 shift-add counts everywhere; R equals enumeration where that is affordable."""
+    rng = np.random.default_rng(10 * k + n)
+    counts = _shift_add_counts(k, n, lam_max)
+    solved = np.flatnonzero(counts)
+    # lam with solutions up to enum_max and above it, and lam drawn from the whole range, most without
+    small = rng.choice(solved[solved <= enum_max], 10).tolist()
+    lams = [*small, *rng.choice(solved[solved > enum_max], 10).tolist(), *rng.integers(0, lam_max + 1, 5).tolist()]
+    r, R = rep_totals_at(k, n, lams)
+    assert r == counts[lams].tolist()
+    assert all(type(v) is int for v in r) and all(type(v) is float for v in R)
+    for lam, got in zip(small, R):
+        want = enumerate_prime_points(ProblemInstance(k, n, lam)).R
+        assert got == pytest.approx(want, rel=1e-12, abs=0), lam  # positive terms: no cancellation
+    assert all(r[:20]) and all((v > 0) == (r_v > 0) for v, r_v in zip(R, r))
+
+
+def test_totals_at_take_any_order_of_lams_and_no_transform(monkeypatch):
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, lambda *a, **kw: pytest.fail("took a transform"))
+    r, R = rep_totals_at(2, 5, [10061, 0, 77, 10061, 78])
+    m = enumerate_prime_points(ProblemInstance(2, 5, 10061))
+    assert r == [m.r, 0, 10, m.r, 0] and R[0] == R[3] and R[1] == R[4] == 0.0
+    assert rep_totals_at(2, 5, []) == ([], [])
+    with pytest.raises(InputError):
+        rep_totals_at(2, 5, [-1, 77])
+
+
+def test_totals_at_refuse_counts_that_could_overflow(monkeypatch):
+    # the 53 primes up to sqrt(60000): r can reach 53^11 > 2^63 at n = 12, but 53^10 < 2^63 at n = 11
+    assert 53**11 >= 2**63 > 53**10
+    monkeypatch.setattr(surface, "_half_block", lambda *a: pytest.fail("built a half"))
+    with pytest.raises(NumericError):
+        rep_totals_at(2, 12, [59_999])
+    monkeypatch.undo()
+    [r], _ = rep_totals_at(2, 11, [59_999])
+    assert 0 < r < 53**10
+
+
+def test_series_table_figure_covers_the_tables():
+    """(12 + 16 c) Q (Q + 1) bytes for the lru tables of c distinct center pairs, against tracemalloc at Q = 1000."""
+    Q = 1000
+    for avec, qvec in (([0] * 5, [1] * 5), ([1, 1, 0, 0, 0], [2, 3, 1, 1, 1])):
+        for cache in (_roots, units, _g_table, _g_over_a):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            singular_series(2, 5, [10061], avec, qvec, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        c = len(set(zip(avec, qvec)))
+        figure = (12 + 16 * c) * Q * (Q + 1)
+        assert 0.5 * figure < peak <= figure, (c, peak, figure)
+
+
 def _xi_patterns(n: int, rng) -> dict:
     """xi with zero, integer and all-nonzero entries, each as a complex fill pattern of its own."""
     a, b = rng.random(2)
@@ -785,6 +829,14 @@ def _xi_patterns(n: int, rng) -> dict:
     }
 
 
+def _numerator_alone(k: int, n: int, lam_max: int, xi) -> np.ndarray:
+    """R(lam) omega_hat(lam, xi) from a plan of its own, with the fills log(p) e(p xi_i) the library builds."""
+    primes = sieve_primes(max(2, int_kth_root(lam_max, k)))
+    p = primes[primes**k <= lam_max].astype(np.float64)
+    fills = [np.log(p) * np.exp(2j * np.pi * (p * x - np.rint(p * x))) for x in xi]
+    return _value_arrays(p.astype(np.int64) ** k, lam_max, [fills])[0]
+
+
 @pytest.mark.parametrize("k, n, lam_max", [(2, 2, 3000), (2, 3, 3000), (2, 4, 3000), (2, 5, 4000), (3, 5, 20_000),
                                            (2, 6, 3000), (2, 7, 3000)])
 def test_shared_plan_matches_the_one_array_plans_and_enumeration(k, n, lam_max):
@@ -794,8 +846,9 @@ def test_shared_plan_matches_the_one_array_plans_and_enumeration(k, n, lam_max):
     lams = rng.integers(1, lam_max + 1, 25)
     for label, xi in _xi_patterns(n, rng).items():
         weights, numer = weight_and_numerator_arrays(k, n, lam_max, xi)
+        numer_alone = _numerator_alone(k, n, lam_max, xi)
         assert np.array_equal(weights, weights_alone), label
-        assert np.array_equal(numer, fourier_numerator_array(k, n, lam_max, xi)), label
+        assert np.array_equal(numer, numer_alone), label
         assert numer.dtype == complex
         for lam in lams.tolist():
             m = enumerate_prime_points(ProblemInstance(k, n, lam))
@@ -810,12 +863,9 @@ def test_whole_range_arrays_take_real_transforms_only(monkeypatch, n):
         monkeypatch.setattr(np.fft, name, lambda *a, **kw: pytest.fail("took a complex transform"))
     for xi in _xi_patterns(n, np.random.default_rng(n)).values():
         weight_and_numerator_arrays(k, n, lam_max, xi)
-        fourier_numerator_array(k, n, lam_max, xi)
     rep_weight_array(k, n, lam_max, power=1.5)
     rep_support_array(k, n, lam_max)
     max_weight_array(k, n, lam_max)
-    if n < 7:
-        rep_count_array(k, n, lam_max)
 
 
 @pytest.mark.parametrize("n, lam_max, pattern", [
@@ -844,13 +894,10 @@ def test_one_block_plans_take_no_transform(monkeypatch, n, lam_max):
     xi = np.random.default_rng(n).random(n)
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, lambda *a, **kw: pytest.fail("took a transform"))
-    counts = rep_count_array(k, n, lam_max)
-    weights = rep_weight_array(k, n, lam_max)
-    numer = fourier_numerator_array(k, n, lam_max, xi)
-    assert counts[lam_max] > 0
+    weights, numer = weight_and_numerator_arrays(k, n, lam_max, xi)
+    assert weights[lam_max] > 0
     for lam in range(1, lam_max + 1):
         m = enumerate_prime_points(ProblemInstance(k, n, lam))
-        assert counts[lam] == m.r
         assert weights[lam] == pytest.approx(m.R, rel=1e-14, abs=0)
         # the enumeration reduces each phase p . xi as a whole, the arrays each p_i x_i apart
         phases = np.exp(2j * np.pi * (m.representations @ xi))
