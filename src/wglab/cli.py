@@ -37,7 +37,6 @@ from .surface import (
     gamma_membership,
     hua_series_ratios,
     omega_hat,
-    rep_support_array,
     rep_totals_at,
     sample_admissible_lams,
     singular_series,
@@ -231,7 +230,7 @@ def _cmd_approx(args):
     if args.xi_count < 1:
         raise InputError("--xi-count must be >= 1")
     lam_top = _dyadic_top(args)
-    mask = admissible_mask(args.k, args.n, rep_support_array(args.k, args.n, lam_top - 1))
+    mask = admissible_mask(args.k, args.n, lam_top - 1)
     xi_sample = np.random.default_rng(args.seed).random((args.xi_count, args.n))
 
     def block_row(lo, hi, lams):
@@ -267,7 +266,7 @@ def _cmd_approx(args):
 def _cmd_hua(args):
     k, n = args.k, args.n
     hi = max(args.hi, 1)  # sample_admissible_lams refuses --hi < 1 with a usage error
-    mask = admissible_mask(k, n, rep_support_array(k, n, hi - 1))
+    mask = admissible_mask(k, n, hi - 1)
     lams = sample_admissible_lams(mask, args.lo, args.hi, args.samples)
     if not lams:
         raise UndefinedMeasureError(f"no admissible lam with a prime solution in [{args.lo}, {args.hi})")

@@ -9,7 +9,6 @@ from .surface import (
     SurfaceMeasure,
     admissible_mask,
     omega_hat,
-    rep_support_array,
     weight_and_numerator_arrays,
 )
 
@@ -124,7 +123,7 @@ def weyl_decay_scan(k: int, n: int, xi, lam_min: int, num_blocks: int) -> list[W
         raise InputError("need lam_min >= 1 and num_blocks >= 1")
     lam_max = lam_min * 2**num_blocks - 1
     weights, numer = weight_and_numerator_arrays(k, n, lam_max, xi)
-    valid = admissible_mask(k, n, rep_support_array(k, n, lam_max))
+    valid = admissible_mask(k, n, lam_max)
     blocks = []
     for j in range(num_blocks):
         lo, hi = lam_min * 2**j, lam_min * 2 ** (j + 1)
@@ -137,10 +136,6 @@ def weyl_decay_scan(k: int, n: int, xi, lam_min: int, num_blocks: int) -> list[W
     if not blocks:
         raise UndefinedMeasureError(f"no dyadic block from {lam_min} holds an admissible lam")
     return blocks
-
-
-# set bits of each byte value
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def discrepancy(points, num_boxes: int = 10_000, seed: int = 0) -> float:
@@ -182,7 +177,7 @@ def discrepancy(points, num_boxes: int = 10_000, seed: int = 0) -> float:
             first = np.searchsorted(used, np.arange(len(values)), side="right")[ranks]
             rows = np.bincount(first * width + byte, bit, (len(used) + 1) * width).astype(np.uint8)
             inside &= np.bitwise_or.accumulate(rows.reshape(-1, width), axis=0)[which]
-        counts = _POPCOUNT.take(inside).sum(axis=1, dtype=np.int64)
+        counts = np.bitwise_count(inside).sum(axis=1, dtype=np.int64)
         worst = max(worst, float(np.abs(counts / m - boxes.prod(axis=1)).max()))
         done += take
     return worst

@@ -184,37 +184,6 @@ def chebyshev_theta(N: int) -> float:
     return float(np.log(primes.astype(np.float64)).sum())
 
 
-def f_product(a: int, q: int, avec, qvec, k: int) -> complex:
-    """Product over coordinates of g(a, q; a_i, q_i)."""
-    avec = [int(v) for v in avec]
-    qvec = [int(v) for v in qvec]
-    if len(avec) != len(qvec):
-        raise InputError("avec and qvec must have equal length")
-    for ai, qi in zip(avec, qvec):
-        if qi < 1 or gcd(ai, qi) != 1:
-            raise InputError("each pair (a_i, q_i) must be reduced")
-    val = 1 + 0j
-    for ai, qi in zip(avec, qvec):
-        val *= complex(_g_table(q, ai % qi, qi, k)[a % q])
-    return val
-
-
-def center_weight(q: int, qvec) -> float:
-    """prod over coordinates of gcd(q, q_i) / q_i.
-
-    The decay profile of the g-product over a vector center: each factor
-    of f_product is controlled by q^(-1/2+eps) times (a power of) this
-    weight, so it governs how center contributions fall off as the
-    component moduli grow away from divisors of q.
-    """
-    if q < 1 or any(int(v) < 1 for v in qvec):
-        raise InputError("moduli must be >= 1")
-    out = 1.0
-    for qi in qvec:
-        out *= gcd(q, int(qi)) / int(qi)
-    return out
-
-
 def count_vinogradov_system(N: int, s: int, k: int) -> int:
     """Count 2s-tuples 1 <= x, y <= N with equal degree-k and linear power sums.
 

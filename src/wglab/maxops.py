@@ -13,7 +13,6 @@ from .surface import (
     available_memory,
     enumerate_prime_points,
     max_weight_array,
-    rep_support_array,
     rep_weight_array,
     rep_weight_rounding,
 )
@@ -177,10 +176,11 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
     If no admissible lam up to the largest cutoff has a prime solution,
     there is no operator to measure: UndefinedMeasureError.
 
-    The sums of weights^p come from FFTs, whose roundoff
-    (``rep_weight_rounding`` per lam, divided by R(lam)^p) grows with p
-    and the range.  A cutoff where its sum over the gated lam exceeds
-    _ROUNDOFF_SHARE of norm^p is refused with NumericError.  At (k, n) =
+    The sums of weights^p come from the product of two exact halves'
+    FFTs (``rep_weight_array``), whose roundoff (``rep_weight_rounding``
+    per lam, divided by R(lam)^p) grows with p and the range.  A cutoff
+    where its sum over the gated lam exceeds _ROUNDOFF_SHARE of norm^p is
+    refused with NumericError.  At (k, n) =
     (2, 5), a single cutoff 2^8, 2^10, 2^12, 2^14, 2^16 or 2^18 accepts p
     up to about 9.3, 5.3, 3.9, 2.9, 2.3 or 1.9; p = inf is always accepted.
     At p = inf the FFT ratios only pick each cutoff's argmax lam, whose
@@ -197,14 +197,14 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
     the same.
 
     Which lam have a prime solution comes from the exact
-    ``rep_support_array``.
+    ``rep_support_array``, through ``admissible_mask``.
     """
     if k < 2 or n < 2:
         raise InputError("need k >= 2, n >= 2")
     _check_exponent(p)
     lam_values = sorted(int(v) for v in lam_values)
     lam_max = lam_values[-1]
-    gate = admissible_mask(k, n, rep_support_array(k, n, lam_max))
+    gate = admissible_mask(k, n, lam_max)
     if not gate.any():
         raise UndefinedMeasureError(f"no admissible lam <= {lam_max} has a prime solution")
     weight_tot = rep_weight_array(k, n, lam_max)

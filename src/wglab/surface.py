@@ -395,7 +395,9 @@ def hua_series_ratios(k: int, n: int, lams, Rs, Qsing: int = 100) -> list[tuple[
     """Zero-center series S_trunc and the ratio R / (S_trunc * mu_inf * lam^(n/k - 1)) for each lam.
 
     ``Rs[i]`` is the weighted count of prime solutions at ``lams[i]``; every
-    series comes from one ``singular_series`` pass over q.
+    series comes from one ``singular_series`` pass over q.  A truncated
+    series <= 0 predicts no solutions, so no ratio is taken against it:
+    NumericError, naming lam and the truncation.
     """
     if len(Rs) != len(lams):
         raise InputError("need one weighted count per lam")
@@ -406,6 +408,11 @@ def hua_series_ratios(k: int, n: int, lams, Rs, Qsing: int = 100) -> list[tuple[
     for lam, R, sval in zip(lams, Rs, singular_series(k, n, lams, [0] * n, [1] * n, Qsing)):
         if abs(sval.imag) > 1e-8 * (1.0 + abs(sval)):
             raise NumericError(f"singular series came out non-real at lam = {lam}: {sval!r}")
+        if sval.real <= 0:
+            raise NumericError(
+                f"singular series truncated at --qsing {Qsing} is {sval.real:.3g} <= 0 at lam = {lam}: "
+                "no positive prediction to take a ratio against"
+            )
         out.append((sval, R / (sval.real * mu_inf * lam ** (n / k - 1.0))))
     return out
 
@@ -417,10 +424,11 @@ def hua_ratio(measure: SurfaceMeasure, Qsing: int = 100) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Totals on the value axis.  The weight and transform numerator of every
-# lam <= lam_max come from n-fold additive convolution of single-coordinate
-# arrays indexed by p^k, and r and R at chosen lam from two exact halves,
-# so block sweeps never enumerate solutions lam by lam.
+# Totals on the value axis.  Arrays indexed by p^k are cut into two exact
+# halves of ceil(n/2) and floor(n/2) coordinates.  The weight and transform
+# numerator of every lam <= lam_max are the product of the halves'
+# transforms, and r and R at chosen lam dot products of the halves, so
+# block sweeps never enumerate solutions lam by lam.
 # ---------------------------------------------------------------------------
 
 
@@ -438,14 +446,9 @@ def _fft_size(length: int) -> int:
     return best
 
 
-def _block_count(n: int) -> int:
-    """Blocks of at most three coordinates that ``_value_arrays`` cuts n coordinates into: ceil(n/3)."""
-    return -(-n // 3)
-
-
 def _range_length(n: int, lam_max: int) -> int:
-    """Points that hold the product of ``_value_arrays``'s ceil(n/3) blocks on [0, lam_max] without wrap-around."""
-    return max(1, _block_count(n) * lam_max + 1)
+    """Points that hold the product of ``_value_arrays``'s two halves on [0, lam_max] (one part at n <= 3)."""
+    return max(1, (1 if n <= 3 else 2) * lam_max + 1)
 
 
 # cgroup v2, then v1; read only, never written
@@ -480,11 +483,12 @@ def available_memory() -> int:
 # of at most as many triples takes 24 B each and an 8 B copy of their real or imaginary parts.
 _TUPLE_BYTES = 32
 # Bytes that ``_value_arrays`` holds at once, per transform point: a spectrum kept for the next output
-# (a shared block is all log p, so real: one part, 8 B), the working spectrum and the one copied or
+# (a shared half is all log p, so real: one part, 8 B), the working spectrum and the one copied or
 # multiplied into it (two parts each: a part is the rfft of a real array, 8 B), and one irfft output or
 # the first output kept while the second is made (8 B).
 _SPECTRUM_BYTES = 8 + 2 * 16 + 8
-# ... and per point of [0, lam_max]: the block being built, complex at most, and its tuples.
+# ... and per point of [0, lam_max]: a half's block of up to three coordinates, complex at most, and its
+# tuples.  The shift rounds that finish the half hold less: acc and nxt, 16 B each.
 _RANGE_BYTES = 16 + _TUPLE_BYTES
 
 
@@ -494,8 +498,8 @@ def check_array_memory(n: int, lam_max: int) -> None:
     Counted are _SPECTRUM_BYTES per point of the transform,
     ``_fft_size(_range_length(n, lam_max))``, and _RANGE_BYTES per point
     of [0, lam_max]: the most ``_value_arrays`` keeps alive at once, for
-    one output or for weyl's two.  numpy 1.x pads each block to the
-    transform length before its rfft, 8 B more per transform point.
+    one output or for weyl's two, while it builds and multiplies the two
+    halves.
     """
     length = _range_length(n, lam_max)
     per_lam = _RANGE_BYTES * (lam_max + 1)
@@ -553,40 +557,84 @@ def _block_array(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
     return out
 
 
+# bytes of the output that one pass over the prime powers updates, so that they stay in cache
+_ROUND_CHUNK_BYTES = 1 << 18
+
+
+def _shift_rounds(acc: np.ndarray, powers: np.ndarray, fills, combine) -> np.ndarray:
+    """acc after one round per fill over the ascending ``powers``; acc is overwritten.
+
+    A round combines acc, shifted by every p^k and times fill(p) (no
+    product for a None fill), into a zeroed second buffer, and the two
+    swap.  ``combine`` is np.add for sums, np.maximum for max-times and
+    np.logical_or for a sumset.  The output is taken _ROUND_CHUNK_BYTES at
+    a time, each entry adding its terms in the order of the primes.
+    The buffers are allocated only when there is a round.
+    """
+    if not fills:
+        return acc
+    top, chunk = len(acc), _ROUND_CHUNK_BYTES // acc.itemsize
+    nxt, tmp = np.empty_like(acc), np.empty(min(top, chunk), dtype=acc.dtype)
+    shifts = powers.tolist()
+    for fill in fills:
+        weights = [None] * len(shifts) if fill is None else fill.tolist()
+        nxt.fill(0)
+        for lo in range(0, top, chunk):
+            hi = min(top, lo + chunk)
+            for v, w in zip(shifts, weights):
+                if v >= hi:
+                    break
+                start = max(lo, v)
+                src = acc[start - v : hi - v]
+                if w is not None:
+                    src = np.multiply(src, w, out=tmp[: hi - start])
+                combine(nxt[start:hi], src, out=nxt[start:hi])
+        acc, nxt = nxt, acc
+    return acc
+
+
+def _half_block(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
+    """Array on [0, lam_max], one coordinate per fill: entry s sums prod_i fills[i](p_i) over sum p_i^k = s.
+
+    Up to three coordinates come from ``_block_array``, then one shift-add
+    round per further fill.  The dtype is that of all the fills, since a
+    complex fill may be one of the rounded ones; int64 fills give int64
+    sums.
+    """
+    acc = _block_array(powers, fills[:3], lam_max).astype(np.result_type(*fills), copy=False)
+    return _shift_rounds(acc, powers, fills[3:], np.add)
+
+
 def _range_primes(k: int, n: int, lam_max: int) -> np.ndarray:
     """The primes of the whole-range arrays on [0, lam_max], sieved once the range fits in memory."""
     check_array_memory(n, lam_max)
     return _primes_to_root(k, lam_max)
 
 
-def _block_plan(fills, group_of: dict) -> dict:
-    """Blocks of one output's fills: {block key: [its fills, how often it repeats]}.
+def _halves(fills, group_of: dict) -> list:
+    """One output's fills as [(key, fills)]: halves of ceil(n/2) and floor(n/2), or one part at n <= 3.
 
     Equal fills (by their bytes) share a group index from ``group_of``, which
-    several outputs share; a block's key is its group indices.  The fills
-    are ordered with equal ones adjacent, the most frequent first, and cut
-    into ceil(n/3) blocks of near-equal size (3+2 at n = 5, 3+2+2 at n = 7).
+    several outputs share; a part's key is its group indices.  The fills
+    are ordered with equal ones adjacent, the most frequent first, so that
+    the all-log p half of weyl's numerator has the key of a weight half.
     """
     groups = {}
     for fill in fills:
         groups.setdefault(group_of.setdefault(fill.tobytes(), len(group_of)), []).append(fill)
     ranked = sorted(groups.items(), key=lambda item: len(item[1]), reverse=True)  # stable: ties keep order
     ordered = [(g, same[0]) for g, same in ranked for _ in same]  # (group index, fill)
-    n, m = len(ordered), _block_count(len(ordered))
-    blocks, start = {}, 0
-    for i in range(m):
-        part = ordered[start : start + n // m + (i < n % m)]
-        start += len(part)
-        blocks.setdefault(tuple(g for g, _ in part), [tuple(f for _, f in part), 0])[1] += 1
-    return blocks
+    mid = len(ordered) - len(ordered) // 2
+    parts = [ordered] if len(ordered) <= 3 else [ordered[:mid], ordered[mid:]]
+    return [(tuple(g for g, _ in part), tuple(f for _, f in part)) for part in parts]
 
 
-def _block_spectrum(powers: np.ndarray, fills: tuple, lam_max: int, size: int) -> tuple:
-    """rfft at length ``size`` of a block's real part and of its imaginary part (None for a real block)."""
-    block = _block_array(powers, fills, lam_max)
-    if not np.iscomplexobj(block):
-        return np.fft.rfft(block, size), None
-    return np.fft.rfft(block.real, size), np.fft.rfft(block.imag, size)
+def _half_spectrum(powers: np.ndarray, fills: tuple, lam_max: int, size: int) -> tuple:
+    """rfft at length ``size`` of a half's real part and of its imaginary part (None for a real half)."""
+    half = _half_block(powers, fills, lam_max)
+    if not np.iscomplexobj(half):
+        return np.fft.rfft(half, size), None
+    return np.fft.rfft(half.real, size), np.fft.rfft(half.imag, size)
 
 
 # a product of two complex spectra goes chunk by chunk, so that its temporaries stay this small
@@ -596,7 +644,7 @@ _PRODUCT_CHUNK = 1 << 16
 def _times(acc: tuple, spec: tuple) -> tuple:
     """acc * spec for spectra held as (real part, imaginary part or None); acc's arrays are overwritten.
 
-    A complex spec needs a complex acc: ``_value_arrays`` multiplies complex blocks first.
+    A complex spec needs a complex acc: ``_value_arrays`` takes a complex half first.
     """
     a, b = acc
     c, d = spec
@@ -622,49 +670,47 @@ def _value_arrays(powers: np.ndarray, lam_max: int, fill_lists) -> list:
     fill coordinate i's value at each of those primes.  A complex fill
     whose imaginary part is zero (a coordinate with xi_i = 0 or an integer)
     is taken as real, so it equals the real fill log p.  Each list is cut
-    into blocks (``_block_plan``), and each block is built exactly
-    (``_block_array``).  With one block (n <= 3) that array is the answer.
-    Otherwise every distinct block of all the lists is transformed once, at
-    length ``_fft_size(_range_length(n, lam_max))``, with real transforms
-    only: a complex block as its real and its imaginary part.  Each output
-    copies its first block's spectrum and multiplies the others into it in
-    place, a repeated block as often as it repeats, then takes one
-    ``irfft`` per nonzero part.  A spectrum is freed once no later output
-    needs it.  An output is complex if any of its fills is.
+    into two halves of ceil(n/2) and floor(n/2) coordinates (``_halves``),
+    each built exactly (``_half_block``).  At n <= 3 there is one part,
+    and that array is the answer.  Otherwise every distinct half of all
+    the lists is transformed once, at length
+    ``_fft_size(_range_length(n, lam_max))`` = 2 lam_max + 1 rounded up,
+    with real transforms only: a complex half as its real and its
+    imaginary part.  Each output copies its first half's spectrum and
+    multiplies the second into it in place, then takes one ``irfft`` per
+    nonzero part.  A spectrum is freed once no later output needs it.  An
+    output is complex if any of its fills is.
     """
     group_of, plans = {}, []
     for fills in fill_lists:
         out_complex = any(np.iscomplexobj(f) for f in fills)
         fills = [f.real if np.iscomplexobj(f) and not f.imag.any() else f for f in fills]
-        plans.append((_block_plan(fills, group_of), out_complex))
+        plans.append((_halves(fills, group_of), out_complex))
     n = len(fill_lists[0])
-    if _block_count(n) == 1:
+    if n <= 3:
         outs = []
-        for blocks, out_complex in plans:
-            [(block, _)] = blocks.values()
-            out = _block_array(powers, block, lam_max)
+        for [(_, fills)], out_complex in plans:
+            out = _block_array(powers, fills, lam_max)
             outs.append(out.astype(complex, copy=False) if out_complex else out)
         return outs
     size = _fft_size(_range_length(n, lam_max))
-    uses = Counter(key for blocks, _ in plans for key in blocks)  # outputs still to read each spectrum
+    uses = Counter(key for parts, _ in plans for key, _ in parts)  # reads of each spectrum still to come
     spectra, outs = {}, []
-    for blocks, out_complex in plans:
+    for parts, out_complex in plans:
         acc = None
-        # complex blocks first: the product starts from two parts, and every later factor multiplies in place
-        for key in sorted(blocks, key=lambda key: not any(np.iscomplexobj(f) for f in blocks[key][0])):
-            fills, mult = blocks[key]
+        # a complex half first: the product starts from two parts, and the other half multiplies in place
+        for key, fills in sorted(parts, key=lambda part: not any(np.iscomplexobj(f) for f in part[1])):
             if key not in spectra:
-                spectra[key] = _block_spectrum(powers, fills, lam_max, size)
+                spectra[key] = _half_spectrum(powers, fills, lam_max, size)
             uses[key] -= 1
             spec = spectra.pop(key) if uses[key] == 0 else spectra[key]
-            for _ in range(mult):
-                if acc is None:
-                    # a copy, so no product writes into a spectrum that is read again.  Taking over a spectrum on
-                    # its last use instead took more page faults: 7 070 against 4 898 minor faults for two
-                    # one-output calls at (k, n) = (2, 5) on [0, 99 999], repeated in one process
-                    acc = tuple(None if part is None else part.copy() for part in spec)
-                else:
-                    acc = _times(acc, spec)
+            if acc is None:
+                # a copy, so no product writes into a spectrum that is read again.  Taking over a spectrum on
+                # its last use instead took more page faults: 7 070 against 4 898 minor faults for two
+                # one-output calls at (k, n) = (2, 5) on [0, 99 999], repeated in one process
+                acc = tuple(None if part is None else part.copy() for part in spec)
+            else:
+                acc = _times(acc, spec)
             del spec
         re, im = acc
         del acc
@@ -693,16 +739,16 @@ def rep_weight_rounding(k: int, n: int, lam_max: int, power: float) -> float:
 
     With the fill f = (log p)^power, u = 2^-53 and L the transform length:
     each transform errs by about u log2(L) relative in the 2-norm (Higham,
-    Accuracy and Stability of Numerical Algorithms, Thm 24.2); a block of d
+    Accuracy and Stability of Numerical Algorithms, Thm 24.2); a half of d
     coordinates has 1-norm at most ||f||_1^d and, by Young's inequality,
-    2-norm at most ||f||_2 ||f||_1^(d - 1).  Through the block product and
-    the inverse, the output errs by about 16 ceil(n/3) u log2(L) ||f||_2
-    ||f||_1^(n - 1) in the 2-norm.  Spread evenly over the L entries and
-    without the constant, that is u log2(L) ||f||_2 ||f||_1^(n - 1) /
-    sqrt(L), returned here: an estimate, not a bound.  At (k, n) = (2, 5),
-    for powers 1.2 to 50 on ranges 2^8 to 2^18, it lay 2.6 to 3.5e15 times
-    above the largest error measured against a long-double direct
-    convolution.
+    2-norm at most ||f||_2 ||f||_1^(d - 1).  Through the two halves'
+    transforms, their product and the inverse, the output errs by about
+    32 u log2(L) ||f||_2 ||f||_1^(n - 1) in the 2-norm (16 per half).
+    Spread evenly over the L entries and without the constant, that is
+    u log2(L) ||f||_2 ||f||_1^(n - 1) / sqrt(L), returned here: an
+    estimate, not a bound.  At (k, n) = (2, 5), for powers 1.2 to 50 on
+    ranges 2^8 to 2^18, it lay 2.6 to 3.5e15 times above the largest
+    error measured against a long-double direct convolution.
     """
     primes = _primes_to_root(k, lam_max)
     size = _fft_size(_range_length(n, lam_max))
@@ -714,7 +760,7 @@ def weight_and_numerator_arrays(k: int, n: int, lam_max: int, xi) -> tuple:
     """``rep_weight_array(k, n, lam_max)`` and R(lam) * omega_hat(lam, xi) for every lam <= lam_max, from one plan.
 
     Coordinate i of the numerator has the fill log(p) e(p xi_i), the phase
-    reduced mod 1 first.  A block the two share (the coordinates with
+    reduced mod 1 first.  A half the two share (the coordinates with
     xi_i = 0 or an integer carry the weight's fill log p) is built and
     transformed once.
     """
@@ -733,54 +779,21 @@ def rep_support_array(k: int, n: int, lam_max: int) -> np.ndarray:
     """True where lam <= lam_max has a prime solution: the n-fold sumset of the prime k-th powers.
 
     Exact, with no float and no rounding bound, so it runs at every size
-    ``check_array_memory`` admits.  Each of the n - 1 rounds ORs the last
-    round's set, shifted by every p^k, into a second buffer; the two
-    buffers swap.
+    ``check_array_memory`` admits: n - 1 OR rounds of ``_shift_rounds``.
     """
     powers = _range_primes(k, n, lam_max) ** k
-    acc, nxt = np.zeros(lam_max + 1, dtype=bool), np.empty(lam_max + 1, dtype=bool)
+    acc = np.zeros(lam_max + 1, dtype=bool)
     acc[powers] = True
-    for _ in range(n - 1):
-        nxt.fill(False)
-        for v in powers.tolist():
-            np.logical_or(nxt[v:], acc[: lam_max + 1 - v], out=nxt[v:])
-        acc, nxt = nxt, acc
-    return acc
+    return _shift_rounds(acc, powers, [None] * (n - 1), np.logical_or)
 
 
 def max_weight_array(k: int, n: int, lam_max: int) -> np.ndarray:
     """Largest single-solution weight prod log(p_i) per lam, 0 where none (max-times; log p > 0)."""
     primes = _range_primes(k, n, lam_max)
     powers, logs = primes**k, np.log(primes.astype(np.float64))
-    acc, nxt, tmp = np.zeros(lam_max + 1), np.empty(lam_max + 1), np.empty(lam_max + 1)
+    acc = np.zeros(lam_max + 1)
     acc[powers] = logs
-    for _ in range(n - 1):  # each round takes its products and maxima in place, in two reused buffers
-        nxt.fill(0.0)
-        for v, w in zip(powers.tolist(), logs.tolist()):
-            span = lam_max + 1 - v
-            np.multiply(acc[:span], w, out=tmp[:span])
-            np.maximum(nxt[v:], tmp[:span], out=nxt[v:])
-        acc, nxt = nxt, acc
-    return acc
-
-
-def _half_block(powers: np.ndarray, fill: np.ndarray, d: int, lam_max: int) -> np.ndarray:
-    """Array on [0, lam_max] of d coordinates: entry s sums prod_i fill(p_i) over prime d-tuples with sum p_i^k = s.
-
-    Up to three coordinates come from ``_block_array``.  Each further one
-    is a shift-add round over the prime powers: ``max_weight_array``'s
-    rounds with + in place of max.  An int64 fill gives int64 sums.
-    """
-    acc = _block_array(powers, (fill,) * min(d, 3), lam_max)
-    nxt, tmp = np.empty_like(acc), np.empty_like(acc)
-    for _ in range(d - 3):
-        nxt.fill(0)
-        for v, w in zip(powers.tolist(), fill.tolist()):
-            span = lam_max + 1 - v
-            np.multiply(acc[:span], w, out=tmp[:span])
-            np.add(nxt[v:], tmp[:span], out=nxt[v:])
-        acc, nxt = nxt, acc
-    return acc
+    return _shift_rounds(acc, powers, [logs] * (n - 1), np.maximum)
 
 
 def rep_totals_at(k: int, n: int, lams) -> tuple[list[int], list[float]]:
@@ -804,18 +817,15 @@ def rep_totals_at(k: int, n: int, lams) -> tuple[list[int], list[float]]:
     powers, logs = primes**k, np.log(primes.astype(np.float64))
     totals = []
     for fill in (np.ones(len(primes), dtype=np.int64), logs):
-        halves = {d: _half_block(powers, fill, d, lam_max) for d in {n - n // 2, n // 2}}
+        halves = {d: _half_block(powers, (fill,) * d, lam_max) for d in {n - n // 2, n // 2}}
         a, rev = halves[n - n // 2], halves[n // 2][::-1].copy()  # rev[lam_max - lam + m] = B[lam - m]
         totals.append([np.dot(a[: lam + 1], rev[lam_max - lam :]).item() for lam in lams])
     return tuple(totals)
 
 
-def admissible_mask(k: int, n: int, support: np.ndarray) -> np.ndarray:
-    """True where lam = 0, 1, ... is admissible for (k, n) and has a prime solution.
-
-    ``support`` is ``rep_support_array(k, n, lam_max)``; the mask has its length.
-    """
-    return support & gamma_member_mask(k, n, np.arange(len(support)))
+def admissible_mask(k: int, n: int, lam_max: int) -> np.ndarray:
+    """True where lam = 0, ..., lam_max is admissible for (k, n) and has a prime solution (``rep_support_array``)."""
+    return rep_support_array(k, n, lam_max) & gamma_member_mask(k, n, np.arange(lam_max + 1))
 
 
 def sample_admissible_lams(mask: np.ndarray, lo: int, hi: int, count: int) -> list[int]:

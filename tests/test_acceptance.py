@@ -32,7 +32,6 @@ from wglab.surface import (
     error_term,
     hua_ratio,
     omega_hat,
-    rep_support_array,
     sample_admissible_lams,
 )
 
@@ -91,7 +90,7 @@ def test_criterion_02_enumeration_oracle():
 
 
 def test_criterion_03_count_prediction_ratio():
-    lams = sample_admissible_lams(admissible_mask(2, 5, rep_support_array(2, 5, 99_999)), 10_000, 100_000, 50)
+    lams = sample_admissible_lams(admissible_mask(2, 5, 99_999), 10_000, 100_000, 50)
     assert len(lams) >= 50
     ratios = []
     for lam in lams:
@@ -114,7 +113,7 @@ def test_criterion_04_error_decay():
     medians, zero_errs = [], []
     for j in range(5):
         lo, hi = 4096 * 2**j, 4096 * 2 ** (j + 1)
-        lams = sample_admissible_lams(admissible_mask(2, 5, rep_support_array(2, 5, hi - 1)), lo, hi, 6)
+        lams = sample_admissible_lams(admissible_mask(2, 5, hi - 1), lo, hi, 6)
         errs = []
         for lam in lams:
             inst = ProblemInstance(2, 5, lam)

@@ -15,7 +15,6 @@ from wglab.surface import (
     admissible_mask,
     enumerate_prime_points,
     omega_hat,
-    rep_support_array,
 )
 
 ALPHA = (0.3173, 0.7193, 0.1234, 0.5551, 0.9017)
@@ -143,7 +142,7 @@ def test_weyl_scan_runs_where_float_counts_are_refused():
     blocks = weyl_decay_scan(2, 7, xi, 3125, 6)
     assert [b.lam_lo for b in blocks] == [3125 * 2**j for j in range(6)]
     first = blocks[0]
-    mask = admissible_mask(2, 7, rep_support_array(2, 7, first.lam_hi - 1))
+    mask = admissible_mask(2, 7, first.lam_hi - 1)
     assert first.count == mask[first.lam_lo :].sum() > 100
     m = enumerate_prime_points(ProblemInstance(2, 7, first.argmax_lam))
     assert first.max_abs == pytest.approx(abs(omega_hat(m, xi)), abs=1e-9)

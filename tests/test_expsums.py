@@ -12,10 +12,8 @@ from wglab.expsums import (
     GSumQuery,
     PrimeSumQuery,
     aggregate_g,
-    center_weight,
     chebyshev_theta,
     count_vinogradov_system,
-    f_product,
     g_sum,
     g_via_lemma,
     prime_exp_sum,
@@ -259,26 +257,7 @@ def test_prime_sum_validation():
         prime_exp_sum(PrimeSumQuery(0.0, 0.0, 2, 1))
 
 
-# --- products and mean values ----------------------------------------------
-
-
-def test_f_product_all_ones():
-    val = f_product(3, 7, [0, 0, 0], [1, 1, 1], 2)
-    assert val == pytest.approx(g_sum(GSumQuery(3, 7, 0, 1, 2)) ** 3, abs=1e-12)
-
-
-def test_f_product_vanishing_component():
-    # component with gcd(r0, q) > 1 kills the product
-    assert abs(f_product(1, 2, [1, 1], [4, 3], 2)) < 1e-12
-
-
-def test_f_product_direct_example():
-    assert f_product(1, 2, [1, 1], [2, 2], 2) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_f_product_validates_pairs():
-    with pytest.raises(InputError):
-        f_product(1, 2, [2], [4], 2)
+# --- mean values ------------------------------------------------------------
 
 
 def test_vinogradov_counter():
@@ -306,44 +285,6 @@ def test_vinogradov_counter_limits():
         count_vinogradov_system(31, 1, 2)
     with pytest.raises(SizeLimitError):
         count_vinogradov_system(10, 4, 2)
-
-
-def _random_center(rng, q_hi, n):
-    q = int(rng.integers(1, q_hi))
-    a = int(units(q)[rng.integers(len(units(q)))])
-    qvec = [int(v) for v in rng.integers(1, 20, n)]
-    avec = [int(units(qi)[rng.integers(len(units(qi)))]) for qi in qvec]
-    return a, q, avec, qvec
-
-
-def test_center_weight_values():
-    assert center_weight(6, [2, 3, 5]) == pytest.approx((2 / 2) * (3 / 3) * (1 / 5))
-    assert center_weight(1, [1, 1]) == 1.0
-    with pytest.raises(InputError):
-        center_weight(0, [1])
-
-
-def test_f_product_center_weight_envelope():
-    """|f_product| fits under C q^(1/4 - n/2) center_weight^(3/4).
-
-    The constant is calibrated on one sample and must then cover an
-    independent sample with only 50% headroom.
-    """
-    n = 5
-
-    def worst_ratio(seed, count):
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(count):
-            a, q, avec, qvec = _random_center(rng, 40, n)
-            fval = abs(f_product(a, q, avec, qvec, 2))
-            envelope = q ** (0.25 - n / 2) * center_weight(q, qvec) ** 0.75
-            worst = max(worst, fval / envelope)
-        return worst
-
-    fitted = worst_ratio(5, 300)
-    assert np.isfinite(fitted)
-    assert worst_ratio(77, 300) <= 1.5 * fitted
 
 
 def test_minor_arc_magnitudes_stay_small():

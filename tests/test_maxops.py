@@ -24,7 +24,6 @@ from wglab.surface import (
     enumerate_prime_points,
     gamma_member_mask,
     max_weight_array,
-    rep_support_array,
     rep_weight_array,
 )
 
@@ -277,7 +276,7 @@ def test_delta_probe_against_enumeration():
 def test_delta_probe_accepted_norms_match_enumeration_and_the_rest_are_refused():
     """Every norm the probe prints on [0, 4096] agrees with exact enumeration to 1e-6."""
     k, n = 2, 5
-    gate = admissible_mask(k, n, rep_support_array(k, n, 4096))
+    gate = admissible_mask(k, n, 4096)
     measures = [enumerate_prime_points(ProblemInstance(k, n, int(lam))) for lam in np.flatnonzero(gate)]
     accepted = set()
     for p in (1, 1.2, 1.5, 2, 3, 4, 5, 6, 8, 12, 20):
@@ -313,7 +312,7 @@ def test_delta_probe_sup_norm_bounded():
 ])
 def test_delta_probe_sup_norm_is_exact(monkeypatch, k, n, cutoffs):
     """At p = inf every norm equals the largest enumerated weight share over the gated lam <= L."""
-    gate = admissible_mask(k, n, rep_support_array(k, n, cutoffs[-1]))
+    gate = admissible_mask(k, n, cutoffs[-1])
     shares = {}
     for lam in np.flatnonzero(gate):
         m = enumerate_prime_points(ProblemInstance(k, n, int(lam)))
@@ -336,7 +335,7 @@ def test_delta_probe_sup_norm_takes_max_weights_on_a_prefix(monkeypatch):
     cutoffs = [2**e for e in range(12, 19)]
     lam_max = cutoffs[-1]
     # the whole-range argmax of each cutoff, then its enumerated ratio
-    gate = admissible_mask(k, n, rep_support_array(k, n, lam_max))
+    gate = admissible_mask(k, n, lam_max)
     ratio = np.zeros(lam_max + 1)
     ratio[gate] = max_weight_array(k, n, lam_max)[gate] / rep_weight_array(k, n, lam_max)[gate]
     want = []

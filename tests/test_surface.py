@@ -570,6 +570,12 @@ def test_hua_series_ratios_match_one_lam_at_a_time(desk_instance):
         hua_series_ratios(2, 5, lams, Rs[:2], 100)
 
 
+def test_hua_series_ratios_refuse_a_series_that_is_not_positive():
+    # at (k, n) = (3, 9) the series truncated at 100 reads -0.833 at lam = 999999: no ratio against it
+    with pytest.raises(NumericError, match=r"--qsing 100 .* lam = 999999"):
+        hua_series_ratios(3, 9, [999999], [1.0], 100)
+
+
 def test_hua_ratio_approaches_one_with_lambda():
     """The count/prediction ratio climbs toward 1 as lambda grows."""
     ratios = []
@@ -672,14 +678,14 @@ def test_cgroup_memory_limit_reads_v2_then_v1(monkeypatch, tmp_path):
 
 
 def test_sample_admissible_lams():
-    lams = sample_admissible_lams(admissible_mask(2, 5, rep_support_array(2, 5, 3999)), 2000, 4000, 4)
+    lams = sample_admissible_lams(admissible_mask(2, 5, 3999), 2000, 4000, 4)
     assert len(lams) == 4 and lams == sorted(lams)
     for lam in lams:
         assert gamma_membership(ProblemInstance(2, 5, lam)).member
         assert enumerate_prime_points(ProblemInstance(2, 5, lam)).r > 0
     # below n * 2^k = 20 no lam has a prime solution
-    assert sample_admissible_lams(admissible_mask(2, 5, rep_support_array(2, 5, 19)), 1, 20, 4) == []
-    mask = admissible_mask(2, 5, rep_support_array(2, 5, 99))
+    assert sample_admissible_lams(admissible_mask(2, 5, 19), 1, 20, 4) == []
+    mask = admissible_mask(2, 5, 99)
     assert len(mask) == 100
     for lo, hi, count in [(0, 101, 4), (50, 50, 4), (-1, 10, 4), (0, 100, 0)]:
         with pytest.raises(InputError):
@@ -740,6 +746,27 @@ def test_support_array_is_where_counts_are_positive(k, mid, n):
         support = rep_support_array(k, n, lam_max)
         assert support.dtype == bool
         assert np.array_equal(support, _shift_add_counts(k, n, lam_max) > 0), lam_max
+
+
+@pytest.mark.parametrize("combine, dtype", [(np.add, complex), (np.maximum, float), (np.logical_or, bool)])
+def test_shift_rounds_match_the_plain_loop_across_chunks(combine, dtype):
+    """Each entry takes the plain loop's terms in the same order, so the chunked rounds equal it bit for bit."""
+    lam_max = 3 * surface._ROUND_CHUNK_BYTES // np.dtype(dtype).itemsize + 5
+    powers = sieve_primes(int_kth_root(lam_max, 2)) ** 2
+    rng = np.random.default_rng(3)
+    if dtype is bool:
+        start, fills = rng.random(lam_max + 1) < 0.01, [None, None]
+    else:
+        scale = 1 + 1j if dtype is complex else 1.0
+        start, fills = rng.random(lam_max + 1) * scale, [rng.random(len(powers)) * scale for _ in range(2)]
+    want = start.copy()
+    for fill in fills:
+        nxt = np.zeros_like(want)
+        for i, v in enumerate(powers.tolist()):
+            src = want[: lam_max + 1 - v] if fill is None else want[: lam_max + 1 - v] * fill[i]
+            nxt[v:] = combine(nxt[v:], src)
+        want = nxt
+    assert np.array_equal(surface._shift_rounds(start.copy(), powers, fills, combine), want)
 
 
 def test_support_array_runs_where_float_counts_are_refused():
@@ -902,6 +929,29 @@ def test_one_block_plans_take_no_transform(monkeypatch, n, lam_max):
         # the enumeration reduces each phase p . xi as a whole, the arrays each p_i x_i apart
         phases = np.exp(2j * np.pi * (m.representations @ xi))
         assert numer[lam] == pytest.approx((m.weights * phases).sum(), abs=1e-9)
+
+
+@pytest.mark.parametrize("k, n, lam_max", [(2, 7, 3000), (2, 8, 3000), (3, 9, 20_000)])
+def test_whole_range_transforms_span_two_halves(monkeypatch, k, n, lam_max):
+    """Every rfft and irfft of the whole-range arrays has length _fft_size(2 lam_max + 1): two halves, not more."""
+    lengths = []
+
+    def recording(transform):
+        def wrapper(a, length=None, *args, **kw):
+            lengths.append(length)
+            return transform(a, length, *args, **kw)
+
+        return wrapper
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+    xi = np.random.default_rng(n).random(n)
+    xi[:2] = 0.0
+    weights = weight_and_numerator_arrays(k, n, lam_max, xi)[0]
+    rep_weight_array(k, n, lam_max, power=1.5)
+    assert lengths and set(lengths) == {_fft_size(2 * lam_max + 1)}, Counter(lengths)
+    m = enumerate_prime_points(ProblemInstance(k, n, int(np.argmax(weights))))
+    assert weights.max() == pytest.approx(m.R, rel=1e-9)
 
 
 def test_fft_size_matches_scipy_next_fast_len():
