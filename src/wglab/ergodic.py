@@ -113,7 +113,8 @@ def weyl_decay_scan(k: int, n: int, xi, lam_min: int, num_blocks: int) -> list[W
     Computed for the whole range at once by convolving the per-coordinate
     value arrays, so the scan touches every admissible lam below the top
     block without per-lam enumeration: the weights and numerators come
-    from one plan, and the lam with a prime solution from the exact
+    from ``weight_and_numerator_arrays``, whose numerator reuses a weight
+    half where it can, and the lam with a prime solution from the exact
     boolean sumset.  Blocks without an admissible lam are left out; if
     none is left, UndefinedMeasureError.
     """

@@ -135,8 +135,12 @@ def ramanujan_sum(q: int, m: int) -> float:
 
 @lru_cache(maxsize=50_000)
 def _g_over_a(q: int, b: int, r: int, k: int) -> np.ndarray:
-    """g(a, q; b, r) for every a in U_q, aligned with units(q)."""
-    return _g_table(q, b, r, k)[units(q)]
+    """g(a, q; b, r) for every a in U_q, aligned with units(q).
+
+    Built from an uncached ``_g_table``: the singular series reads only
+    this table, so a cached full table would never be read again.
+    """
+    return _g_table.__wrapped__(q, b, r, k)[units(q)]
 
 
 def aggregate_g(a: int, q: int, r: int, u: int, k: int) -> complex:

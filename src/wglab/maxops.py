@@ -169,8 +169,9 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
 
     Distinct lam have disjoint supports (a lattice point determines its
     power sum), so the supremum splits and the p-th power of the norm is
-    an additive total over lam.  The fitted slope is the log-log
-    regression of the norm against the cutoff; growth is expected for
+    an additive total over lam.  The fitted slope is the least-squares
+    slope of log(norm) against log(cutoff), in closed form, so equal norms
+    give exactly 0 (None below two distinct cutoffs); growth is expected for
     p < n/(n - k), the exponent below which the delta example alone forces
     it, while p = inf just reports the largest single weight over R(lam).
     If no admissible lam up to the largest cutoff has a prime solution,
@@ -247,6 +248,10 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
                 )
         norms = [float(running[L] ** (1.0 / p)) for L in lam_values]
     slope = None
-    if len(lam_values) >= 2 and all(v > 0 for v in norms):
-        slope = float(np.polyfit(np.log(lam_values), np.log(norms), 1)[0])
+    if len(set(lam_values)) >= 2 and all(v > 0 for v in norms):
+        # least squares of log(norm / norm_0) on log L, in closed form: equal norms give exactly 0
+        x = np.log(lam_values)
+        x -= x.mean()
+        y = np.log(norms) - np.log(norms[0])
+        slope = float((x * y).sum() / (x * x).sum())
     return OperatorReport(p=p, lam_values=tuple(lam_values), norms=tuple(norms), slope=slope)

@@ -302,11 +302,12 @@ def singular_series(k: int, n: int, lams, avec, qvec, Qsing: int) -> list[comple
     chunk, added to that lam's total in q order.  The sums carry no error
     figure: no bound on the terms beyond Qsing is computed.
 
-    Its lru tables hold at most (12 + 16 c) Qsing (Qsing + 1) bytes of data
+    Its lru tables hold at most (12 + 8 c) Qsing (Qsing + 1) bytes of data
     for c distinct center pairs: per q the roots e(j/q) (16 q) and units
-    (8 q), per q and pair the g-table (16 q) and its values at the units
-    (16 q).  Above ``available_memory()`` the call is refused with
-    MemoryError before any table is built.  A phase block adds <= 40 MB.
+    (8 q), per q and pair the g values at the units (16 q); the full
+    g-table each is read from is not kept.  Above ``available_memory()``
+    the call is refused with MemoryError before any table is built.  A
+    phase block adds <= 40 MB.
     """
     lams = [int(v) for v in lams]
     avec = [int(v) for v in avec]
@@ -321,7 +322,7 @@ def singular_series(k: int, n: int, lams, avec, qvec, Qsing: int) -> list[comple
     if Qsing < 1:
         raise InputError("Qsing must be >= 1")
     pairs = Counter((ai % qi, qi) for ai, qi in zip(avec, qvec))
-    need = (12 + 16 * len(pairs)) * Qsing * (Qsing + 1)
+    need = (12 + 8 * len(pairs)) * Qsing * (Qsing + 1)
     if need > available_memory():
         raise MemoryError(f"series tables for Qsing={Qsing} need {need} bytes, more than the memory available")
     (first, first_mult), *rest = pairs.items()
@@ -447,7 +448,7 @@ def _fft_size(length: int) -> int:
 
 
 def _range_length(n: int, lam_max: int) -> int:
-    """Points that hold the product of ``_value_arrays``'s two halves on [0, lam_max] (one part at n <= 3)."""
+    """Points that hold the product of two halves on [0, lam_max] (one part at n <= 3)."""
     return max(1, (1 if n <= 3 else 2) * lam_max + 1)
 
 
@@ -482,10 +483,10 @@ def available_memory() -> int:
 # x = lam_max^(1/2).  Sorting them takes 56 B per pair; afterwards they keep 24 B each, while a chunk
 # of at most as many triples takes 24 B each and an 8 B copy of their real or imaginary parts.
 _TUPLE_BYTES = 32
-# Bytes that ``_value_arrays`` holds at once, per transform point: a spectrum kept for the next output
-# (a shared half is all log p, so real: one part, 8 B), the working spectrum and the one copied or
-# multiplied into it (two parts each: a part is the rfft of a real array, 8 B), and one irfft output or
-# the first output kept while the second is made (8 B).
+# Bytes per transform point that ``weight_and_numerator_arrays`` holds at once, the most of any whole-range
+# array: the weights kept for the numerator (8 B), the numerator's two complex halves' spectra (two parts
+# each: a part is the rfft of a real array, 8 B) or their product and the numerator, and the input or output
+# of the transform being taken (8 B).
 _SPECTRUM_BYTES = 8 + 2 * 16 + 8
 # ... and per point of [0, lam_max]: a half's block of up to three coordinates, complex at most, and its
 # tuples.  The shift rounds that finish the half hold less: acc and nxt, 16 B each.
@@ -493,13 +494,12 @@ _RANGE_BYTES = 16 + _TUPLE_BYTES
 
 
 def check_array_memory(n: int, lam_max: int) -> None:
-    """MemoryError if the arrays of ``_value_arrays`` on [0, lam_max] exceed ``available_memory()``.
+    """MemoryError if the whole-range arrays on [0, lam_max] exceed ``available_memory()``.
 
     Counted are _SPECTRUM_BYTES per point of the transform,
     ``_fft_size(_range_length(n, lam_max))``, and _RANGE_BYTES per point
-    of [0, lam_max]: the most ``_value_arrays`` keeps alive at once, for
-    one output or for weyl's two, while it builds and multiplies the two
-    halves.
+    of [0, lam_max]: the most ``weight_and_numerator_arrays`` keeps alive
+    at once while it builds and multiplies the two halves of each output.
     """
     length = _range_length(n, lam_max)
     per_lam = _RANGE_BYTES * (lam_max + 1)
@@ -605,28 +605,11 @@ def _half_block(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
     return _shift_rounds(acc, powers, fills[3:], np.add)
 
 
-def _range_primes(k: int, n: int, lam_max: int) -> np.ndarray:
-    """The primes of the whole-range arrays on [0, lam_max], sieved once the range fits in memory."""
+def _range_table(k: int, n: int, lam_max: int) -> tuple:
+    """(primes, p^k, log p) over the primes with p^k <= lam_max, sieved once [0, lam_max]'s arrays fit in memory."""
     check_array_memory(n, lam_max)
-    return _primes_to_root(k, lam_max)
-
-
-def _halves(fills, group_of: dict) -> list:
-    """One output's fills as [(key, fills)]: halves of ceil(n/2) and floor(n/2), or one part at n <= 3.
-
-    Equal fills (by their bytes) share a group index from ``group_of``, which
-    several outputs share; a part's key is its group indices.  The fills
-    are ordered with equal ones adjacent, the most frequent first, so that
-    the all-log p half of weyl's numerator has the key of a weight half.
-    """
-    groups = {}
-    for fill in fills:
-        groups.setdefault(group_of.setdefault(fill.tobytes(), len(group_of)), []).append(fill)
-    ranked = sorted(groups.items(), key=lambda item: len(item[1]), reverse=True)  # stable: ties keep order
-    ordered = [(g, same[0]) for g, same in ranked for _ in same]  # (group index, fill)
-    mid = len(ordered) - len(ordered) // 2
-    parts = [ordered] if len(ordered) <= 3 else [ordered[:mid], ordered[mid:]]
-    return [(tuple(g for g, _ in part), tuple(f for _, f in part)) for part in parts]
+    primes = _primes_to_root(k, lam_max)
+    return primes, primes**k, np.log(primes.astype(np.float64))
 
 
 def _half_spectrum(powers: np.ndarray, fills: tuple, lam_max: int, size: int) -> tuple:
@@ -637,6 +620,12 @@ def _half_spectrum(powers: np.ndarray, fills: tuple, lam_max: int, size: int) ->
     return np.fft.rfft(half.real, size), np.fft.rfft(half.imag, size)
 
 
+def _weight_halves(powers: np.ndarray, fill: np.ndarray, n: int, lam_max: int, size: int) -> tuple:
+    """Spectra of the halves of ceil(n/2) and floor(n/2) coordinates of ``fill``; at even n one spectrum twice."""
+    first = _half_spectrum(powers, (fill,) * (n - n // 2), lam_max, size)
+    return first, first if n % 2 == 0 else _half_spectrum(powers, (fill,) * (n // 2), lam_max, size)
+
+
 # a product of two complex spectra goes chunk by chunk, so that its temporaries stay this small
 _PRODUCT_CHUNK = 1 << 16
 
@@ -644,7 +633,9 @@ _PRODUCT_CHUNK = 1 << 16
 def _times(acc: tuple, spec: tuple) -> tuple:
     """acc * spec for spectra held as (real part, imaginary part or None); acc's arrays are overwritten.
 
-    A complex spec needs a complex acc: ``_value_arrays`` takes a complex half first.
+    A complex spec needs a complex acc, so a product starts from a complex
+    half.  The operands stay in this order: numpy's complex multiply is
+    not bitwise commutative.
     """
     a, b = acc
     c, d = spec
@@ -663,75 +654,23 @@ def _times(acc: tuple, spec: tuple) -> tuple:
     return a, b
 
 
-def _value_arrays(powers: np.ndarray, lam_max: int, fill_lists) -> list:
-    """Sum over prime solutions of prod_i fills[i](p_i), for every lam <= lam_max and each fill list.
-
-    ``powers`` holds p^k for each prime p with p^k <= lam_max, and each
-    fill coordinate i's value at each of those primes.  A complex fill
-    whose imaginary part is zero (a coordinate with xi_i = 0 or an integer)
-    is taken as real, so it equals the real fill log p.  Each list is cut
-    into two halves of ceil(n/2) and floor(n/2) coordinates (``_halves``),
-    each built exactly (``_half_block``).  At n <= 3 there is one part,
-    and that array is the answer.  Otherwise every distinct half of all
-    the lists is transformed once, at length
-    ``_fft_size(_range_length(n, lam_max))`` = 2 lam_max + 1 rounded up,
-    with real transforms only: a complex half as its real and its
-    imaginary part.  Each output copies its first half's spectrum and
-    multiplies the second into it in place, then takes one ``irfft`` per
-    nonzero part.  A spectrum is freed once no later output needs it.  An
-    output is complex if any of its fills is.
-    """
-    group_of, plans = {}, []
-    for fills in fill_lists:
-        out_complex = any(np.iscomplexobj(f) for f in fills)
-        fills = [f.real if np.iscomplexobj(f) and not f.imag.any() else f for f in fills]
-        plans.append((_halves(fills, group_of), out_complex))
-    n = len(fill_lists[0])
-    if n <= 3:
-        outs = []
-        for [(_, fills)], out_complex in plans:
-            out = _block_array(powers, fills, lam_max)
-            outs.append(out.astype(complex, copy=False) if out_complex else out)
-        return outs
-    size = _fft_size(_range_length(n, lam_max))
-    uses = Counter(key for parts, _ in plans for key, _ in parts)  # reads of each spectrum still to come
-    spectra, outs = {}, []
-    for parts, out_complex in plans:
-        acc = None
-        # a complex half first: the product starts from two parts, and the other half multiplies in place
-        for key, fills in sorted(parts, key=lambda part: not any(np.iscomplexobj(f) for f in part[1])):
-            if key not in spectra:
-                spectra[key] = _half_spectrum(powers, fills, lam_max, size)
-            uses[key] -= 1
-            spec = spectra.pop(key) if uses[key] == 0 else spectra[key]
-            if acc is None:
-                # a copy, so no product writes into a spectrum that is read again.  Taking over a spectrum on
-                # its last use instead took more page faults: 7 070 against 4 898 minor faults for two
-                # one-output calls at (k, n) = (2, 5) on [0, 99 999], repeated in one process
-                acc = tuple(None if part is None else part.copy() for part in spec)
-            else:
-                acc = _times(acc, spec)
-            del spec
-        re, im = acc
-        del acc
-        if out_complex:
-            out = np.zeros(lam_max + 1, dtype=complex)
-            out.real = np.fft.irfft(re, size)[: lam_max + 1]
-            re = None  # freed before the second inverse
-            if im is not None:
-                out.imag = np.fft.irfft(im, size)[: lam_max + 1]
-        else:
-            out = np.fft.irfft(re, size)[: lam_max + 1]
-        outs.append(out)
-        del re, im  # freed before the next output's spectra
-    return outs
-
-
 def rep_weight_array(k: int, n: int, lam_max: int, power: float = 1.0) -> np.ndarray:
-    """Sum over solutions of prod_i (log p_i)^power, for every lam <= lam_max."""
-    primes = _range_primes(k, n, lam_max)
-    [weights] = _value_arrays(primes**k, lam_max, [[np.log(primes.astype(np.float64)) ** power] * n])
-    return weights
+    """Sum over solutions of prod_i (log p_i)^power, for every lam <= lam_max.
+
+    Each coordinate has the fill (log p)^power.  At n <= 3 one block is
+    the answer.  Otherwise the halves of ceil(n/2) and floor(n/2)
+    coordinates, each built exactly (``_half_block``), are transformed at
+    length ``_fft_size(_range_length(n, lam_max))`` = 2 lam_max + 1
+    rounded up, multiplied in place (at even n one half squared) and
+    inverted.
+    """
+    _, powers, logs = _range_table(k, n, lam_max)
+    fill = logs**power
+    if n <= 3:
+        return _block_array(powers, (fill,) * n, lam_max)
+    size = _fft_size(_range_length(n, lam_max))
+    product, _ = _times(*_weight_halves(powers, fill, n, lam_max, size))
+    return np.fft.irfft(product, size)[: lam_max + 1]
 
 
 def rep_weight_rounding(k: int, n: int, lam_max: int, power: float) -> float:
@@ -750,28 +689,51 @@ def rep_weight_rounding(k: int, n: int, lam_max: int, power: float) -> float:
     ranges 2^8 to 2^18, it lay 2.6 to 3.5e15 times above the largest
     error measured against a long-double direct convolution.
     """
-    primes = _primes_to_root(k, lam_max)
+    _, _, logs = _range_table(k, n, lam_max)
     size = _fft_size(_range_length(n, lam_max))
-    f = np.log(primes.astype(np.float64)) ** power
+    f = logs**power
     return float(2.0**-53 * log(size, 2) * np.sqrt((f * f).sum()) * f.sum() ** (n - 1) / np.sqrt(size))
 
 
 def weight_and_numerator_arrays(k: int, n: int, lam_max: int, xi) -> tuple:
-    """``rep_weight_array(k, n, lam_max)`` and R(lam) * omega_hat(lam, xi) for every lam <= lam_max, from one plan.
+    """``rep_weight_array(k, n, lam_max)`` and R(lam) * omega_hat(lam, xi) for every lam <= lam_max.
 
     Coordinate i of the numerator has the fill log(p) e(p xi_i), the phase
-    reduced mod 1 first.  A half the two share (the coordinates with
-    xi_i = 0 or an integer carry the weight's fill log p) is built and
-    transformed once.
+    reduced mod 1 first.  Where xi_i is an integer that is the weights'
+    real fill log p; these coordinates come first, the others keep their
+    order.  If every xi_i is an integer, the numerator is the weights.  If
+    the integer ones fill the first half, the numerator reuses the weights'
+    first-half spectrum; otherwise it transforms both its halves.  Each
+    spectrum is freed after its last read.
     """
     xi = np.asarray(xi, dtype=float)
     if len(xi) != n:
         raise InputError("xi must have length n")
-    primes = _range_primes(k, n, lam_max)
-    p = primes.astype(np.float64)
-    logs = np.log(p)
-    fills = [logs * np.exp(2j * np.pi * (p * x - np.rint(p * x))) for x in xi]
-    weights, numer = _value_arrays(primes**k, lam_max, [[logs] * n, fills])
+    primes, powers, logs = _range_table(k, n, lam_max)
+    phased = [logs * np.exp(2j * np.pi * (primes * x - np.rint(primes * x))) for x in xi]
+    complex_fills = [f for f in phased if f.imag.any()]
+    fills = [logs] * (n - len(complex_fills)) + complex_fills
+    if n <= 3:
+        numer = _block_array(powers, tuple(fills), lam_max).astype(complex, copy=False)
+        return _block_array(powers, (logs,) * n, lam_max), numer
+    h, size = n - n // 2, _fft_size(_range_length(n, lam_max))
+    first, second = _weight_halves(powers, logs, n, lam_max, size)
+    kept = first if 0 < len(complex_fills) <= n // 2 else None  # the numerator's first half, all log p
+    product, _ = _times(first if kept is None else (first[0].copy(), None), second)
+    del first, second
+    weights = np.fft.irfft(product, size)[: lam_max + 1]
+    del product
+    if not complex_fills:
+        return weights, weights.astype(complex)
+    if kept is None:
+        re, im = _times(*(_half_spectrum(powers, tuple(part), lam_max, size) for part in (fills[:h], fills[h:])))
+    else:  # the complex half first
+        re, im = _times(_half_spectrum(powers, tuple(fills[h:]), lam_max, size), kept)
+        del kept
+    numer = np.empty(lam_max + 1, dtype=complex)
+    numer.real = np.fft.irfft(re, size)[: lam_max + 1]
+    del re  # freed before the second inverse
+    numer.imag = np.fft.irfft(im, size)[: lam_max + 1]
     return weights, numer
 
 
@@ -781,7 +743,7 @@ def rep_support_array(k: int, n: int, lam_max: int) -> np.ndarray:
     Exact, with no float and no rounding bound, so it runs at every size
     ``check_array_memory`` admits: n - 1 OR rounds of ``_shift_rounds``.
     """
-    powers = _range_primes(k, n, lam_max) ** k
+    _, powers, _ = _range_table(k, n, lam_max)
     acc = np.zeros(lam_max + 1, dtype=bool)
     acc[powers] = True
     return _shift_rounds(acc, powers, [None] * (n - 1), np.logical_or)
@@ -789,8 +751,7 @@ def rep_support_array(k: int, n: int, lam_max: int) -> np.ndarray:
 
 def max_weight_array(k: int, n: int, lam_max: int) -> np.ndarray:
     """Largest single-solution weight prod log(p_i) per lam, 0 where none (max-times; log p > 0)."""
-    primes = _range_primes(k, n, lam_max)
-    powers, logs = primes**k, np.log(primes.astype(np.float64))
+    _, powers, logs = _range_table(k, n, lam_max)
     acc = np.zeros(lam_max + 1)
     acc[powers] = logs
     return _shift_rounds(acc, powers, [logs] * (n - 1), np.maximum)
@@ -802,8 +763,9 @@ def rep_totals_at(k: int, n: int, lams) -> tuple[list[int], list[float]]:
     The n coordinates split into halves of ceil(n/2) and floor(n/2), each
     built exactly on [0, max(lams)] by ``_half_block``, once with unit
     fills in int64 (A, B) and once with log p.  r(lam) = sum_m A[m]
-    B[lam - m] is one int64 dot product, R(lam) the same on the log halves;
-    every term is positive, so nothing cancels.  r(lam) <= P^(n-1) over the
+    B[lam - m] is one product and sum, exact in int64, and R(lam) the same
+    on the log halves, summed pairwise; no BLAS call is made.  Every term
+    is positive, so nothing cancels.  r(lam) <= P^(n-1) over the
     range's P primes, so P^(n-1) >= 2^63, where int64 could overflow, is
     refused with NumericError before any half is built.
     """
@@ -811,15 +773,14 @@ def rep_totals_at(k: int, n: int, lams) -> tuple[list[int], list[float]]:
     if min(lams, default=0) < 0:
         raise InputError("need lam >= 0")
     lam_max = max(lams, default=0)
-    primes = _range_primes(k, n, lam_max)
+    primes, powers, logs = _range_table(k, n, lam_max)
     if len(primes) ** (n - 1) >= 2**63:
         raise NumericError(f"counts for n={n} over {len(primes)} primes can reach 2^63 and overflow int64")
-    powers, logs = primes**k, np.log(primes.astype(np.float64))
     totals = []
     for fill in (np.ones(len(primes), dtype=np.int64), logs):
         halves = {d: _half_block(powers, (fill,) * d, lam_max) for d in {n - n // 2, n // 2}}
-        a, rev = halves[n - n // 2], halves[n // 2][::-1].copy()  # rev[lam_max - lam + m] = B[lam - m]
-        totals.append([np.dot(a[: lam + 1], rev[lam_max - lam :]).item() for lam in lams])
+        a, rev = halves[n - n // 2], halves[n // 2][::-1]  # rev[lam_max - lam + m] = B[lam - m]
+        totals.append([(a[: lam + 1] * rev[lam_max - lam :]).sum().item() for lam in lams])
     return tuple(totals)
 
 

@@ -359,6 +359,15 @@ def test_delta_probe_runs_where_float_counts_are_refused():
     assert report.norms == pytest.approx([1 / 7, 1 / 7], rel=1e-12)  # seven orderings of one solution
 
 
+def test_delta_probe_slope_is_exactly_zero_on_equal_norms():
+    report = delta_scaling_probe(2, 5, np.inf, [2**e for e in range(12, 19)])
+    assert set(report.norms) == {0.2} and report.slope == 0.0  # np.polyfit printed -6.8e-17
+    report = delta_scaling_probe(2, 5, 1.2, [2**e for e in range(12, 16)])
+    fitted = np.polyfit(np.log(report.lam_values), np.log(report.norms), 1)[0]
+    assert report.slope == pytest.approx(fitted, rel=1e-12)
+    assert delta_scaling_probe(2, 5, 1.2, [4096, 4096]).slope is None  # one distinct cutoff: nothing to fit
+
+
 def test_delta_probe_without_admissible_lam_is_undefined():
     # the first lam with a prime solution for (k, n) = (2, 5) is 77
     with pytest.raises(UndefinedMeasureError):

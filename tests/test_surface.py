@@ -22,7 +22,6 @@ from wglab.surface import (
     _fft_size,
     _local_unit_sum_masks,
     _range_length,
-    _value_arrays,
     admissible_mask,
     bump,
     check_array_memory,
@@ -809,6 +808,7 @@ def test_totals_at_are_exact_counts_and_enumerated_weights(k, n, lam_max, enum_m
 def test_totals_at_take_any_order_of_lams_and_no_transform(monkeypatch):
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, lambda *a, **kw: pytest.fail("took a transform"))
+    monkeypatch.setattr(np, "dot", lambda *a, **kw: pytest.fail("called BLAS"))  # a threaded ddot on long slices
     r, R = rep_totals_at(2, 5, [10061, 0, 77, 10061, 78])
     m = enumerate_prime_points(ProblemInstance(2, 5, 10061))
     assert r == [m.r, 0, 10, m.r, 0] and R[0] == R[3] and R[1] == R[4] == 0.0
@@ -829,7 +829,7 @@ def test_totals_at_refuse_counts_that_could_overflow(monkeypatch):
 
 
 def test_series_table_figure_covers_the_tables():
-    """(12 + 16 c) Q (Q + 1) bytes for the lru tables of c distinct center pairs, against tracemalloc at Q = 1000."""
+    """(12 + 8 c) Q (Q + 1) bytes for the lru tables of c distinct center pairs, against tracemalloc at Q = 1000."""
     Q = 1000
     for avec, qvec in (([0] * 5, [1] * 5), ([1, 1, 0, 0, 0], [2, 3, 1, 1, 1])):
         for cache in (_roots, units, _g_table, _g_over_a):
@@ -840,8 +840,9 @@ def test_series_table_figure_covers_the_tables():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert _g_table.cache_info().currsize == 0  # the series keeps no full g-table
         c = len(set(zip(avec, qvec)))
-        figure = (12 + 16 * c) * Q * (Q + 1)
+        figure = (12 + 8 * c) * Q * (Q + 1)
         assert 0.5 * figure < peak <= figure, (c, peak, figure)
 
 
@@ -857,11 +858,24 @@ def _xi_patterns(n: int, rng) -> dict:
 
 
 def _numerator_alone(k: int, n: int, lam_max: int, xi) -> np.ndarray:
-    """R(lam) omega_hat(lam, xi) from a plan of its own, with the fills log(p) e(p xi_i) the library builds."""
+    """R(lam) omega_hat(lam, xi) from two halves transformed for it alone, none shared with the weights.
+
+    The fills are log(p) e(p xi_i), integer xi_i first, and the product
+    starts from a complex half, as in the library.
+    """
     primes = sieve_primes(max(2, int_kth_root(lam_max, k)))
-    p = primes[primes**k <= lam_max].astype(np.float64)
-    fills = [np.log(p) * np.exp(2j * np.pi * (p * x - np.rint(p * x))) for x in xi]
-    return _value_arrays(p.astype(np.int64) ** k, lam_max, [fills])[0]
+    p = primes[primes**k <= lam_max]
+    fills = [np.log(p.astype(np.float64)) * np.exp(2j * np.pi * (p * x - np.rint(p * x))) for x in xi]
+    fills = [f if f.imag.any() else f.real for f in sorted(fills, key=lambda f: bool(f.imag.any()))]
+    if n <= 3:
+        return surface._block_array(p**k, tuple(fills), lam_max).astype(complex)
+    size, h = _fft_size(_range_length(n, lam_max)), n - n // 2
+    halves = [surface._half_spectrum(p**k, tuple(part), lam_max, size) for part in (fills[:h], fills[h:])]
+    re, im = surface._times(*sorted(halves, key=lambda spec: spec[1] is None))
+    out = np.fft.irfft(re, size)[: lam_max + 1].astype(complex)
+    if im is not None:
+        out.imag = np.fft.irfft(im, size)[: lam_max + 1]
+    return out
 
 
 @pytest.mark.parametrize("k, n, lam_max", [(2, 2, 3000), (2, 3, 3000), (2, 4, 3000), (2, 5, 4000), (3, 5, 20_000),
@@ -931,27 +945,50 @@ def test_one_block_plans_take_no_transform(monkeypatch, n, lam_max):
         assert numer[lam] == pytest.approx((m.weights * phases).sum(), abs=1e-9)
 
 
-@pytest.mark.parametrize("k, n, lam_max", [(2, 7, 3000), (2, 8, 3000), (3, 9, 20_000)])
-def test_whole_range_transforms_span_two_halves(monkeypatch, k, n, lam_max):
-    """Every rfft and irfft of the whole-range arrays has length _fft_size(2 lam_max + 1): two halves, not more."""
-    lengths = []
+def _record_transforms(monkeypatch) -> list:
+    """A list that each later np.fft.rfft or irfft call appends its (name, length) to."""
+    calls = []
 
-    def recording(transform):
+    def recording(name, transform):
         def wrapper(a, length=None, *args, **kw):
-            lengths.append(length)
+            calls.append((name, length))
             return transform(a, length, *args, **kw)
 
         return wrapper
 
     for name in ("rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+        monkeypatch.setattr(np.fft, name, recording(name, getattr(np.fft, name)))
+    return calls
+
+
+@pytest.mark.parametrize("k, n, lam_max", [(2, 7, 3000), (2, 8, 3000), (3, 9, 20_000)])
+def test_whole_range_transforms_span_two_halves(monkeypatch, k, n, lam_max):
+    """Every rfft and irfft of the whole-range arrays has length _fft_size(2 lam_max + 1): two halves, not more."""
+    calls = _record_transforms(monkeypatch)
     xi = np.random.default_rng(n).random(n)
     xi[:2] = 0.0
     weights = weight_and_numerator_arrays(k, n, lam_max, xi)[0]
     rep_weight_array(k, n, lam_max, power=1.5)
+    lengths = [length for _, length in calls]
     assert lengths and set(lengths) == {_fft_size(2 * lam_max + 1)}, Counter(lengths)
     m = enumerate_prime_points(ProblemInstance(k, n, int(np.argmax(weights))))
     assert weights.max() == pytest.approx(m.R, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, xi, rffts, irffts", [
+    (5, (0.4142135623730951, 0.7320508075688772, 0, 0, 0), 4, 3),  # weyl's: the numerator reuses a weight half
+    (5, (0.1, 0.2, 0.3, 0.4, 0.6), 6, 3),  # two complex halves, each as a real and an imaginary part
+    (5, (1, 0, 2, 0, 3), 2, 1),  # the numerator is the weights
+    (6, (0.3, 0, 0.7, 1, 0.2, 2), 3, 3),  # one weight half, squared, and reused by the numerator
+])
+def test_whole_range_calls_take_their_pinned_transforms(monkeypatch, n, xi, rffts, irffts):
+    calls = _record_transforms(monkeypatch)
+    weight_and_numerator_arrays(2, n, 20_000, np.array(xi, dtype=float))
+    assert Counter(name for name, _ in calls) == {"rfft": rffts, "irfft": irffts}
+    calls.clear()
+    rep_weight_array(2, n, 20_000, power=1.2)
+    # at even n one half, squared
+    assert Counter(name for name, _ in calls) == {"rfft": 1 if n % 2 == 0 else 2, "irfft": 1}
 
 
 def test_fft_size_matches_scipy_next_fast_len():
