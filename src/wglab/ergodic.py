@@ -110,13 +110,12 @@ class WeylBlock:
 def weyl_decay_scan(k: int, n: int, xi, lam_min: int, num_blocks: int) -> list[WeylBlock]:
     """max |omega_hat(xi)| over admissible lam in [L, 2L), L = lam_min * 2^j.
 
-    Computed for the whole range at once by convolving the per-coordinate
-    value arrays, so the scan touches every admissible lam below the top
-    block without per-lam enumeration: the weights and numerators come
-    from ``weight_and_numerator_arrays``, whose numerator reuses a weight
-    half where it can, and the lam with a prime solution from the exact
-    boolean sumset.  Blocks without an admissible lam are left out; if
-    none is left, UndefinedMeasureError.
+    The weights and numerators of every lam below the top block come at
+    once from ``weight_and_numerator_arrays`` (exact block sums and shift
+    rounds; |omega_hat| within about 2 gamma_m of ``_half_block``'s
+    bound), and the lam with a prime solution from the exact boolean
+    sumset, so no lam is enumerated.  Blocks without an admissible lam are
+    left out; if none is left, UndefinedMeasureError.
     """
     if k < 2 or n < 2:
         raise InputError("need k >= 2, n >= 2")

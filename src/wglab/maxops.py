@@ -14,7 +14,6 @@ from .surface import (
     enumerate_prime_points,
     max_weight_array,
     rep_weight_array,
-    rep_weight_rounding,
 )
 
 
@@ -158,8 +157,6 @@ class OperatorReport:
     slope: Optional[float]
 
 
-# delta_scaling_probe refuses a cutoff whose estimated FFT roundoff exceeds this share of norm^p
-_ROUNDOFF_SHARE = 1e-5
 # at p = inf, the first prefix [0, _PREFIX_START] on which max weights are taken
 _PREFIX_START = 1024
 
@@ -177,17 +174,15 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
     If no admissible lam up to the largest cutoff has a prime solution,
     there is no operator to measure: UndefinedMeasureError.
 
-    The sums of weights^p come from the product of two exact halves'
-    FFTs (``rep_weight_array``), whose roundoff (``rep_weight_rounding``
-    per lam, divided by R(lam)^p) grows with p and the range.  A cutoff
-    where its sum over the gated lam exceeds _ROUNDOFF_SHARE of norm^p is
-    refused with NumericError.  At (k, n) =
-    (2, 5), a single cutoff 2^8, 2^10, 2^12, 2^14, 2^16 or 2^18 accepts p
-    up to about 9.3, 5.3, 3.9, 2.9, 2.3 or 1.9; p = inf is always accepted.
-    At p = inf the FFT ratios only pick each cutoff's argmax lam, whose
+    The sums of weights^p are ``rep_weight_array`` with the fill
+    (log p)^p: positive sums within gamma_m of themselves (``_half_block``),
+    so each ratio to R(lam)^p errs by about (p + 1) gamma_m.  A p where
+    R(lam)^p or a sum of weights^p of a gated lam overflows is refused with
+    NumericError (p = 400 at (k, n) = (2, 5) on every cutoff from 2^8).
+    At p = inf the array ratios only pick each cutoff's argmax lam, whose
     ratio is then taken from ``enumerate_prime_points``, once per distinct
-    lam; a lam whose true ratio beats it by less than the FFT roundoff can
-    still be missed.  The max weights are taken on a prefix [0, top] only:
+    lam; a lam whose true ratio beats it by less than the arrays' rounding
+    can still be missed.  The max weights are taken on a prefix [0, top] only:
     every prime of a solution has p^k <= lam, so a lam's ratio is at most
     (log(lam) / k)^n / R(lam), and no lam above top can reach the best
     ratio on [0, top] once that bound stays below it for every gated lam
@@ -209,10 +204,10 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
     if not gate.any():
         raise UndefinedMeasureError(f"no admissible lam <= {lam_max} has a prime solution")
     weight_tot = rep_weight_array(k, n, lam_max)
+    lams = np.flatnonzero(gate)
     if np.isinf(p):
         # beyond[t]: the largest ratio bound (log(lam) / k)^n / R(lam) over the gated lam > t, non-increasing
         bound = np.zeros(lam_max + 2)
-        lams = np.flatnonzero(gate)
         bound[lams] = (np.log(lams) / k) ** n / weight_tot[lams]
         beyond = np.maximum.accumulate(bound[::-1])[::-1][1:]
         top = min(lam_max, _PREFIX_START)
@@ -232,20 +227,17 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
             exact[lam] = float(measure.weights.max() / measure.R)
         norms = [exact[lam] for lam in argmax]
     else:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow at large p is refused below
-            powsum = rep_weight_array(k, n, lam_max, power=p)
-            scale = weight_tot[gate] ** p
-            contrib = np.zeros(lam_max + 1)
-            contrib[gate] = powsum[gate] / scale
-            spread = np.zeros(lam_max + 1)
-            spread[gate] = rep_weight_rounding(k, n, lam_max, p) / scale
-        running, err = np.cumsum(contrib), np.cumsum(spread)
-        for L in lam_values:
-            if not err[L] <= _ROUNDOFF_SHARE * running[L]:  # also refuses a NaN or negative sum
-                raise NumericError(
-                    f"p={p:g} on [0, {L}]: FFT roundoff (estimated {err[L]:.3g}) is above "
-                    f"{_ROUNDOFF_SHARE:g} of norm^p ({running[L]:.3g}); lower p or the range"
-                )
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow (inf, or NaN from inf * 0) is refused below
+            powsum = rep_weight_array(k, n, lam_max, power=p)[lams]
+            scale = weight_tot[lams] ** p
+        finite = np.isfinite(powsum) & np.isfinite(scale)
+        if not finite.all():
+            raise NumericError(
+                f"p={p:g}: R(lam)^p or the sum of weights^p overflows at lam = {lams[~finite][0]}; lower p"
+            )
+        contrib = np.zeros(lam_max + 1)
+        contrib[lams] = powsum / scale
+        running = np.cumsum(contrib)
         norms = [float(running[L] ** (1.0 / p)) for L in lam_values]
     slope = None
     if len(set(lam_values)) >= 2 and all(v > 0 for v in norms):

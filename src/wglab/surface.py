@@ -425,31 +425,11 @@ def hua_ratio(measure: SurfaceMeasure, Qsing: int = 100) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Totals on the value axis.  Arrays indexed by p^k are cut into two exact
-# halves of ceil(n/2) and floor(n/2) coordinates.  The weight and transform
-# numerator of every lam <= lam_max are the product of the halves'
-# transforms, and r and R at chosen lam dot products of the halves, so
-# block sweeps never enumerate solutions lam by lam.
+# Totals on the value axis, exact on [0, lam_max]: up to three coordinates
+# from their tuples, each further one by a shift round over the p^k.  Block
+# sweeps read weights and numerators of every lam from such arrays, and r
+# and R at chosen lam from dot products of two halves, never enumerating.
 # ---------------------------------------------------------------------------
-
-
-def _fft_size(length: int) -> int:
-    """Smallest 5-smooth length >= length, a fast size for rfft and fft alike."""
-    best = 1 << (length - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # p35 times the smallest power of two reaching length
-            best = min(best, p35 << (-(-length // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _range_length(n: int, lam_max: int) -> int:
-    """Points that hold the product of two halves on [0, lam_max] (one part at n <= 3)."""
-    return max(1, (1 if n <= 3 else 2) * lam_max + 1)
 
 
 # cgroup v2, then v1; read only, never written
@@ -478,35 +458,25 @@ def available_memory() -> int:
     return min(memory, _cgroup_memory_limit() or memory)
 
 
-# Bytes per point of [0, lam_max] that a block's tuples hold while ``_block_array`` builds it: at most
-# 28, rounded up.  There are at most P^2 <= (lam_max + 1) / 2 pairs, as P <= pi(x) <= (x + 1) / 2 for
-# x = lam_max^(1/2).  Sorting them takes 56 B per pair; afterwards they keep 24 B each, while a chunk
-# of at most as many triples takes 24 B each and an 8 B copy of their real or imaginary parts.
-_TUPLE_BYTES = 32
-# Bytes per transform point that ``weight_and_numerator_arrays`` holds at once, the most of any whole-range
-# array: the weights kept for the numerator (8 B), the numerator's two complex halves' spectra (two parts
-# each: a part is the rfft of a real array, 8 B) or their product and the numerator, and the input or output
-# of the transform being taken (8 B).
-_SPECTRUM_BYTES = 8 + 2 * 16 + 8
-# ... and per point of [0, lam_max]: a half's block of up to three coordinates, complex at most, and its
-# tuples.  The shift rounds that finish the half hold less: acc and nxt, 16 B each.
-_RANGE_BYTES = 16 + _TUPLE_BYTES
+# Bytes per point of [0, lam_max] that a whole-range function holds at once, at most: the numerator's rounds
+# on a block shared with the weights keep the block (8 B) and a complex acc, nxt and chunk of products (16 B
+# each).  Less is held by a complex three-coordinate block under construction, 16 B and its tuples: at most
+# P^2 <= (lam_max + 1) / 2 pairs (P <= pi(x) <= (x + 1) / 2, x = lam_max^(1/2)) at 56 B while sorted, then
+# 24 B, and a chunk of at most (lam_max + 1) / 2 triples at 24 B, whose adds take an 8 B copy of a part and a
+# bincount of the range: 16 + 12 + 12 + 4 + 8 = 52 B.  ``rep_totals_at`` keeps two int64 halves while a real
+# block is built: 16 + 36 B.  The prime tables and fills, O(nP) bytes, are left out.
+_ARRAY_BYTES = 8 + 3 * 16
 
 
-def check_array_memory(n: int, lam_max: int) -> None:
-    """MemoryError if the whole-range arrays on [0, lam_max] exceed ``available_memory()``.
+def check_array_memory(lam_max: int) -> None:
+    """MemoryError if _ARRAY_BYTES per point of [0, lam_max] exceed ``available_memory()``.
 
-    Counted are _SPECTRUM_BYTES per point of the transform,
-    ``_fft_size(_range_length(n, lam_max))``, and _RANGE_BYTES per point
-    of [0, lam_max]: the most ``weight_and_numerator_arrays`` keeps alive
-    at once while it builds and multiplies the two halves of each output.
+    That is the most any whole-range function holds at once, for every n:
+    blocks with their tuples, the rounds' buffers and the arrays it keeps.
     """
-    length = _range_length(n, lam_max)
-    per_lam = _RANGE_BYTES * (lam_max + 1)
     memory = available_memory()
-    # the first test keeps lengths beyond any transform away from _fft_size, whose loops grow with the digits
-    if _SPECTRUM_BYTES * length + per_lam > memory or _SPECTRUM_BYTES * _fft_size(length) + per_lam > memory:
-        raise MemoryError(f"arrays on [0, {lam_max}] for n={n} need more than {memory} bytes of memory")
+    if _ARRAY_BYTES * (lam_max + 1) > memory:
+        raise MemoryError(f"arrays on [0, {lam_max}] need more than {memory} bytes of memory")
 
 
 def _add_at(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
@@ -527,7 +497,8 @@ def _block_array(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
     the pair sums of its last two coordinates once; each prime p of the
     first then takes the prefix that stays <= lam_max - p^k.  The triples
     are summed in chunks of at most max(pairs, (lam_max + 1) // 2), so
-    their arrays stay within ``_TUPLE_BYTES`` per point.
+    their arrays stay within ``_ARRAY_BYTES``.  An entry adds its terms one
+    after another.
     """
     idx, vals = powers, fills[-1]
     if len(fills) >= 2:
@@ -564,12 +535,13 @@ _ROUND_CHUNK_BYTES = 1 << 18
 def _shift_rounds(acc: np.ndarray, powers: np.ndarray, fills, combine) -> np.ndarray:
     """acc after one round per fill over the ascending ``powers``; acc is overwritten.
 
-    A round combines acc, shifted by every p^k and times fill(p) (no
-    product for a None fill), into a zeroed second buffer, and the two
-    swap.  ``combine`` is np.add for sums, np.maximum for max-times and
-    np.logical_or for a sumset.  The output is taken _ROUND_CHUNK_BYTES at
-    a time, each entry adding its terms in the order of the primes.
-    The buffers are allocated only when there is a round.
+    The one round kernel: np.add for ``_half_block``'s sums, np.maximum
+    for max-times and np.logical_or for a sumset.  A round combines acc,
+    shifted by every p^k and times fill(p) (no product for a None fill),
+    into a zeroed second buffer, and the two swap.  The output is taken
+    _ROUND_CHUNK_BYTES at a time, each entry combining its P terms in
+    prime order.  The second buffer and a chunk of products are allocated
+    only when there is a round.
     """
     if not fills:
         return acc
@@ -600,141 +572,70 @@ def _half_block(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
     round per further fill.  The dtype is that of all the fills, since a
     complex fill may be one of the rounded ones; int64 fills give int64
     sums.
+
+    Rounding, with n = len(fills), u = 2^-53, P primes and c the most
+    tuples of the first min(n, 3) coordinates at one sum (c <= P^2): a
+    term of an entry passes n - 1 multiplications, at most c - 1
+    additions in the block and P - 1 in each round.  A complex
+    multiplication errs by at most sqrt(2) gamma_2 < 3u relative (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.5),
+    so it counts as three.  So each entry differs from the exact sum of
+    the float fills' products by at most gamma_m times the sum of their
+    moduli, gamma_m = m u / (1 - m u), m = 3n + c + P max(n - 3, 0)
+    (Higham, sec. 4.2).
     """
     acc = _block_array(powers, fills[:3], lam_max).astype(np.result_type(*fills), copy=False)
     return _shift_rounds(acc, powers, fills[3:], np.add)
 
 
-def _range_table(k: int, n: int, lam_max: int) -> tuple:
+def _range_table(k: int, lam_max: int) -> tuple:
     """(primes, p^k, log p) over the primes with p^k <= lam_max, sieved once [0, lam_max]'s arrays fit in memory."""
-    check_array_memory(n, lam_max)
+    check_array_memory(lam_max)
     primes = _primes_to_root(k, lam_max)
     return primes, primes**k, np.log(primes.astype(np.float64))
-
-
-def _half_spectrum(powers: np.ndarray, fills: tuple, lam_max: int, size: int) -> tuple:
-    """rfft at length ``size`` of a half's real part and of its imaginary part (None for a real half)."""
-    half = _half_block(powers, fills, lam_max)
-    if not np.iscomplexobj(half):
-        return np.fft.rfft(half, size), None
-    return np.fft.rfft(half.real, size), np.fft.rfft(half.imag, size)
-
-
-def _weight_halves(powers: np.ndarray, fill: np.ndarray, n: int, lam_max: int, size: int) -> tuple:
-    """Spectra of the halves of ceil(n/2) and floor(n/2) coordinates of ``fill``; at even n one spectrum twice."""
-    first = _half_spectrum(powers, (fill,) * (n - n // 2), lam_max, size)
-    return first, first if n % 2 == 0 else _half_spectrum(powers, (fill,) * (n // 2), lam_max, size)
-
-
-# a product of two complex spectra goes chunk by chunk, so that its temporaries stay this small
-_PRODUCT_CHUNK = 1 << 16
-
-
-def _times(acc: tuple, spec: tuple) -> tuple:
-    """acc * spec for spectra held as (real part, imaginary part or None); acc's arrays are overwritten.
-
-    A complex spec needs a complex acc, so a product starts from a complex
-    half.  The operands stay in this order: numpy's complex multiply is
-    not bitwise commutative.
-    """
-    a, b = acc
-    c, d = spec
-    if d is None:
-        a *= c
-        if b is not None:
-            b *= c
-        return a, b
-    for lo in range(0, len(a), _PRODUCT_CHUNK):  # (a + ib)(c + id) = (ac - bd) + i(ad + bc)
-        x, y, u, v = (part[lo : lo + _PRODUCT_CHUNK] for part in (a, b, c, d))
-        xv = x * v
-        x *= u
-        x -= y * v
-        y *= u
-        y += xv
-    return a, b
 
 
 def rep_weight_array(k: int, n: int, lam_max: int, power: float = 1.0) -> np.ndarray:
     """Sum over solutions of prod_i (log p_i)^power, for every lam <= lam_max.
 
-    Each coordinate has the fill (log p)^power.  At n <= 3 one block is
-    the answer.  Otherwise the halves of ceil(n/2) and floor(n/2)
-    coordinates, each built exactly (``_half_block``), are transformed at
-    length ``_fft_size(_range_length(n, lam_max))`` = 2 lam_max + 1
-    rounded up, multiplied in place (at even n one half squared) and
-    inverted.
+    ``_half_block`` with the fill (log p)^power in every coordinate: one
+    block of up to three coordinates, then a shift-add round per further
+    one.  Every term is positive, so each entry errs by at most gamma_m of
+    itself (``_half_block``'s bound).
     """
-    _, powers, logs = _range_table(k, n, lam_max)
-    fill = logs**power
-    if n <= 3:
-        return _block_array(powers, (fill,) * n, lam_max)
-    size = _fft_size(_range_length(n, lam_max))
-    product, _ = _times(*_weight_halves(powers, fill, n, lam_max, size))
-    return np.fft.irfft(product, size)[: lam_max + 1]
-
-
-def rep_weight_rounding(k: int, n: int, lam_max: int, power: float) -> float:
-    """Estimated float error of each entry of ``rep_weight_array(k, n, lam_max, power)``.
-
-    With the fill f = (log p)^power, u = 2^-53 and L the transform length:
-    each transform errs by about u log2(L) relative in the 2-norm (Higham,
-    Accuracy and Stability of Numerical Algorithms, Thm 24.2); a half of d
-    coordinates has 1-norm at most ||f||_1^d and, by Young's inequality,
-    2-norm at most ||f||_2 ||f||_1^(d - 1).  Through the two halves'
-    transforms, their product and the inverse, the output errs by about
-    32 u log2(L) ||f||_2 ||f||_1^(n - 1) in the 2-norm (16 per half).
-    Spread evenly over the L entries and without the constant, that is
-    u log2(L) ||f||_2 ||f||_1^(n - 1) / sqrt(L), returned here: an
-    estimate, not a bound.  At (k, n) = (2, 5), for powers 1.2 to 50 on
-    ranges 2^8 to 2^18, it lay 2.6 to 3.5e15 times above the largest
-    error measured against a long-double direct convolution.
-    """
-    _, _, logs = _range_table(k, n, lam_max)
-    size = _fft_size(_range_length(n, lam_max))
-    f = logs**power
-    return float(2.0**-53 * log(size, 2) * np.sqrt((f * f).sum()) * f.sum() ** (n - 1) / np.sqrt(size))
+    _, powers, logs = _range_table(k, lam_max)
+    return _half_block(powers, (logs**power,) * n, lam_max)
 
 
 def weight_and_numerator_arrays(k: int, n: int, lam_max: int, xi) -> tuple:
     """``rep_weight_array(k, n, lam_max)`` and R(lam) * omega_hat(lam, xi) for every lam <= lam_max.
 
-    Coordinate i of the numerator has the fill log(p) e(p xi_i), the phase
-    reduced mod 1 first.  Where xi_i is an integer that is the weights'
-    real fill log p; these coordinates come first, the others keep their
-    order.  If every xi_i is an integer, the numerator is the weights.  If
-    the integer ones fill the first half, the numerator reuses the weights'
-    first-half spectrum; otherwise it transforms both its halves.  Each
-    spectrum is freed after its last read.
+    The numerator is ``_half_block`` of the fills log(p) e(p xi_i), phases
+    reduced mod 1, with the real ones (integer xi_i: log p) first.  If every
+    xi_i is an integer it is the weights.  If three are, one real block of
+    three log p coordinates serves both: a complex copy of it takes the
+    numerator's rounds, then the block the weights'.  Otherwise the
+    numerator is built first, so its complex block never sits beside the
+    weights.  Every term has modulus prod log p_i, so by ``_half_block``'s
+    bound the numerator errs by at most gamma_m R(lam) and omega_hat by
+    about 2 gamma_m, besides the rounding of p xi_i in the phases.
     """
     xi = np.asarray(xi, dtype=float)
     if len(xi) != n:
         raise InputError("xi must have length n")
-    primes, powers, logs = _range_table(k, n, lam_max)
+    primes, powers, logs = _range_table(k, lam_max)
     phased = [logs * np.exp(2j * np.pi * (primes * x - np.rint(primes * x))) for x in xi]
     complex_fills = [f for f in phased if f.imag.any()]
-    fills = [logs] * (n - len(complex_fills)) + complex_fills
-    if n <= 3:
-        numer = _block_array(powers, tuple(fills), lam_max).astype(complex, copy=False)
-        return _block_array(powers, (logs,) * n, lam_max), numer
-    h, size = n - n // 2, _fft_size(_range_length(n, lam_max))
-    first, second = _weight_halves(powers, logs, n, lam_max, size)
-    kept = first if 0 < len(complex_fills) <= n // 2 else None  # the numerator's first half, all log p
-    product, _ = _times(first if kept is None else (first[0].copy(), None), second)
-    del first, second
-    weights = np.fft.irfft(product, size)[: lam_max + 1]
-    del product
+    fills = (logs,) * (n - len(complex_fills)) + tuple(complex_fills)
     if not complex_fills:
+        weights = _half_block(powers, fills, lam_max)
         return weights, weights.astype(complex)
-    if kept is None:
-        re, im = _times(*(_half_spectrum(powers, tuple(part), lam_max, size) for part in (fills[:h], fills[h:])))
-    else:  # the complex half first
-        re, im = _times(_half_spectrum(powers, tuple(fills[h:]), lam_max, size), kept)
-        del kept
-    numer = np.empty(lam_max + 1, dtype=complex)
-    numer.real = np.fft.irfft(re, size)[: lam_max + 1]
-    del re  # freed before the second inverse
-    numer.imag = np.fft.irfft(im, size)[: lam_max + 1]
-    return weights, numer
+    if n - len(complex_fills) < 3:
+        numer = _half_block(powers, fills, lam_max)
+        return _half_block(powers, (logs,) * n, lam_max), numer
+    block = _block_array(powers, fills[:3], lam_max)
+    numer = _shift_rounds(block.astype(complex), powers, fills[3:], np.add)
+    return _shift_rounds(block, powers, (logs,) * (n - 3), np.add), numer
 
 
 def rep_support_array(k: int, n: int, lam_max: int) -> np.ndarray:
@@ -743,7 +644,7 @@ def rep_support_array(k: int, n: int, lam_max: int) -> np.ndarray:
     Exact, with no float and no rounding bound, so it runs at every size
     ``check_array_memory`` admits: n - 1 OR rounds of ``_shift_rounds``.
     """
-    _, powers, _ = _range_table(k, n, lam_max)
+    _, powers, _ = _range_table(k, lam_max)
     acc = np.zeros(lam_max + 1, dtype=bool)
     acc[powers] = True
     return _shift_rounds(acc, powers, [None] * (n - 1), np.logical_or)
@@ -751,7 +652,7 @@ def rep_support_array(k: int, n: int, lam_max: int) -> np.ndarray:
 
 def max_weight_array(k: int, n: int, lam_max: int) -> np.ndarray:
     """Largest single-solution weight prod log(p_i) per lam, 0 where none (max-times; log p > 0)."""
-    _, powers, logs = _range_table(k, n, lam_max)
+    _, powers, logs = _range_table(k, lam_max)
     acc = np.zeros(lam_max + 1)
     acc[powers] = logs
     return _shift_rounds(acc, powers, [logs] * (n - 1), np.maximum)
@@ -773,7 +674,7 @@ def rep_totals_at(k: int, n: int, lams) -> tuple[list[int], list[float]]:
     if min(lams, default=0) < 0:
         raise InputError("need lam >= 0")
     lam_max = max(lams, default=0)
-    primes, powers, logs = _range_table(k, n, lam_max)
+    primes, powers, logs = _range_table(k, lam_max)
     if len(primes) ** (n - 1) >= 2**63:
         raise NumericError(f"counts for n={n} over {len(primes)} primes can reach 2^63 and overflow int64")
     totals = []

@@ -574,9 +574,9 @@ def test_delta_probe_single_cutoff_prints_no_slope(capsys):
     assert len(doc["table"]["rows"]) == 1 and doc["table"]["rows"][0][1] > 0
 
 
-@pytest.mark.parametrize("p", ["8", "1000"])
-def test_delta_probe_refuses_a_norm_below_its_fft_roundoff(capsys, p):
-    # p = 8 on [0, 4096] printed NaN: a sum of p-th powers went negative
+@pytest.mark.parametrize("p", ["400", "1000"])
+def test_delta_probe_refuses_an_overflowing_norm(capsys, p):
+    # R(lam)^p overflows float64 from lam = 77 on at p = 400
     assert main(["delta-probe", "--k", "2", "--n", "5", "--p", p, "--exp-lo", "10", "--exp-hi", "12"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -8,20 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import next_fast_len
 
 from wglab import surface
+from wglab.ergodic import weyl_decay_scan
 from wglab.errors import InputError, NumericError, UndefinedMeasureError
 from wglab.expsums import GSumQuery, _g_over_a, _g_table, _roots, g_sum
+from wglab.maxops import delta_scaling_probe
 from wglab.numtheory import int_kth_root, sieve_primes, units
 from wglab.oscint import SurfaceQuery, singular_integral, surface_transform
 from wglab.surface import (
     BUMP_OUTER,
     ApproxParams,
     ProblemInstance,
-    _fft_size,
     _local_unit_sum_masks,
-    _range_length,
     admissible_mask,
     bump,
     check_array_memory,
@@ -625,24 +624,22 @@ def test_value_arrays_match_enumeration_property(data, k, n, lam_max):
 
 def test_check_array_memory_refuses_above_physical_memory(monkeypatch):
     monkeypatch.setattr(surface, "_CGROUP_LIMIT_FILES", ("/nonexistent/memory.max", "/nonexistent/v1"))
-    check_array_memory(5, 2**18)  # the largest benchmark range
-    with monkeypatch.context() as m:  # too large for any transform: refused without sizing one
-        m.setattr(surface, "_fft_size", lambda length: pytest.fail("sized a transform"))
-        for lam_max in (2**62, 10**3000):  # _fft_size would loop for minutes over 10^3000's digits
-            with pytest.raises(MemoryError):
-                check_array_memory(5, lam_max)
-    n, lam_max = 5, 100_000
-    need = surface._SPECTRUM_BYTES * _fft_size(_range_length(n, lam_max)) + surface._RANGE_BYTES * (lam_max + 1)
+    check_array_memory(2**18)  # the largest benchmark range
+    for lam_max in (2**62, 10**3000):
+        with pytest.raises(MemoryError):
+            check_array_memory(lam_max)
+    lam_max = 100_000
+    need = surface._ARRAY_BYTES * (lam_max + 1)
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need, "SC_PAGE_SIZE": 1}.__getitem__)
-    check_array_memory(n, lam_max)
+    check_array_memory(lam_max)
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}.__getitem__)
     with pytest.raises(MemoryError):
-        check_array_memory(n, lam_max)
+        check_array_memory(lam_max)
 
 
 def test_check_array_memory_honours_cgroup_limit(monkeypatch, tmp_path):
-    n, lam_max = 5, 100_000
-    need = surface._SPECTRUM_BYTES * _fft_size(_range_length(n, lam_max)) + surface._RANGE_BYTES * (lam_max + 1)
+    lam_max = 100_000
+    need = surface._ARRAY_BYTES * (lam_max + 1)
     limit = tmp_path / "memory.max"
     monkeypatch.setattr(surface, "_CGROUP_LIMIT_FILES", (str(limit), "/nonexistent/v1"))
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2 * need, "SC_PAGE_SIZE": 1}.__getitem__)
@@ -650,16 +647,16 @@ def test_check_array_memory_honours_cgroup_limit(monkeypatch, tmp_path):
         if text is not None:
             limit.write_text(text)
         if fits:
-            check_array_memory(n, lam_max)
+            check_array_memory(lam_max)
         else:
             with pytest.raises(MemoryError):
-                check_array_memory(n, lam_max)
+                check_array_memory(lam_max)
     # the smaller of the two limits holds
     limit.write_text(f"{4 * need}\n")
-    check_array_memory(n, lam_max)
+    check_array_memory(lam_max)
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}.__getitem__)
     with pytest.raises(MemoryError):
-        check_array_memory(n, lam_max)
+        check_array_memory(lam_max)
 
 
 def test_cgroup_memory_limit_reads_v2_then_v1(monkeypatch, tmp_path):
@@ -857,44 +854,23 @@ def _xi_patterns(n: int, rng) -> dict:
     }
 
 
-def _numerator_alone(k: int, n: int, lam_max: int, xi) -> np.ndarray:
-    """R(lam) omega_hat(lam, xi) from two halves transformed for it alone, none shared with the weights.
-
-    The fills are log(p) e(p xi_i), integer xi_i first, and the product
-    starts from a complex half, as in the library.
-    """
-    primes = sieve_primes(max(2, int_kth_root(lam_max, k)))
-    p = primes[primes**k <= lam_max]
-    fills = [np.log(p.astype(np.float64)) * np.exp(2j * np.pi * (p * x - np.rint(p * x))) for x in xi]
-    fills = [f if f.imag.any() else f.real for f in sorted(fills, key=lambda f: bool(f.imag.any()))]
-    if n <= 3:
-        return surface._block_array(p**k, tuple(fills), lam_max).astype(complex)
-    size, h = _fft_size(_range_length(n, lam_max)), n - n // 2
-    halves = [surface._half_spectrum(p**k, tuple(part), lam_max, size) for part in (fills[:h], fills[h:])]
-    re, im = surface._times(*sorted(halves, key=lambda spec: spec[1] is None))
-    out = np.fft.irfft(re, size)[: lam_max + 1].astype(complex)
-    if im is not None:
-        out.imag = np.fft.irfft(im, size)[: lam_max + 1]
-    return out
-
-
 @pytest.mark.parametrize("k, n, lam_max", [(2, 2, 3000), (2, 3, 3000), (2, 4, 3000), (2, 5, 4000), (3, 5, 20_000),
                                            (2, 6, 3000), (2, 7, 3000)])
 def test_shared_plan_matches_the_one_array_plans_and_enumeration(k, n, lam_max):
     rng = np.random.default_rng(100 * k + n)
     weights_alone = rep_weight_array(k, n, lam_max)
-    scale = 1.0 + weights_alone.max()  # the transforms' roundoff is spread over the whole range
     lams = rng.integers(1, lam_max + 1, 25)
     for label, xi in _xi_patterns(n, rng).items():
         weights, numer = weight_and_numerator_arrays(k, n, lam_max, xi)
-        numer_alone = _numerator_alone(k, n, lam_max, xi)
         assert np.array_equal(weights, weights_alone), label
-        assert np.array_equal(numer, numer_alone), label
         assert numer.dtype == complex
         for lam in lams.tolist():
             m = enumerate_prime_points(ProblemInstance(k, n, lam))
-            want = m.R * omega_hat(m, xi) if m.r else 0.0
-            assert abs(numer[lam] - want) <= 1e-9 * scale, (label, lam)
+            if m.r == 0:  # no term at all: exact zeros
+                assert numer[lam] == weights[lam] == 0, (label, lam)
+                continue
+            # the enumeration reduces each phase p . xi as a whole, the arrays each p_i xi_i apart
+            assert abs(numer[lam] - m.R * omega_hat(m, xi)) <= 1e-12 * m.R, (label, lam)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -910,23 +886,35 @@ def test_whole_range_arrays_take_real_transforms_only(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n, lam_max, pattern", [
-    (5, 100_000, (0.4142135623730951, 0.7320508075688772, 0, 0, 0)),  # weyl's frequency
+    (5, 100_000, (0.4142135623730951, 0.7320508075688772, 0, 0, 0)),  # weyl's frequency: one shared real block
     (5, 100_000, None),
     (7, 60_000, None),
-    (7, 60_000, (0.3, 1.0, 2.0, 0.3, 0.3, 0.3, 0.3)),  # a real block shared with the weights
+    (7, 60_000, (0.3, 1.0, 2.0, 0.3, 0.3, 0.3, 0.3)),
+    (8, 30_000, None),
+    (8, 30_000, (0.3, 0.0, 1.0, 2.0, 0.3, 0.3, 0.3, 0.3)),
 ])
 def test_array_memory_figure_covers_the_peak(n, lam_max, pattern):
+    """Every whole-range function's tracemalloc peak stays within _ARRAY_BYTES per point of [0, lam_max]."""
+    k = 2
     xi = np.random.default_rng(n).random(n) if pattern is None else np.array(pattern)
-    figure = surface._SPECTRUM_BYTES * _fft_size(_range_length(n, lam_max)) + surface._RANGE_BYTES * (lam_max + 1)
-    sieve_primes(int_kth_root(lam_max, 2))  # the sieve's cache is not part of the arrays
-    tracemalloc.start()
-    try:
-        arrays = weight_and_numerator_arrays(2, n, lam_max, xi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    del arrays
-    assert peak <= figure
+    calls = {
+        "rep_weight_array": lambda: rep_weight_array(k, n, lam_max, power=1.2),
+        "weight_and_numerator_arrays": lambda: weight_and_numerator_arrays(k, n, lam_max, xi),
+        "rep_support_array": lambda: rep_support_array(k, n, lam_max),
+        "max_weight_array": lambda: max_weight_array(k, n, lam_max),
+        "rep_totals_at": lambda: rep_totals_at(k, n, [lam_max, lam_max // 2]),
+    }
+    sieve_primes(int_kth_root(lam_max, k))  # the sieve's cache is not part of the arrays
+    peaks = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            arrays = call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del arrays
+    assert max(peaks.values()) <= surface._ARRAY_BYTES * (lam_max + 1), peaks
 
 
 @pytest.mark.parametrize("n, lam_max", [(2, 1202), (3, 1203)])  # lam_max itself has a solution
@@ -945,54 +933,57 @@ def test_one_block_plans_take_no_transform(monkeypatch, n, lam_max):
         assert numer[lam] == pytest.approx((m.weights * phases).sum(), abs=1e-9)
 
 
-def _record_transforms(monkeypatch) -> list:
-    """A list that each later np.fft.rfft or irfft call appends its (name, length) to."""
-    calls = []
-
-    def recording(name, transform):
-        def wrapper(a, length=None, *args, **kw):
-            calls.append((name, length))
-            return transform(a, length, *args, **kw)
-
-        return wrapper
-
-    for name in ("rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, recording(name, getattr(np.fft, name)))
-    return calls
-
-
-@pytest.mark.parametrize("k, n, lam_max", [(2, 7, 3000), (2, 8, 3000), (3, 9, 20_000)])
-def test_whole_range_transforms_span_two_halves(monkeypatch, k, n, lam_max):
-    """Every rfft and irfft of the whole-range arrays has length _fft_size(2 lam_max + 1): two halves, not more."""
-    calls = _record_transforms(monkeypatch)
-    xi = np.random.default_rng(n).random(n)
-    xi[:2] = 0.0
-    weights = weight_and_numerator_arrays(k, n, lam_max, xi)[0]
+def test_whole_range_arrays_and_their_callers_take_no_transform(monkeypatch):
+    k, n, lam_max = 2, 5, 20_000
+    gamma_member_mask(k, n, np.arange(1))  # the cached congruence masks: FFTs of length 8 and 3, once per (k, n)
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, lambda *a, **kw: pytest.fail("took a transform"))
     rep_weight_array(k, n, lam_max, power=1.5)
-    lengths = [length for _, length in calls]
-    assert lengths and set(lengths) == {_fft_size(2 * lam_max + 1)}, Counter(lengths)
-    m = enumerate_prime_points(ProblemInstance(k, n, int(np.argmax(weights))))
-    assert weights.max() == pytest.approx(m.R, rel=1e-9)
+    for xi in _xi_patterns(n, np.random.default_rng(1)).values():
+        weight_and_numerator_arrays(k, n, lam_max, xi)
+    weyl_decay_scan(k, n, (0.4142135623730951, 0.7320508075688772, 0, 0, 0), 1000, 4)
+    for p in (1.2, np.inf):
+        delta_scaling_probe(k, n, p, [4096, lam_max])
 
 
-@pytest.mark.parametrize("n, xi, rffts, irffts", [
-    (5, (0.4142135623730951, 0.7320508075688772, 0, 0, 0), 4, 3),  # weyl's: the numerator reuses a weight half
-    (5, (0.1, 0.2, 0.3, 0.4, 0.6), 6, 3),  # two complex halves, each as a real and an imaginary part
-    (5, (1, 0, 2, 0, 3), 2, 1),  # the numerator is the weights
-    (6, (0.3, 0, 0.7, 1, 0.2, 2), 3, 3),  # one weight half, squared, and reused by the numerator
+def _long_double_arrays(k: int, n: int, lam_max: int, xi) -> tuple:
+    """R(lam) and R(lam) omega_hat(lam, xi) by n - 1 plain shift-add rounds in long double, from the float fills."""
+    primes = sieve_primes(max(2, int_kth_root(lam_max, k)))
+    p = primes[primes**k <= lam_max]
+    logs = np.log(p.astype(np.float64))
+    fills = [logs * np.exp(2j * np.pi * (p * x - np.rint(p * x))) for x in xi]
+    out = []
+    for fill in ([logs.astype(np.longdouble)] * n, [f.astype(np.clongdouble) for f in fills]):
+        acc = np.zeros(lam_max + 1, dtype=fill[0].dtype)
+        acc[p**k] = fill[0]
+        for f in fill[1:]:
+            nxt = np.zeros_like(acc)
+            for v, w in zip((p**k).tolist(), f):
+                nxt[v:] += acc[: lam_max + 1 - v] * w
+            acc = nxt
+        out.append(acc)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k, n, lam_max, xi", [
+    (2, 5, 20_000, (0.4142135623730951, 0.7320508075688772, 0, 0, 0)),  # weyl's: one shared real block
+    (2, 5, 20_000, (0.11, 0.37, 0.52, 0.71, 0.93)),
+    (2, 7, 10_000, (0.3, 0, 1, 0.7, 0, 0.2, 0.9)),
+    (3, 5, 100_000, (0.21, 0.43, 0.65, 0.87, 0.12)),
 ])
-def test_whole_range_calls_take_their_pinned_transforms(monkeypatch, n, xi, rffts, irffts):
-    calls = _record_transforms(monkeypatch)
-    weight_and_numerator_arrays(2, n, 20_000, np.array(xi, dtype=float))
-    assert Counter(name for name, _ in calls) == {"rfft": rffts, "irfft": irffts}
-    calls.clear()
-    rep_weight_array(2, n, 20_000, power=1.2)
-    # at even n one half, squared
-    assert Counter(name for name, _ in calls) == {"rfft": 1 if n % 2 == 0 else 2, "irfft": 1}
-
-
-def test_fft_size_matches_scipy_next_fast_len():
-    # the rounding-bound tests' lengths, then weyl's at --lambda-min 1000 --blocks 9 from 3+2 and 2+2+1 blocks
-    lengths = [*range(1, 20_001), 3 * 200_000 + 1, 2 * 99_999 + 1, 2 * 511_999 + 1, 3 * 511_999 + 1]
-    assert [_fft_size(L) for L in lengths] == [next_fast_len(L, real=True) for L in lengths]
-    assert _fft_size(_range_length(5, 511_999)) == 1_024_000
+def test_arrays_stay_within_their_a_priori_rounding_bound(k, n, lam_max, xi):
+    """Weights, numerators and |omega_hat| against long-double sums of the same fills, within gamma_m."""
+    weights, numer = weight_and_numerator_arrays(k, n, lam_max, np.array(xi, dtype=float))
+    want_w, want_n = _long_double_arrays(k, n, lam_max, xi)
+    powers = sieve_primes(max(2, int_kth_root(lam_max, k))) ** k
+    powers = powers[powers <= lam_max]
+    c = int(surface._block_array(powers, (np.ones(len(powers), dtype=np.int64),) * min(n, 3), lam_max).max())
+    m = 3 * n + c + len(powers) * max(n - 3, 0)
+    gamma = m * 2.0**-53 / (1 - m * 2.0**-53)
+    on = want_w > 0
+    assert np.array_equal(weights > 0, on)
+    err_w = np.abs(weights - want_w) / np.where(on, want_w, 1)
+    err_n = np.abs(numer - want_n) / np.where(on, want_w, 1)
+    err_omega = np.abs(np.abs(numer[on] / weights[on]) - np.abs(want_n[on] / want_w[on]))
+    assert err_w.max() <= gamma and err_n.max() <= gamma, (err_w.max() / gamma, err_n.max() / gamma)
+    assert err_omega.max() <= 2 * gamma / (1 - gamma)
