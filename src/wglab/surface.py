@@ -10,7 +10,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, log
+from math import gcd, log, prod
 from typing import Optional
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .arcs import _arc_center
 from .errors import InputError, NumericError, UndefinedMeasureError
 from .expsums import _g_over_a, _pow_mod, _roots
-from .numtheory import factorize, int_kth_root, sieve_primes, units
+from .numtheory import euler_phi, factorize, int_kth_root, mobius, sieve_primes, units
 from .oscint import SurfaceQuery, singular_integral, surface_transform
 
 
@@ -291,23 +291,65 @@ class ApproxParams:
 _PHASE_BLOCK = 1_000_000  # entries of the phase block of one chunk of lams
 
 
+def _local_parts(avec, qvec) -> dict:
+    """{p: Counter of (b_i, r_i)} for each prime p dividing some q_i.
+
+    r_i = p^v_p(q_i) is the p-part of q_i and b_i = a_i (q_i / r_i)^-1 mod r_i,
+    so that a_i/q_i is the sum over p of b_i/r_i mod 1 (CRT).
+    """
+    factored = [dict(factorize(qi)) for qi in qvec]
+    parts = {}
+    for p in sorted(set().union(*factored)):
+        local = parts[p] = Counter()
+        for ai, qi, exponents in zip(avec, qvec, factored):
+            r = p ** exponents.get(p, 0)
+            local[ai * pow(qi // r, -1, r) % r, r] += 1
+    return parts
+
+
+def _local_factor(k: int, m: int, local: Counter, neg_lams: np.ndarray) -> np.ndarray:
+    """A_p(m) = sum over a in U_m of e(-lam a / m) prod_i g(a, m; b_i, r_i) at a prime power m, a column over lams."""
+    (first, first_mult), *rest = local.items()
+    gprod = _g_over_a(m, *first, k) ** first_mult  # a new array: the in-place products spare the table
+    for (b, r), mult in rest:
+        g = _g_over_a(m, b, r, k)
+        gprod *= g if mult == 1 else g**mult  # g**1 would only copy g
+    idx = (neg_lams % m) * units(m)
+    idx %= m
+    return np.add.reduce(_roots(m).take(idx) * gprod, axis=1, keepdims=True)
+
+
 def singular_series(k: int, n: int, lams, avec, qvec, Qsing: int) -> list[complex]:
-    """Truncated modulus sum of the arithmetic factor at center avec/qvec, for every lam in ``lams``.
+    """Truncated modulus sum S_Q(lam) of the arithmetic factor at center avec/qvec, for every lam in ``lams``.
 
-    Sums, over q <= Qsing and units a mod q, the phase e(-lam a / q) times
-    the product over coordinates of g(a, q; a_i, q_i).  Only the phases
-    depend on lam, so one pass over q serves a whole chunk of up to
-    _PHASE_BLOCK // Qsing lams: each q reads its units and builds the
-    g-product once, and one phase block gives the term of every lam in the
-    chunk, added to that lam's total in q order.  The sums carry no error
-    figure: no bound on the terms beyond Qsing is computed.
+    S_Q(lam) = sum over q <= Qsing of A(q, lam), where A(q) sums, over units
+    a mod q, the phase e(-lam a / q) times the product over coordinates of
+    g(a, q; a_i, q_i).  A(q) is assembled from local factors (Hua, Additive
+    Theory of Prime Numbers, ch. VIII; Vaughan, The Hardy-Littlewood Method,
+    2.6): by CRT, A(q) is the product over p | q lcm(q_i) of A_p(p^v_p(q)),
+    where A_p(p^j) is the same sum at modulus p^j with each a_i/q_i replaced
+    by its p-part b_i/r_i (``_local_parts``), and A_p(1) = prod_i
+    mu(r_i)/phi(r_i), which is 1 for every p not dividing any q_i.  The
+    identity divides by nothing, so it holds where A(1) = 0 too.
 
-    Its lru tables hold at most (12 + 8 c) Qsing (Qsing + 1) bytes of data
-    for c distinct center pairs: per q the roots e(j/q) (16 q) and units
-    (8 q), per q and pair the g values at the units (16 q); the full
-    g-table each is read from is not kept.  Above ``available_memory()``
-    the call is refused with MemoryError before any table is built.  A
-    phase block adds <= 40 MB.
+    So only prime powers m <= Qsing read g-tables.  For a chunk of up to
+    _PHASE_BLOCK // Qsing lams, one phase block per prime power gives A_p(m)
+    of every lam; a (chunk x Qsing) table takes each prime's factors by
+    striding over the multiples of its powers, and one reduction over q
+    sums each lam's row.  Every reduction runs along a row, so a lam's
+    value does not depend on the other lams in its chunk.  The sums carry
+    no error figure: no bound on the terms beyond Qsing is computed.
+
+    Its lru tables hold at most sum over prime powers m = p^j <= Qsing of
+    (24 + 16 c_p)(m + 32) bytes, with c_p the distinct p-parts of the
+    center pairs (1 where p divides no q_i): per m the roots e(j/m) (16 m)
+    and units (8 m), per m and p-part the g values at the units (16 m),
+    each table counted 32 entries longer for its header and cache entry.
+    The full g-table each is read from is not kept; building one takes
+    up to 128 Qsing bytes.  The table of a chunk and its factor array add
+    32 Qsing bytes per lam in it, and a phase block up to 40 MB.  Above
+    ``available_memory()`` the call is refused with MemoryError before any
+    table is built.
     """
     lams = [int(v) for v in lams]
     avec = [int(v) for v in avec]
@@ -321,27 +363,42 @@ def singular_series(k: int, n: int, lams, avec, qvec, Qsing: int) -> list[comple
             raise InputError("each center pair (a_i, q_i) must be reduced")
     if Qsing < 1:
         raise InputError("Qsing must be >= 1")
-    pairs = Counter((ai % qi, qi) for ai, qi in zip(avec, qvec))
-    need = (12 + 8 * len(pairs)) * Qsing * (Qsing + 1)
-    if need > available_memory():
-        raise MemoryError(f"series tables for Qsing={Qsing} need {need} bytes, more than the memory available")
-    (first, first_mult), *rest = pairs.items()
-    chunk = max(1, _PHASE_BLOCK // Qsing)  # per lam: at most Qsing units at each q
+    memory = available_memory()
+    # the tables take 40 bytes per prime p <= Qsing at least, and those primes sum to more than
+    # pi(Qsing)^2 / 2 >= (Qsing / ln Qsing)^2 / 2 for Qsing >= 17 (Rosser-Schoenfeld): no huge sieve
+    if Qsing >= 17 and 20 * (Qsing / log(Qsing)) ** 2 > memory:
+        raise MemoryError(f"series tables for Qsing={Qsing} need more than the {memory} bytes of memory available")
+    parts = _local_parts(avec, qvec)
+    unit_part = Counter({(0, 1): n})  # the p-parts where p divides no q_i
+    powers = {p: [] for p in parts}  # prime -> its powers <= Qsing, for every p <= Qsing or dividing a q_i
+    for p in sieve_primes(Qsing).tolist() if Qsing >= 2 else []:
+        m = p
+        while m <= Qsing:
+            powers.setdefault(p, []).append(m)
+            m *= p
+    chunk = max(1, _PHASE_BLOCK // Qsing)  # per lam: at most Qsing units at each m
+    need = sum((24 + 16 * len(parts.get(p, unit_part))) * (m + 32) for p, ms in powers.items() for m in ms)
+    need += (128 + 32 * min(chunk, len(lams))) * Qsing
+    if need > memory:
+        raise MemoryError(f"series tables for Qsing={Qsing} need {need} bytes, more than the {memory} available")
     results = []
     for lo in range(0, len(lams), chunk):
         block = lams[lo : lo + chunk]
-        totals = np.zeros(len(block), dtype=complex)
         neg_lams = -np.array(block, dtype=np.int64)[:, None]
-        for q in range(1, Qsing + 1):
-            us = units(q)
-            prod = _g_over_a(q, *first, k) ** first_mult  # a new array: the in-place products spare the table
-            for (ai, qi), mult in rest:
-                g = _g_over_a(q, ai, qi, k)
-                prod *= g if mult == 1 else g**mult  # g**1 would only copy g
-            idx = (neg_lams % q) * us
-            idx %= q
-            totals += np.add.reduce(_roots(q).take(idx) * prod, axis=1)
-        results += [complex(t) for t in totals]
+        table = np.ones((len(block), Qsing), dtype=complex)  # column q - 1 takes the factors of A(q)
+        for p in sorted(powers):
+            local = parts.get(p, unit_part)
+            factors = [_local_factor(k, m, local, neg_lams) for m in powers[p]]
+            step = p
+            if p in parts:  # p divides some q_i, so A_p(1) multiplies every q prime to p too
+                factors.insert(0, prod((mobius(r) / euler_phi(r)) ** mult for (_, r), mult in local.items()))
+                step = 1
+            view = table[:, step - 1 :: step]  # the columns of the multiples of step
+            f = np.empty_like(view)
+            for i, factor in enumerate(factors):  # column t of the view is q = step (t + 1)
+                f[:, p**i - 1 :: p**i] = factor
+            view *= f
+        results += [complex(t) for t in np.add.reduce(table, axis=1)]
     return results
 
 
@@ -396,7 +453,7 @@ def hua_series_ratios(k: int, n: int, lams, Rs, Qsing: int = 100) -> list[tuple[
     """Zero-center series S_trunc and the ratio R / (S_trunc * mu_inf * lam^(n/k - 1)) for each lam.
 
     ``Rs[i]`` is the weighted count of prime solutions at ``lams[i]``; every
-    series comes from one ``singular_series`` pass over q.  A truncated
+    series comes from one ``singular_series`` call.  A truncated
     series <= 0 predicts no solutions, so no ratio is taken against it:
     NumericError, naming lam and the truncation.
     """

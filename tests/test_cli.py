@@ -349,7 +349,7 @@ def test_hua_refuses_counts_that_could_overflow(capsys):
 
 
 def test_singular_refuses_oversized_qsing_at_once(capsys):
-    # the lru tables would hold about 28 * 10^14 bytes
+    # the series tables would hold more than 7 * 10^12 bytes: refused on a bound, before any sieve
     assert main(["singular", "--k", "2", "--n", "5", "--lambda", "77", "--qsing", "10000000"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""

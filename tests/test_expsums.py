@@ -11,6 +11,7 @@ from wglab.errors import InputError, SizeLimitError
 from wglab.expsums import (
     GSumQuery,
     PrimeSumQuery,
+    _g_over_a,
     aggregate_g,
     chebyshev_theta,
     count_vinogradov_system,
@@ -19,7 +20,7 @@ from wglab.expsums import (
     prime_exp_sum,
     ramanujan_sum,
 )
-from wglab.numtheory import euler_phi, mobius, sieve_primes, units
+from wglab.numtheory import euler_phi, factorize, mobius, sieve_primes, units
 from wglab.surface import singular_series
 
 
@@ -159,6 +160,25 @@ def test_singular_series_at_a_nonzero_center(k):
     got = singular_series(k, 5, [lam], avec, qvec, Qsing)[0]
     assert abs(want) > 1e-3
     assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_unit_sums_vanish_above_gamma(k):
+    """g(a, p^j; 0, 1) = 0 at every unit a once j > gamma(p) (Hua, Additive Theory of Prime Numbers, Lemma 8.3).
+
+    gamma(p) = v_p(k) + 1, one more at p = 2.  So at the zero center the
+    local factors A_p(p^j) of the singular series vanish above gamma(p);
+    the series still computes them.
+    """
+    exponents = dict(factorize(k))
+    cases = 0
+    for p in sieve_primes(59).tolist():
+        j = exponents.get(p, 0) + 2 + (p == 2)
+        while p**j <= 2000:
+            assert np.abs(_g_over_a(p**j, 0, 1, k)).max() <= 1e-15, (p, j)
+            cases += 1
+            j += 1
+    assert cases >= 20
 
 
 # --- Ramanujan sums --------------------------------------------------------

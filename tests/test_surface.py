@@ -14,7 +14,7 @@ from wglab.ergodic import weyl_decay_scan
 from wglab.errors import InputError, NumericError, UndefinedMeasureError
 from wglab.expsums import GSumQuery, _g_over_a, _g_table, _roots, g_sum
 from wglab.maxops import delta_scaling_probe
-from wglab.numtheory import int_kth_root, sieve_primes, units
+from wglab.numtheory import euler_phi, factorize, int_kth_root, mobius, sieve_primes, units
 from wglab.oscint import SurfaceQuery, singular_integral, surface_transform
 from wglab.surface import (
     BUMP_OUTER,
@@ -357,17 +357,28 @@ def test_singular_series_validation():
 
 
 def _series_one_lam(k, n, lam, avec, qvec, Qsing):
-    """The per-lam loop the batched series replaced: the truncated sum for one lam."""
+    """The truncated sum for one lam by the plain loop over q, and the sum of |A(q)| that scales its roundoff."""
     pairs = Counter((ai % qi, qi) for ai, qi in zip(avec, qvec))
-    total = 0j
+    total, scale = 0j, 0.0
     for q in range(1, Qsing + 1):
         us = units(q)
         phases = _roots(q)[((-lam % q) * us) % q]
         prod = np.ones(len(us), dtype=complex)
         for (ai, qi), mult in pairs.items():
             prod *= _g_over_a(q, ai, qi, k) ** mult
-        total += complex((phases * prod).sum())
-    return total
+        term = complex((phases * prod).sum())
+        total += term
+        scale += abs(term)
+    return total, scale
+
+
+def _assert_series_match_the_loop(k, n, lams, avec, qvec, Qsing):
+    """Each local-factor value within 1e-13 (1 + sum_q |A(q)|) of the loop over q."""
+    got = singular_series(k, n, lams, avec, qvec, Qsing)
+    assert len(got) == len(lams)
+    for lam, value in zip(lams, got):
+        want, scale = _series_one_lam(k, n, lam, avec, qvec, Qsing)
+        assert abs(value - want) <= 1e-13 * (1 + scale), (lam, value, want)
 
 
 _CENTERS = {
@@ -381,17 +392,39 @@ _CENTERS = {
 @pytest.mark.parametrize("center", sorted(_CENTERS))
 @pytest.mark.parametrize("Qsing", [1, 2, 40, 150])
 def test_singular_series_batch_is_bit_identical_to_the_per_lam_loop(k, center, Qsing):
+    """The product of local factors against the loop over q, to roundoff: the two add in different orders."""
     avec, qvec = _CENTERS[center]
     lams = [1, 5, 77, 149, 150, 151, 1000, 10061, 99989]  # below, at and above Qsing
-    got = singular_series(k, 5, lams, avec, qvec, Qsing)
-    assert len(got) == len(lams)
-    for lam, value in zip(lams, got):
-        assert value == _series_one_lam(k, 5, lam, avec, qvec, Qsing)
-    for lam, value in zip(lams, singular_series(k, 4, lams, avec[:4], qvec[:4], Qsing)):
-        assert value == _series_one_lam(k, 4, lam, avec[:4], qvec[:4], Qsing)
+    _assert_series_match_the_loop(k, 5, lams, avec, qvec, Qsing)
+    _assert_series_match_the_loop(k, 4, lams, avec[:4], qvec[:4], Qsing)
+
+
+def _random_center(rng, n):
+    """Reduced pairs a_i/q_i with q_i <= 12: non-squarefree q_i (4, 8, 9, 12) are frequent."""
+    qvec = rng.integers(1, 13, n).tolist()
+    avec = [int(rng.choice([a for a in range(q) if np.gcd(a, q) == 1])) for q in qvec]
+    return avec, qvec
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_singular_series_local_factors_match_the_loop_at_random_centers(seed):
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(2, 5)), int(rng.integers(3, 7))
+    avec, qvec = _random_center(rng, n)
+    if seed == 0:  # one squarefree and one non-squarefree center for certain
+        avec, qvec = [1] + [0] * (n - 1), [6] + [1] * (n - 1)
+    elif seed == 1:
+        avec, qvec = [1, 3] + [0] * (n - 2), [4, 10] + [1] * (n - 2)
+    lams = rng.integers(1, 10**6, 5).tolist()
+    for Qsing in (1, 2, int(rng.integers(3, 100))):
+        _assert_series_match_the_loop(k, n, lams, avec, qvec, Qsing)
+    # Qsing = 1: only the factors A_p(1) of p | lcm(q_i) act, and their product is A(1) = prod mu(q_i)/phi(q_i)
+    a1 = np.prod([mobius(q) / euler_phi(q) for q in qvec])
+    assert singular_series(k, n, lams, avec, qvec, 1) == pytest.approx([a1] * len(lams), rel=1e-15, abs=0)
 
 
 def test_singular_series_reads_units_and_g_products_once_per_q(monkeypatch):
+    """Only prime powers q <= Qsing read units and g-tables, each key once per call."""
     unit_calls, g_calls = Counter(), Counter()
 
     def counted_units(q):
@@ -407,9 +440,13 @@ def test_singular_series_reads_units_and_g_products_once_per_q(monkeypatch):
     lams = [10061 + 24 * i for i in range(12)]
     Qsing = 60
     singular_series(2, 5, lams, [1, 1, 2, 0, 1], [3, 3, 5, 1, 4], Qsing)
-    assert sorted(unit_calls) == list(range(1, Qsing + 1)) and set(unit_calls.values()) == {1}
-    # four distinct (a_i, q_i) pairs, each read once per q
-    assert len(g_calls) == 4 * Qsing and set(g_calls.values()) == {1}
+    prime_powers = [q for q in range(2, Qsing + 1) if len(factorize(q)) == 1]
+    assert sorted(unit_calls) == prime_powers and set(unit_calls.values()) == {1}
+    assert set(g_calls.values()) == {1}
+    # the p-parts: at 2 the pairs 1/4 and 0/1; at 3 the pairs 1/3 and 0/1; at 5 the pairs 2/5 and 0/1; else 0/1
+    parts = {2: {(1, 4), (0, 1)}, 3: {(1, 3), (0, 1)}, 5: {(2, 5), (0, 1)}}
+    want = {(q, b, r, 2) for q in prime_powers for b, r in parts.get(factorize(q)[0][0], {(0, 1)})}
+    assert set(g_calls) == want
 
 
 def test_singular_series_chunks_give_the_same_values(monkeypatch):
@@ -826,9 +863,19 @@ def test_totals_at_refuse_counts_that_could_overflow(monkeypatch):
 
 
 def test_series_table_figure_covers_the_tables():
-    """(12 + 8 c) Q (Q + 1) bytes for the lru tables of c distinct center pairs, against tracemalloc at Q = 1000."""
+    """The tables' figure against tracemalloc at Q = 1000, one lam.
+
+    Per prime power m <= Q: (24 + 16 c_p)(m + 32) bytes for the roots, units
+    and g values of the c_p distinct p-parts; one table's build, 128 Q; the
+    (1 x Q) table and its factor array, 32 Q.
+    """
     Q = 1000
-    for avec, qvec in (([0] * 5, [1] * 5), ([1, 1, 0, 0, 0], [2, 3, 1, 1, 1])):
+    singular_series(2, 5, [10061], [0] * 5, [1] * 5, 2)  # numpy's FFT module is loaded once, not per call
+    for avec, qvec, parts in (
+        ([0] * 5, [1] * 5, {}),
+        ([1, 1, 0, 0, 0], [2, 3, 1, 1, 1], {2: 2, 3: 2}),  # p-parts 1/2, 0/1 at 2 and 1/3, 0/1 at 3
+        ([1, 3, 1, 0, 0], [4, 8, 9, 1, 1], {2: 3, 3: 2}),  # 1/4, 3/8, 0/1 at 2; 1/9, 0/1 at 3
+    ):
         for cache in (_roots, units, _g_table, _g_over_a):
             cache.cache_clear()
         tracemalloc.start()
@@ -838,9 +885,13 @@ def test_series_table_figure_covers_the_tables():
         finally:
             tracemalloc.stop()
         assert _g_table.cache_info().currsize == 0  # the series keeps no full g-table
-        c = len(set(zip(avec, qvec)))
-        figure = (12 + 8 * c) * Q * (Q + 1)
-        assert 0.5 * figure < peak <= figure, (c, peak, figure)
+        figure = (128 + 32) * Q
+        for p in sieve_primes(Q).tolist():
+            m = p
+            while m <= Q:
+                figure += (24 + 16 * parts.get(p, 1)) * (m + 32)
+                m *= p
+        assert 0.5 * figure < peak <= figure, (qvec, peak, figure)
 
 
 def _xi_patterns(n: int, rng) -> dict:
@@ -871,18 +922,6 @@ def test_shared_plan_matches_the_one_array_plans_and_enumeration(k, n, lam_max):
                 continue
             # the enumeration reduces each phase p . xi as a whole, the arrays each p_i xi_i apart
             assert abs(numer[lam] - m.R * omega_hat(m, xi)) <= 1e-12 * m.R, (label, lam)
-
-
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_whole_range_arrays_take_real_transforms_only(monkeypatch, n):
-    k, lam_max = 2, 5000
-    for name in ("fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, lambda *a, **kw: pytest.fail("took a complex transform"))
-    for xi in _xi_patterns(n, np.random.default_rng(n)).values():
-        weight_and_numerator_arrays(k, n, lam_max, xi)
-    rep_weight_array(k, n, lam_max, power=1.5)
-    rep_support_array(k, n, lam_max)
-    max_weight_array(k, n, lam_max)
 
 
 @pytest.mark.parametrize("n, lam_max, pattern", [
@@ -933,15 +972,18 @@ def test_one_block_plans_take_no_transform(monkeypatch, n, lam_max):
         assert numer[lam] == pytest.approx((m.weights * phases).sum(), abs=1e-9)
 
 
-def test_whole_range_arrays_and_their_callers_take_no_transform(monkeypatch):
-    k, n, lam_max = 2, 5, 20_000
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_whole_range_arrays_and_their_callers_take_no_transform(monkeypatch, n):
+    k, lam_max = 2, 20_000
     gamma_member_mask(k, n, np.arange(1))  # the cached congruence masks: FFTs of length 8 and 3, once per (k, n)
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, lambda *a, **kw: pytest.fail("took a transform"))
     rep_weight_array(k, n, lam_max, power=1.5)
-    for xi in _xi_patterns(n, np.random.default_rng(1)).values():
+    rep_support_array(k, n, lam_max)
+    max_weight_array(k, n, lam_max)
+    for xi in _xi_patterns(n, np.random.default_rng(n)).values():
         weight_and_numerator_arrays(k, n, lam_max, xi)
-    weyl_decay_scan(k, n, (0.4142135623730951, 0.7320508075688772, 0, 0, 0), 1000, 4)
+    weyl_decay_scan(k, n, (0.4142135623730951, 0.7320508075688772) + (0,) * (n - 2), 1000, 4)
     for p in (1.2, np.inf):
         delta_scaling_probe(k, n, p, [4096, lam_max])
 
