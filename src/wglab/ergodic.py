@@ -7,7 +7,8 @@ import numpy as np
 from .errors import InputError, NumericError, UndefinedMeasureError
 from .surface import (
     SurfaceMeasure,
-    admissible_mask,
+    _admissible_classes,
+    class_lams,
     omega_hat,
     weight_and_numerator_arrays,
 )
@@ -110,29 +111,34 @@ class WeylBlock:
 def weyl_decay_scan(k: int, n: int, xi, lam_min: int, num_blocks: int) -> list[WeylBlock]:
     """max |omega_hat(xi)| over admissible lam in [L, 2L), L = lam_min * 2^j.
 
-    The weights and numerators of every lam below the top block come at
-    once from ``weight_and_numerator_arrays`` (exact block sums and shift
-    rounds; |omega_hat| within about 2 gamma_m of ``_half_block``'s
-    bound), and the lam with a prime solution from the exact boolean
-    sumset, so no lam is enumerated.  Blocks without an admissible lam are
-    left out; if none is left, UndefinedMeasureError.
+    The weights and numerators of every admissible lam below the top
+    block come at once from ``weight_and_numerator_arrays`` on the
+    admissible residue classes (``_admissible_classes``; exact block sums
+    and shift rounds; |omega_hat| within about 2 gamma_m of
+    ``_half_block``'s bound), so no lam is enumerated.  Every term of a
+    weight is a positive product of log p, so the lam with a prime
+    solution are those of positive weight: no sumset is built.  Blocks
+    without an admissible lam are left out; if none is left,
+    UndefinedMeasureError.
     """
     if k < 2 or n < 2:
         raise InputError("need k >= 2, n >= 2")
     if lam_min < 1 or num_blocks < 1:
         raise InputError("need lam_min >= 1 and num_blocks >= 1")
     lam_max = lam_min * 2**num_blocks - 1
-    weights, numer = weight_and_numerator_arrays(k, n, lam_max, xi)
-    valid = admissible_mask(k, n, lam_max)
+    classes = _admissible_classes(k, n, lam_max)
+    weights, numer = weight_and_numerator_arrays(k, n, lam_max, xi, classes)
+    solved = weights > 0
+    lams, weights, numer = class_lams(lam_max, classes)[solved], weights[solved], numer[solved]
     blocks = []
     for j in range(num_blocks):
         lo, hi = lam_min * 2**j, lam_min * 2 ** (j + 1)
-        idx = np.flatnonzero(valid[lo:hi]) + lo
-        if len(idx) == 0:  # no transform to take a maximum of
+        a, b = np.searchsorted(lams, [lo, hi]).tolist()
+        if a == b:  # no transform to take a maximum of
             continue
-        mags = np.abs(numer[idx]) / weights[idx]
+        mags = np.abs(numer[a:b]) / weights[a:b]
         best = int(np.argmax(mags))
-        blocks.append(WeylBlock(lo, hi, len(idx), float(mags[best]), int(idx[best])))
+        blocks.append(WeylBlock(lo, hi, b - a, float(mags[best]), int(lams[a + best])))
     if not blocks:
         raise UndefinedMeasureError(f"no dyadic block from {lam_min} holds an admissible lam")
     return blocks

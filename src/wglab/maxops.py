@@ -9,8 +9,9 @@ from .errors import InputError, NumericError, UndefinedMeasureError
 from .surface import (
     ProblemInstance,
     SurfaceMeasure,
-    admissible_mask,
+    _admissible_classes,
     available_memory,
+    class_lams,
     enumerate_prime_points,
     max_weight_array,
     rep_weight_array,
@@ -192,29 +193,33 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
     prefix equals the whole range's there bit for bit, so every argmax is
     the same.
 
-    Which lam have a prime solution comes from the exact
-    ``rep_support_array``, through ``admissible_mask``.
+    Every array is built on the admissible residue classes alone
+    (``_admissible_classes``).  A weight is a sum of positive products of
+    log p, so the admissible lam with a prime solution are those of
+    positive weight: no sumset is built.
     """
     if k < 2 or n < 2:
         raise InputError("need k >= 2, n >= 2")
     _check_exponent(p)
     lam_values = sorted(int(v) for v in lam_values)
     lam_max = lam_values[-1]
-    gate = admissible_mask(k, n, lam_max)
+    classes = _admissible_classes(k, n, lam_max)
+    weight_tot = rep_weight_array(k, n, lam_max, classes=classes)
+    gate = weight_tot > 0
     if not gate.any():
         raise UndefinedMeasureError(f"no admissible lam <= {lam_max} has a prime solution")
-    weight_tot = rep_weight_array(k, n, lam_max)
-    lams = np.flatnonzero(gate)
+    lams, weights = class_lams(lam_max, classes)[gate], weight_tot[gate]
     if np.isinf(p):
         # beyond[t]: the largest ratio bound (log(lam) / k)^n / R(lam) over the gated lam > t, non-increasing
         bound = np.zeros(lam_max + 2)
-        bound[lams] = (np.log(lams) / k) ** n / weight_tot[lams]
+        bound[lams] = (np.log(lams) / k) ** n / weights
         beyond = np.maximum.accumulate(bound[::-1])[::-1][1:]
         top = min(lam_max, _PREFIX_START)
         while True:  # at most twice: the best ratio only grows with top
-            on = gate[: top + 1]
+            maxw = max_weight_array(k, n, top, classes)  # at the class lam <= top, a prefix of the gate's
+            on = int(np.searchsorted(lams, top, side="right"))
             ratio = np.zeros(top + 1)
-            ratio[on] = max_weight_array(k, n, top)[on] / weight_tot[: top + 1][on]
+            ratio[lams[:on]] = maxw[gate[: len(maxw)]] / weights[:on]
             # the first t with beyond[t] below the best ratio: no lam above it can reach that ratio
             enough = min(lam_max, int(np.searchsorted(-beyond, -ratio.max(), side="right")))
             if enough <= top:
@@ -228,17 +233,16 @@ def delta_scaling_probe(k: int, n: int, p: float, lam_values: Sequence[int]) -> 
         norms = [exact[lam] for lam in argmax]
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow (inf, or NaN from inf * 0) is refused below
-            powsum = rep_weight_array(k, n, lam_max, power=p)[lams]
-            scale = weight_tot[lams] ** p
+            powsum = rep_weight_array(k, n, lam_max, power=p, classes=classes)[gate]
+            scale = weights**p
         finite = np.isfinite(powsum) & np.isfinite(scale)
         if not finite.all():
             raise NumericError(
                 f"p={p:g}: R(lam)^p or the sum of weights^p overflows at lam = {lams[~finite][0]}; lower p"
             )
-        contrib = np.zeros(lam_max + 1)
-        contrib[lams] = powsum / scale
-        running = np.cumsum(contrib)
-        norms = [float(running[L] ** (1.0 / p)) for L in lam_values]
+        running = np.cumsum(powsum / scale)
+        ends = np.searchsorted(lams, lam_values, side="right")  # the gated lam up to each cutoff
+        norms = [float(running[e - 1] ** (1.0 / p)) if e else 0.0 for e in ends.tolist()]
     slope = None
     if len(set(lam_values)) >= 2 and all(v > 0 for v in norms):
         # least squares of log(norm / norm_0) on log L, in closed form: equal norms give exactly 0

@@ -308,7 +308,13 @@ def _local_parts(avec, qvec) -> dict:
 
 
 def _local_factor(k: int, m: int, local: Counter, neg_lams: np.ndarray) -> np.ndarray:
-    """A_p(m) = sum over a in U_m of e(-lam a / m) prod_i g(a, m; b_i, r_i) at a prime power m, a column over lams."""
+    """A_p(m) = sum over a in U_m of e(-lam a / m) prod_i g(a, m; b_i, r_i) at a prime power m, a column over lams.
+
+    A p-part r_i above m makes it exactly 0, with no table at modulus r_i:
+    g(a, m; b, r) vanishes when gcd(r / gcd(m, r), m) > 1 (``g_via_lemma``).
+    """
+    if any(r > m for _, r in local):
+        return np.zeros((len(neg_lams), 1), dtype=complex)
     (first, first_mult), *rest = local.items()
     gprod = _g_over_a(m, *first, k) ** first_mult  # a new array: the in-place products spare the table
     for (b, r), mult in rest:
@@ -521,7 +527,10 @@ def available_memory() -> int:
 # P^2 <= (lam_max + 1) / 2 pairs (P <= pi(x) <= (x + 1) / 2, x = lam_max^(1/2)) at 56 B while sorted, then
 # 24 B, and a chunk of at most (lam_max + 1) / 2 triples at 24 B, whose adds take an 8 B copy of a part and a
 # bincount of the range: 16 + 12 + 12 + 4 + 8 = 52 B.  ``rep_totals_at`` keeps two int64 halves while a real
-# block is built: 16 + 36 B.  The prime tables and fills, O(nP) bytes, are left out.
+# block is built: 16 + 36 B.  Rounds on some residue classes hold no more: a round narrows only where its
+# gathered sources and output fit in the output buffer of a round over every lam, and rows of M pad the range
+# by at most 1/16 (``_admissible_classes``), within the chunk of products' 16 B.  The prime tables and fills,
+# O(nP) bytes, are left out.
 _ARRAY_BYTES = 8 + 3 * 16
 
 
@@ -545,12 +554,14 @@ def _add_at(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
         np.add(out, np.bincount(idx, vals, len(out)), out=out, casting="unsafe")
 
 
-def _block_array(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
-    """Dense array on [0, lam_max] of one block of one to three coordinates.
+def _block_array(powers: np.ndarray, fills: tuple, lam_max: int, size: Optional[int] = None) -> np.ndarray:
+    """Dense array of ``size`` entries (lam_max + 1 by default) of one block of one to three coordinates.
 
     Entry s is the sum over primes with p^k (+ q^k (+ r^k)) = s of
     fill(p) (* fill'(q) (* fill''(r))).  Sums above lam_max are dropped:
-    they cannot reach any lam <= lam_max.  A three-coordinate block sorts
+    they cannot reach any lam <= lam_max, and the entries past it stay 0.
+    A larger ``size`` pads the range to whole rows of a class layout
+    (``_shift_rounds``) without a copy.  A three-coordinate block sorts
     the pair sums of its last two coordinates once; each prime p of the
     first then takes the prefix that stays <= lam_max - p^k.  The triples
     are summed in chunks of at most max(pairs, (lam_max + 1) // 2), so
@@ -563,7 +574,7 @@ def _block_array(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
         vals = np.multiply.outer(fills[-2], fills[-1]).ravel()
         keep = idx <= lam_max
         idx, vals = idx[keep], vals[keep]
-    out = np.zeros(lam_max + 1, dtype=np.result_type(*fills))
+    out = np.zeros(lam_max + 1 if size is None else size, dtype=np.result_type(*fills))
     if len(fills) < 3:
         _add_at(out, idx, vals)
         return out
@@ -588,45 +599,155 @@ def _block_array(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
 # bytes of the output that one pass over the prime powers updates, so that they stay in cache
 _ROUND_CHUNK_BYTES = 1 << 18
 
+# (M, residues) of the whole range: every lam, one class mod 1
+FULL_RANGE = (1, (0,))
 
-def _shift_rounds(acc: np.ndarray, powers: np.ndarray, fills, combine) -> np.ndarray:
-    """acc after one round per fill over the ascending ``powers``; acc is overwritten.
+
+def _class_layout(lam_max: int, classes: tuple) -> tuple:
+    """(size, count): the entries of [0, lam_max] padded to whole rows of M, and the lam in it of ``classes``."""
+    m, residues = classes
+    rows = lam_max // m + 1
+    return rows * m, (rows - 1) * len(residues) + int(np.searchsorted(residues, lam_max % m, side="right"))
+
+
+def class_lams(lam_max: int, classes: tuple) -> np.ndarray:
+    """The lam in [0, lam_max] whose residue mod M is one of ``classes = (M, residues)``, ascending.
+
+    Entry i of a whole-range array built on those classes is the value at lam i of this list.
+    """
+    m, residues = classes
+    return np.add.outer(np.arange(0, lam_max + 1, m), residues).ravel()[: _class_layout(lam_max, classes)[1]]
+
+
+def _source_columns(cols: np.ndarray, out: np.ndarray, m: int, s: int) -> tuple:
+    """(pos, wrap, run) for a shift by qm + s from the columns ``cols`` onto ``out``, both ascending.
+
+    Output column r reads the column r - s mod m, at index pos of cols,
+    from the row before where r < s: the first ``wrap`` columns of out.
+    ``run``: pos is a run of indices that all read the same row, so the
+    source is a view of the input.
+    """
+    pos = np.searchsorted(cols, (out - s) % m)
+    wrap = int(np.searchsorted(out, s))
+    return pos, wrap, wrap in (0, len(out)) and len(out) > 0 and pos[-1] - pos[0] == len(out) - 1
+
+
+def _gather_sources(acc: np.ndarray, cols: np.ndarray, out: np.ndarray, m: int, steps: list) -> dict:
+    """{s: (carry, source)} for each residue s: source[t - carry, j] is acc's entry at lam = t m + out[j] - s.
+
+    One fancy index per s takes the columns out - s mod m of acc, and the
+    columns r < s, which reach into the row before, move down a row (0 in
+    row 0).  Where those columns form a run of acc that all read one row,
+    the source is a view of acc instead, with carry 1 if that row is the
+    one before.
+    """
+    sources = {}
+    for s in steps:
+        pos, wrap, run = _source_columns(cols, out, m, s)
+        if run:
+            sources[s] = int(wrap > 0), acc[:, pos[0] : pos[0] + len(out)]
+            continue
+        src = acc.take(pos, axis=1)
+        src[1:, :wrap] = acc[:-1, pos[:wrap]]
+        src[0, :wrap] = 0
+        sources[s] = 0, src
+    return sources
+
+
+def _combine_shifted(out: np.ndarray, terms: list, combine) -> None:
+    """out[t] = combine(out[t], src[t - shift] * w) for each (q, shift, src, w) of ``terms`` in turn.
+
+    The rows are taken _ROUND_CHUNK_BYTES of out at a time, each entry
+    combining its terms in the order given.  shift is q, or q + 1 for a
+    source carried one row; the terms come in ascending q, so the first q
+    past a chunk ends it.
+    """
+    height, width = out.shape
+    chunk = max(1, _ROUND_CHUNK_BYTES // (out.itemsize * max(1, width)))
+    tmp = np.empty((min(height, chunk), width), dtype=out.dtype)
+    for lo in range(0, height, chunk):
+        hi = min(height, lo + chunk)
+        for q, shift, src, w in terms:
+            if q >= hi:
+                break
+            start = max(lo, shift)  # at most hi: shift is q or q + 1
+            part = src[start - shift : hi - shift]
+            if w is not None:
+                part = np.multiply(part, w, out=tmp[: hi - start])
+            combine(out[start:hi], part, out=out[start:hi])
+
+
+def _shift_rounds(acc: np.ndarray, powers: np.ndarray, fills, combine, classes: tuple = FULL_RANGE) -> np.ndarray:
+    """acc after one round per fill over the ascending ``powers``, on the residue classes ``(M, residues)`` only.
 
     The one round kernel: np.add for ``_half_block``'s sums, np.maximum
     for max-times and np.logical_or for a sumset.  A round combines acc,
     shifted by every p^k and times fill(p) (no product for a None fill),
-    into a zeroed second buffer, and the two swap.  The output is taken
-    _ROUND_CHUNK_BYTES at a time, each entry combining its P terms in
-    prime order.  The second buffer and a chunk of products are allocated
-    only when there is a round.
+    into a zeroed array.  acc holds whole rows of M entries, lam = row M +
+    column, and may be overwritten.  The result is flat: entry i is the
+    value at the i-th lam of ``class_lams``, rows past lam_max included.
+
+    A shift by v = qM + s moves a row by q and maps the column r - s mod M
+    to r, the row before where r < s.  So for each residue s of the p^k,
+    one fancy index gathers from the last round's columns the shifted
+    source of every column this round outputs (a view where those form a
+    run), and each prime's term is one row-shifted slice of it
+    (``_combine_shifted``).  The last round outputs the given residues,
+    each earlier one the {r - s mod M} of the next one's.  A round on
+    every column reads acc as M = 1, one column of rows of one entry,
+    whose source is acc itself: M = 1 with residue 0 is the plain range.
+    A round narrows from every column only where its gathered sources and
+    its output take no more room than one whole-range array; otherwise
+    it keeps every column, and the residues are taken at the end.  Each
+    entry combines its P terms in prime order from 0, so the value at a
+    lam does not depend on the classes asked for.
     """
-    if not fills:
-        return acc
-    top, chunk = len(acc), _ROUND_CHUNK_BYTES // acc.itemsize
-    nxt, tmp = np.empty_like(acc), np.empty(min(top, chunk), dtype=acc.dtype)
+    m, residues = classes
+    residues = np.asarray(residues)
     shifts = powers.tolist()
-    for fill in fills:
+    steps = sorted({v % m for v in shifts})
+    outputs = [residues]  # the columns each round outputs, the last round first
+    for _ in fills[1:]:
+        reached = np.zeros(m, dtype=bool)
+        reached[np.subtract.outer(outputs[-1], np.array(steps, dtype=np.int64)) % m] = True
+        outputs.append(np.flatnonzero(reached))
+    rows = len(acc) // m
+    acc, cols = acc.reshape(rows, m), np.arange(m)
+    spare = None  # the last round's input, free to take the next round's output where the shapes agree
+    for fill, out in zip(fills, reversed(outputs)):
+        if len(cols) == m > len(out):  # narrow only where the gathered sources and the output fit in m columns
+            if (sum(not _source_columns(cols, out, m, s)[2] for s in steps) + 1) * len(out) > m:
+                out = cols
+        if len(cols) == len(out) == m:  # every class: M rows of one column, its own source
+            mod, acc, width = 1, acc.reshape(-1, 1), 1
+        else:
+            mod, width = m, len(out)
+        if spare is not None and spare.shape != (len(acc), width):
+            spare = None  # freed before the sources are gathered
+        sources = {0: (0, acc)} if mod == 1 else _gather_sources(acc, cols, out, m, steps)
+        nxt = np.empty((len(acc), width), dtype=acc.dtype) if spare is None else spare
+        nxt.fill(0)  # faster than np.zeros, whose fresh pages fault inside the rounds
+        spare = acc
+        del acc
         weights = [None] * len(shifts) if fill is None else fill.tolist()
-        nxt.fill(0)
-        for lo in range(0, top, chunk):
-            hi = min(top, lo + chunk)
-            for v, w in zip(shifts, weights):
-                if v >= hi:
-                    break
-                start = max(lo, v)
-                src = acc[start - v : hi - v]
-                if w is not None:
-                    src = np.multiply(src, w, out=tmp[: hi - start])
-                combine(nxt[start:hi], src, out=nxt[start:hi])
-        acc, nxt = nxt, acc
-    return acc
+        terms = [(v // mod, v // mod + sources[v % mod][0], sources[v % mod][1], w) for v, w in zip(shifts, weights)]
+        del sources
+        _combine_shifted(nxt, terms, combine)
+        del terms
+        acc, cols = nxt.reshape(rows, len(out)), out
+    del spare
+    if len(cols) > len(residues):  # the block's own columns, or a round that kept every column
+        acc = acc[:, residues]
+    return acc.ravel()
 
 
-def _half_block(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
+def _half_block(powers: np.ndarray, fills: tuple, lam_max: int, classes: tuple = FULL_RANGE) -> np.ndarray:
     """Array on [0, lam_max], one coordinate per fill: entry s sums prod_i fills[i](p_i) over sum p_i^k = s.
 
     Up to three coordinates come from ``_block_array``, then one shift-add
-    round per further fill.  The dtype is that of all the fills, since a
+    round per further fill, on ``classes`` only (``_shift_rounds``: entry
+    i is the value at the i-th lam of ``class_lams``; the whole range by
+    default).  The dtype is that of all the fills, since a
     complex fill may be one of the rounded ones; int64 fills give int64
     sums.
 
@@ -641,8 +762,9 @@ def _half_block(powers: np.ndarray, fills: tuple, lam_max: int) -> np.ndarray:
     moduli, gamma_m = m u / (1 - m u), m = 3n + c + P max(n - 3, 0)
     (Higham, sec. 4.2).
     """
-    acc = _block_array(powers, fills[:3], lam_max).astype(np.result_type(*fills), copy=False)
-    return _shift_rounds(acc, powers, fills[3:], np.add)
+    size, count = _class_layout(lam_max, classes)
+    acc = _block_array(powers, fills[:3], lam_max, size).astype(np.result_type(*fills), copy=False)
+    return _shift_rounds(acc, powers, fills[3:], np.add, classes)[:count]
 
 
 def _range_table(k: int, lam_max: int) -> tuple:
@@ -652,20 +774,21 @@ def _range_table(k: int, lam_max: int) -> tuple:
     return primes, primes**k, np.log(primes.astype(np.float64))
 
 
-def rep_weight_array(k: int, n: int, lam_max: int, power: float = 1.0) -> np.ndarray:
-    """Sum over solutions of prod_i (log p_i)^power, for every lam <= lam_max.
+def rep_weight_array(k: int, n: int, lam_max: int, power: float = 1.0, classes: tuple = FULL_RANGE) -> np.ndarray:
+    """Sum over solutions of prod_i (log p_i)^power, for every lam <= lam_max in ``classes`` (``class_lams``).
 
     ``_half_block`` with the fill (log p)^power in every coordinate: one
     block of up to three coordinates, then a shift-add round per further
     one.  Every term is positive, so each entry errs by at most gamma_m of
-    itself (``_half_block``'s bound).
+    itself (``_half_block``'s bound).  The default classes are the whole
+    range; a value does not depend on the classes asked for.
     """
     _, powers, logs = _range_table(k, lam_max)
-    return _half_block(powers, (logs**power,) * n, lam_max)
+    return _half_block(powers, (logs**power,) * n, lam_max, classes)
 
 
-def weight_and_numerator_arrays(k: int, n: int, lam_max: int, xi) -> tuple:
-    """``rep_weight_array(k, n, lam_max)`` and R(lam) * omega_hat(lam, xi) for every lam <= lam_max.
+def weight_and_numerator_arrays(k: int, n: int, lam_max: int, xi, classes: tuple = FULL_RANGE) -> tuple:
+    """``rep_weight_array(k, n, lam_max, classes=classes)`` and R(lam) * omega_hat(lam, xi) at the same lam.
 
     The numerator is ``_half_block`` of the fills log(p) e(p xi_i), phases
     reduced mod 1, with the real ones (integer xi_i: log p) first.  If every
@@ -675,7 +798,9 @@ def weight_and_numerator_arrays(k: int, n: int, lam_max: int, xi) -> tuple:
     numerator is built first, so its complex block never sits beside the
     weights.  Every term has modulus prod log p_i, so by ``_half_block``'s
     bound the numerator errs by at most gamma_m R(lam) and omega_hat by
-    about 2 gamma_m, besides the rounding of p xi_i in the phases.
+    about 2 gamma_m, besides the rounding of p xi_i in the phases.  Both
+    arrays hold the values at the lam of ``class_lams(lam_max, classes)``,
+    by default every lam <= lam_max.
     """
     xi = np.asarray(xi, dtype=float)
     if len(xi) != n:
@@ -685,34 +810,37 @@ def weight_and_numerator_arrays(k: int, n: int, lam_max: int, xi) -> tuple:
     complex_fills = [f for f in phased if f.imag.any()]
     fills = (logs,) * (n - len(complex_fills)) + tuple(complex_fills)
     if not complex_fills:
-        weights = _half_block(powers, fills, lam_max)
+        weights = _half_block(powers, fills, lam_max, classes)
         return weights, weights.astype(complex)
     if n - len(complex_fills) < 3:
-        numer = _half_block(powers, fills, lam_max)
-        return _half_block(powers, (logs,) * n, lam_max), numer
-    block = _block_array(powers, fills[:3], lam_max)
-    numer = _shift_rounds(block.astype(complex), powers, fills[3:], np.add)
-    return _shift_rounds(block, powers, (logs,) * (n - 3), np.add), numer
+        numer = _half_block(powers, fills, lam_max, classes)
+        return _half_block(powers, (logs,) * n, lam_max, classes), numer
+    size, count = _class_layout(lam_max, classes)
+    block = _block_array(powers, fills[:3], lam_max, size)
+    numer = _shift_rounds(block.astype(complex), powers, fills[3:], np.add, classes)[:count]
+    return _shift_rounds(block, powers, (logs,) * (n - 3), np.add, classes)[:count], numer
 
 
-def rep_support_array(k: int, n: int, lam_max: int) -> np.ndarray:
-    """True where lam <= lam_max has a prime solution: the n-fold sumset of the prime k-th powers.
+def rep_support_array(k: int, n: int, lam_max: int, classes: tuple = FULL_RANGE) -> np.ndarray:
+    """True where lam <= lam_max in ``classes`` (``class_lams``) has a prime solution: the n-fold sumset of the p^k.
 
     Exact, with no float and no rounding bound, so it runs at every size
     ``check_array_memory`` admits: n - 1 OR rounds of ``_shift_rounds``.
     """
     _, powers, _ = _range_table(k, lam_max)
-    acc = np.zeros(lam_max + 1, dtype=bool)
+    size, count = _class_layout(lam_max, classes)
+    acc = np.zeros(size, dtype=bool)
     acc[powers] = True
-    return _shift_rounds(acc, powers, [None] * (n - 1), np.logical_or)
+    return _shift_rounds(acc, powers, [None] * (n - 1), np.logical_or, classes)[:count]
 
 
-def max_weight_array(k: int, n: int, lam_max: int) -> np.ndarray:
-    """Largest single-solution weight prod log(p_i) per lam, 0 where none (max-times; log p > 0)."""
+def max_weight_array(k: int, n: int, lam_max: int, classes: tuple = FULL_RANGE) -> np.ndarray:
+    """Largest single-solution weight prod log(p_i) per lam of ``classes``, 0 where none (max-times; log p > 0)."""
     _, powers, logs = _range_table(k, lam_max)
-    acc = np.zeros(lam_max + 1)
+    size, count = _class_layout(lam_max, classes)
+    acc = np.zeros(size)
     acc[powers] = logs
-    return _shift_rounds(acc, powers, [logs] * (n - 1), np.maximum)
+    return _shift_rounds(acc, powers, [logs] * (n - 1), np.maximum, classes)[:count]
 
 
 def rep_totals_at(k: int, n: int, lams) -> tuple[list[int], list[float]]:
@@ -742,9 +870,32 @@ def rep_totals_at(k: int, n: int, lams) -> tuple[list[int], list[float]]:
     return tuple(totals)
 
 
+def _admissible_classes(k: int, n: int, lam_max: int) -> tuple:
+    """(M, residues): lam in [0, lam_max] is admissible for (k, n) exactly when lam mod M is a residue.
+
+    M is 2 at odd k, where admissibility is parity, and at even k the
+    product of the gamma(p) moduli of ``_local_unit_sum_masks``, since
+    ``gamma_member_mask`` reads lam modulo each of them alone.  Where 16 M
+    exceeds lam_max + 1, M becomes lam_max + 1: one row, whose residues are
+    the admissible lam themselves.  So padding [0, lam_max] to whole rows of
+    M adds at most 1/16, and no residue table is longer than the range.
+    """
+    m = 2 if k % 2 else prod(m for m, _ in _local_unit_sum_masks(k, n))
+    if 16 * m > lam_max + 1:
+        m = lam_max + 1
+    return m, np.flatnonzero(gamma_member_mask(k, n, np.arange(m)))
+
+
 def admissible_mask(k: int, n: int, lam_max: int) -> np.ndarray:
-    """True where lam = 0, ..., lam_max is admissible for (k, n) and has a prime solution (``rep_support_array``)."""
-    return rep_support_array(k, n, lam_max) & gamma_member_mask(k, n, np.arange(lam_max + 1))
+    """True where lam = 0, ..., lam_max is admissible for (k, n) and has a prime solution.
+
+    The sumset ``rep_support_array`` is built on the admissible classes
+    alone (``_admissible_classes``) and scattered into the mask.
+    """
+    classes = _admissible_classes(k, n, lam_max)
+    mask = np.zeros(lam_max + 1, dtype=bool)
+    mask[class_lams(lam_max, classes)] = rep_support_array(k, n, lam_max, classes)
+    return mask
 
 
 def sample_admissible_lams(mask: np.ndarray, lo: int, hi: int, count: int) -> list[int]:

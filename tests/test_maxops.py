@@ -339,9 +339,9 @@ def test_delta_probe_sup_norm_takes_max_weights_on_a_prefix(monkeypatch):
         want.append(float(m.weights.max() / m.R))
     tops = []
 
-    def recorded(k, n, lam_max):
+    def recorded(k, n, lam_max, classes):
         tops.append(lam_max)
-        return max_weight_array(k, n, lam_max)
+        return max_weight_array(k, n, lam_max, classes)
 
     monkeypatch.setattr(maxops, "max_weight_array", recorded)
     assert list(delta_scaling_probe(k, n, np.inf, cutoffs).norms) == want == [0.2] * len(cutoffs)

@@ -2,7 +2,7 @@ import os
 import tracemalloc
 from collections import Counter
 from itertools import product
-from math import lcm, log
+from math import lcm, log, prod
 
 import numpy as np
 import pytest
@@ -424,7 +424,10 @@ def test_singular_series_local_factors_match_the_loop_at_random_centers(seed):
 
 
 def test_singular_series_reads_units_and_g_products_once_per_q(monkeypatch):
-    """Only prime powers q <= Qsing read units and g-tables, each key once per call."""
+    """Only prime powers q <= Qsing read units and g-tables, each key once per call.
+
+    q = 2 reads nothing: the center's 2-part 1/4 makes A_2(2) exactly 0.
+    """
     unit_calls, g_calls = Counter(), Counter()
 
     def counted_units(q):
@@ -440,13 +443,29 @@ def test_singular_series_reads_units_and_g_products_once_per_q(monkeypatch):
     lams = [10061 + 24 * i for i in range(12)]
     Qsing = 60
     singular_series(2, 5, lams, [1, 1, 2, 0, 1], [3, 3, 5, 1, 4], Qsing)
-    prime_powers = [q for q in range(2, Qsing + 1) if len(factorize(q)) == 1]
+    prime_powers = [q for q in range(3, Qsing + 1) if len(factorize(q)) == 1]
     assert sorted(unit_calls) == prime_powers and set(unit_calls.values()) == {1}
     assert set(g_calls.values()) == {1}
     # the p-parts: at 2 the pairs 1/4 and 0/1; at 3 the pairs 1/3 and 0/1; at 5 the pairs 2/5 and 0/1; else 0/1
     parts = {2: {(1, 4), (0, 1)}, 3: {(1, 3), (0, 1)}, 5: {(2, 5), (0, 1)}}
     want = {(q, b, r, 2) for q in prime_powers for b, r in parts.get(factorize(q)[0][0], {(0, 1)})}
     assert set(g_calls) == want
+
+
+def test_local_factor_of_a_larger_center_part_is_exactly_zero(monkeypatch):
+    """A center p-part r above m = p^j gives A_p(m) = 0 exactly, with no table at modulus r.
+
+    g(a, p^j; b, p^e) vanishes for e > j >= 1 (``g_via_lemma``), and
+    A_2(1) = mu(2^22) / phi(2^22) = 0, so every A(q) has a zero factor.
+    """
+    def no_larger_part(q, b, r, k):
+        assert r <= q, f"built a table at modulus {r} for q = {q}"
+        return _g_over_a(q, b, r, k)
+
+    monkeypatch.setattr(surface, "_g_over_a", no_larger_part)
+    assert singular_series(2, 5, [77], [1, 0, 0, 0, 0], [2**22, 1, 1, 1, 1], 100) == [0j]
+    # a 3-part 1/9 against q = 3 and 6: those terms vanish, the rest match the loop over q
+    _assert_series_match_the_loop(2, 5, [77, 10061], [1, 0, 0, 0, 0], [9, 1, 1, 1, 1], 40)
 
 
 def test_singular_series_chunks_give_the_same_values(monkeypatch):
@@ -781,25 +800,99 @@ def test_support_array_is_where_counts_are_positive(k, mid, n):
         assert np.array_equal(support, _shift_add_counts(k, n, lam_max) > 0), lam_max
 
 
+# (classes, chunk bytes): the whole range at the kernel's own chunk, then rows of M in chunks small enough that
+# each round crosses several
+_ROUND_CASES = [
+    (surface.FULL_RANGE, surface._ROUND_CHUNK_BYTES),
+    ((24, (5,)), 1 << 9),  # k = 2, n = 5: one class, three and six columns in the rounds before
+    ((24, (1, 2, 13, 23)), 1 << 10),  # classes r < s of every p^k mod 24 read the row before
+    ((2, (0,)), 1 << 11),  # odd k's parity: full rounds, then one column carried a row
+    ((240, (17, 100)), 1 << 12),
+]
+
+
 @pytest.mark.parametrize("combine, dtype", [(np.add, complex), (np.maximum, float), (np.logical_or, bool)])
-def test_shift_rounds_match_the_plain_loop_across_chunks(combine, dtype):
-    """Each entry takes the plain loop's terms in the same order, so the chunked rounds equal it bit for bit."""
-    lam_max = 3 * surface._ROUND_CHUNK_BYTES // np.dtype(dtype).itemsize + 5
-    powers = sieve_primes(int_kth_root(lam_max, 2)) ** 2
-    rng = np.random.default_rng(3)
-    if dtype is bool:
-        start, fills = rng.random(lam_max + 1) < 0.01, [None, None]
-    else:
-        scale = 1 + 1j if dtype is complex else 1.0
-        start, fills = rng.random(lam_max + 1) * scale, [rng.random(len(powers)) * scale for _ in range(2)]
-    want = start.copy()
-    for fill in fills:
-        nxt = np.zeros_like(want)
-        for i, v in enumerate(powers.tolist()):
-            src = want[: lam_max + 1 - v] if fill is None else want[: lam_max + 1 - v] * fill[i]
-            nxt[v:] = combine(nxt[v:], src)
-        want = nxt
-    assert np.array_equal(surface._shift_rounds(start.copy(), powers, fills, combine), want)
+def test_shift_rounds_match_the_plain_loop_across_chunks(monkeypatch, combine, dtype):
+    """Each entry takes the plain loop's terms in the same order, so the chunked rounds equal it bit for bit.
+
+    On a subset of residue classes the rounds run over rows of M columns,
+    in row chunks that cross several chunk boundaries.
+    """
+    for classes, chunk_bytes in _ROUND_CASES:
+        monkeypatch.setattr(surface, "_ROUND_CHUNK_BYTES", chunk_bytes)
+        m = classes[0]
+        lam_max = (3 * chunk_bytes // np.dtype(dtype).itemsize + 5) * m - 1  # whole rows of m
+        powers = sieve_primes(int_kth_root(lam_max, 2)) ** 2
+        rng = np.random.default_rng(3)
+        if dtype is bool:
+            start, fills = rng.random(lam_max + 1) < 0.01, [None, None]
+        else:
+            scale = 1 + 1j if dtype is complex else 1.0
+            start, fills = rng.random(lam_max + 1) * scale, [rng.random(len(powers)) * scale for _ in range(2)]
+        want = start.copy()
+        for fill in fills:
+            nxt = np.zeros_like(want)
+            for i, v in enumerate(powers.tolist()):
+                src = want[: lam_max + 1 - v] if fill is None else want[: lam_max + 1 - v] * fill[i]
+                nxt[v:] = combine(nxt[v:], src)
+            want = nxt
+        got = surface._shift_rounds(start.copy(), powers, fills, combine, classes)
+        assert np.array_equal(got, want[surface.class_lams(lam_max, classes)]), classes
+
+
+@pytest.mark.parametrize("k, n, lam_max", [
+    *((2, n, 6000) for n in range(2, 9)),
+    (3, 5, 30_000), (3, 6, 20_000), (5, 7, 200_000),  # odd k: parity, M = 2
+    (4, 6, 60_000), (4, 8, 100_000),  # M = 240
+    (6, 5, 300_000), (6, 7, 300_000),  # M = 2520, several classes
+    (2, 5, 100), (4, 6, 1000), (6, 4, 5000),  # 16 M > lam_max + 1: one row
+])
+def test_class_arrays_equal_the_full_range_at_every_class_lam(k, n, lam_max):
+    """All three combines on the admissible classes, and add on classes that are not, against the full range."""
+    rng = np.random.default_rng(10 * k + n)
+    xis = [rng.random(n) + 0.01, np.array([0.4142135623730951, 0.7320508075688772] + [0.0] * (n - 2))]
+    full = {
+        "weights": rep_weight_array(k, n, lam_max),
+        "power": rep_weight_array(k, n, lam_max, power=1.5),
+        "max": max_weight_array(k, n, lam_max),
+        "support": rep_support_array(k, n, lam_max),
+        **{f"numer{i}": weight_and_numerator_arrays(k, n, lam_max, xi)[1] for i, xi in enumerate(xis)},
+    }
+    admissible = surface._admissible_classes(k, n, lam_max)
+    m, solved = admissible[0], 0
+    for classes in (admissible, (m, np.flatnonzero(rng.random(m) < 0.3))):
+        lams = surface.class_lams(lam_max, classes)
+        assert np.array_equal(lams % m, np.asarray(classes[1])[np.arange(len(lams)) % len(classes[1])])
+        got = {
+            "weights": rep_weight_array(k, n, lam_max, classes=classes),
+            "power": rep_weight_array(k, n, lam_max, power=1.5, classes=classes),
+            "max": max_weight_array(k, n, lam_max, classes),
+            "support": rep_support_array(k, n, lam_max, classes),
+            **{f"numer{i}": weight_and_numerator_arrays(k, n, lam_max, xi, classes)[1] for i, xi in enumerate(xis)},
+        }
+        for name, values in got.items():
+            assert np.array_equal(values, full[name][lams]), (name, classes)
+        assert np.array_equal(weight_and_numerator_arrays(k, n, lam_max, xis[0], classes)[0], got["weights"])
+        solved += got["support"].sum()
+    assert solved > 0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_admissible_mask_is_the_sumset_on_the_admissible_progressions(k, n):
+    """The mask built on the admissible classes equals the whole-range sumset times the congruence mask."""
+    for lam_max in (0, 30, 2_000, 60_000):
+        want = rep_support_array(k, n, lam_max) & gamma_member_mask(k, n, np.arange(lam_max + 1))
+        assert np.array_equal(admissible_mask(k, n, lam_max), want), lam_max
+
+
+def test_admissible_classes_stay_within_the_range_at_large_k():
+    """At k = 16 the moduli multiply to 16 336 320, so [0, 10^5] is one row of the admissible lam."""
+    m, residues = surface._admissible_classes(16, 5, 100_000)
+    assert prod(mod for mod, _ in _local_unit_sum_masks(16, 5)) == 16_336_320
+    assert m == 100_001 and np.array_equal(residues, np.flatnonzero(gamma_member_mask(16, 5, np.arange(m))))
+    want = rep_support_array(16, 5, 100_000) & gamma_member_mask(16, 5, np.arange(100_001))
+    assert np.array_equal(admissible_mask(16, 5, 100_000), want)
 
 
 def test_support_array_runs_where_float_counts_are_refused():
@@ -936,13 +1029,23 @@ def test_array_memory_figure_covers_the_peak(n, lam_max, pattern):
     """Every whole-range function's tracemalloc peak stays within _ARRAY_BYTES per point of [0, lam_max]."""
     k = 2
     xi = np.random.default_rng(n).random(n) if pattern is None else np.array(pattern)
+    admissible = surface._admissible_classes(k, n, lam_max)
+    wide = (24, tuple(range(0, 24, 2)))  # half the classes: the rounds before the last come near the full width
     calls = {
         "rep_weight_array": lambda: rep_weight_array(k, n, lam_max, power=1.2),
         "weight_and_numerator_arrays": lambda: weight_and_numerator_arrays(k, n, lam_max, xi),
         "rep_support_array": lambda: rep_support_array(k, n, lam_max),
         "max_weight_array": lambda: max_weight_array(k, n, lam_max),
         "rep_totals_at": lambda: rep_totals_at(k, n, [lam_max, lam_max // 2]),
+        "admissible_mask": lambda: admissible_mask(k, n, lam_max),
     }
+    for label, classes in (("admissible", admissible), ("wide", wide)):
+        calls |= {
+            f"rep_weight_array {label}": lambda c=classes: rep_weight_array(k, n, lam_max, power=1.2, classes=c),
+            f"weight_and_numerator_arrays {label}": lambda c=classes: weight_and_numerator_arrays(k, n, lam_max, xi, c),
+            f"rep_support_array {label}": lambda c=classes: rep_support_array(k, n, lam_max, c),
+            f"max_weight_array {label}": lambda c=classes: max_weight_array(k, n, lam_max, c),
+        }
     sieve_primes(int_kth_root(lam_max, k))  # the sieve's cache is not part of the arrays
     peaks = {}
     for name, call in calls.items():
@@ -978,11 +1081,13 @@ def test_whole_range_arrays_and_their_callers_take_no_transform(monkeypatch, n):
     gamma_member_mask(k, n, np.arange(1))  # the cached congruence masks: FFTs of length 8 and 3, once per (k, n)
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, lambda *a, **kw: pytest.fail("took a transform"))
-    rep_weight_array(k, n, lam_max, power=1.5)
-    rep_support_array(k, n, lam_max)
-    max_weight_array(k, n, lam_max)
-    for xi in _xi_patterns(n, np.random.default_rng(n)).values():
-        weight_and_numerator_arrays(k, n, lam_max, xi)
+    for classes in (surface.FULL_RANGE, surface._admissible_classes(k, n, lam_max)):
+        rep_weight_array(k, n, lam_max, power=1.5, classes=classes)
+        rep_support_array(k, n, lam_max, classes)
+        max_weight_array(k, n, lam_max, classes)
+        for xi in _xi_patterns(n, np.random.default_rng(n)).values():
+            weight_and_numerator_arrays(k, n, lam_max, xi, classes)
+    admissible_mask(k, n, lam_max)
     weyl_decay_scan(k, n, (0.4142135623730951, 0.7320508075688772) + (0,) * (n - 2), 1000, 4)
     for p in (1.2, np.inf):
         delta_scaling_probe(k, n, p, [4096, lam_max])
