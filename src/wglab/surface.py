@@ -619,59 +619,41 @@ def class_lams(lam_max: int, classes: tuple) -> np.ndarray:
     return np.add.outer(np.arange(0, lam_max + 1, m), residues).ravel()[: _class_layout(lam_max, classes)[1]]
 
 
-def _source_columns(cols: np.ndarray, out: np.ndarray, m: int, s: int) -> tuple:
-    """(pos, wrap, run) for a shift by qm + s from the columns ``cols`` onto ``out``, both ascending.
-
-    Output column r reads the column r - s mod m, at index pos of cols,
-    from the row before where r < s: the first ``wrap`` columns of out.
-    ``run``: pos is a run of indices that all read the same row, so the
-    source is a view of the input.
-    """
-    pos = np.searchsorted(cols, (out - s) % m)
-    wrap = int(np.searchsorted(out, s))
-    return pos, wrap, wrap in (0, len(out)) and len(out) > 0 and pos[-1] - pos[0] == len(out) - 1
-
-
 def _gather_sources(acc: np.ndarray, cols: np.ndarray, out: np.ndarray, m: int, steps: list) -> dict:
-    """{s: (carry, source)} for each residue s: source[t - carry, j] is acc's entry at lam = t m + out[j] - s.
+    """{s: source} for each residue s: source[t, j] is acc's entry at lam = t m + out[j] - s, 0 below lam 0.
 
-    One fancy index per s takes the columns out - s mod m of acc, and the
-    columns r < s, which reach into the row before, move down a row (0 in
-    row 0).  Where those columns form a run of acc that all read one row,
-    the source is a view of acc instead, with carry 1 if that row is the
-    one before.
+    acc holds the columns ``cols`` and out is ascending.  One fancy index
+    per s takes the columns out - s mod m of acc, and the columns r < s,
+    which reach into the row before, move down a row (0 in row 0).
     """
     sources = {}
     for s in steps:
-        pos, wrap, run = _source_columns(cols, out, m, s)
-        if run:
-            sources[s] = int(wrap > 0), acc[:, pos[0] : pos[0] + len(out)]
-            continue
+        pos = np.searchsorted(cols, (out - s) % m)
+        wrap = int(np.searchsorted(out, s))
         src = acc.take(pos, axis=1)
         src[1:, :wrap] = acc[:-1, pos[:wrap]]
         src[0, :wrap] = 0
-        sources[s] = 0, src
+        sources[s] = src
     return sources
 
 
 def _combine_shifted(out: np.ndarray, terms: list, combine) -> None:
-    """out[t] = combine(out[t], src[t - shift] * w) for each (q, shift, src, w) of ``terms`` in turn.
+    """out[t] = combine(out[t], src[t - q] * w) for each (q, src, w) of ``terms`` in turn.
 
     The rows are taken _ROUND_CHUNK_BYTES of out at a time, each entry
-    combining its terms in the order given.  shift is q, or q + 1 for a
-    source carried one row; the terms come in ascending q, so the first q
-    past a chunk ends it.
+    combining its terms in the order given.  The terms come in ascending
+    q, so the first q past a chunk ends it.
     """
     height, width = out.shape
     chunk = max(1, _ROUND_CHUNK_BYTES // (out.itemsize * max(1, width)))
     tmp = np.empty((min(height, chunk), width), dtype=out.dtype)
     for lo in range(0, height, chunk):
         hi = min(height, lo + chunk)
-        for q, shift, src, w in terms:
+        for q, src, w in terms:
             if q >= hi:
                 break
-            start = max(lo, shift)  # at most hi: shift is q or q + 1
-            part = src[start - shift : hi - shift]
+            start = max(lo, q)
+            part = src[start - q : hi - q]
             if w is not None:
                 part = np.multiply(part, w, out=tmp[: hi - start])
             combine(out[start:hi], part, out=out[start:hi])
@@ -690,17 +672,18 @@ def _shift_rounds(acc: np.ndarray, powers: np.ndarray, fills, combine, classes: 
     A shift by v = qM + s moves a row by q and maps the column r - s mod M
     to r, the row before where r < s.  So for each residue s of the p^k,
     one fancy index gathers from the last round's columns the shifted
-    source of every column this round outputs (a view where those form a
-    run), and each prime's term is one row-shifted slice of it
-    (``_combine_shifted``).  The last round outputs the given residues,
-    each earlier one the {r - s mod M} of the next one's.  A round on
-    every column reads acc as M = 1, one column of rows of one entry,
-    whose source is acc itself: M = 1 with residue 0 is the plain range.
-    A round narrows from every column only where its gathered sources and
-    its output take no more room than one whole-range array; otherwise
-    it keeps every column, and the residues are taken at the end.  Each
-    entry combines its P terms in prime order from 0, so the value at a
-    lam does not depend on the classes asked for.
+    source of every column this round outputs, and each prime's term is
+    one row-shifted slice of it (``_combine_shifted``).  The last round
+    outputs the given residues, each earlier one the {r - s mod M} of the
+    next one's.  A round on every column reads acc as M = 1, one column
+    of rows of one entry, whose source is acc itself: M = 1 with residue
+    0 is the plain range.  A round narrows from every column only where
+    its gathered sources and its output take no more room than one
+    whole-range array (never at odd k, where M = 2 and the p^k have both
+    residues); otherwise it keeps every column, and the residues are
+    taken at the end.  Each entry combines its P terms in prime order
+    from 0, so the value at a lam does not depend on the classes asked
+    for.
     """
     m, residues = classes
     residues = np.asarray(residues)
@@ -715,22 +698,21 @@ def _shift_rounds(acc: np.ndarray, powers: np.ndarray, fills, combine, classes: 
     acc, cols = acc.reshape(rows, m), np.arange(m)
     spare = None  # the last round's input, free to take the next round's output where the shapes agree
     for fill, out in zip(fills, reversed(outputs)):
-        if len(cols) == m > len(out):  # narrow only where the gathered sources and the output fit in m columns
-            if (sum(not _source_columns(cols, out, m, s)[2] for s in steps) + 1) * len(out) > m:
-                out = cols
+        if len(cols) == m and (len(steps) + 1) * len(out) > m:  # narrow only where sources and output fit in m
+            out = cols
         if len(cols) == len(out) == m:  # every class: M rows of one column, its own source
             mod, acc, width = 1, acc.reshape(-1, 1), 1
         else:
             mod, width = m, len(out)
         if spare is not None and spare.shape != (len(acc), width):
             spare = None  # freed before the sources are gathered
-        sources = {0: (0, acc)} if mod == 1 else _gather_sources(acc, cols, out, m, steps)
+        sources = {0: acc} if mod == 1 else _gather_sources(acc, cols, out, m, steps)
         nxt = np.empty((len(acc), width), dtype=acc.dtype) if spare is None else spare
         nxt.fill(0)  # faster than np.zeros, whose fresh pages fault inside the rounds
         spare = acc
         del acc
         weights = [None] * len(shifts) if fill is None else fill.tolist()
-        terms = [(v // mod, v // mod + sources[v % mod][0], sources[v % mod][1], w) for v, w in zip(shifts, weights)]
+        terms = [(v // mod, sources[v % mod], w) for v, w in zip(shifts, weights)]
         del sources
         _combine_shifted(nxt, terms, combine)
         del terms
@@ -879,7 +861,10 @@ def _admissible_classes(k: int, n: int, lam_max: int) -> tuple:
     exceeds lam_max + 1, M becomes lam_max + 1: one row, whose residues are
     the admissible lam themselves.  So padding [0, lam_max] to whole rows of
     M adds at most 1/16, and no residue table is longer than the range.
+    A range whose arrays cannot fit is refused (``check_array_memory``)
+    before the moduli are sieved or a residue table is built.
     """
+    check_array_memory(lam_max)
     m = 2 if k % 2 else prod(m for m, _ in _local_unit_sum_masks(k, n))
     if 16 * m > lam_max + 1:
         m = lam_max + 1

@@ -531,10 +531,17 @@ def test_huge_surface_frequencies(capsys, monkeypatch, n, k, eta, code, prefix):
 
 @pytest.fixture
 def no_sieve(monkeypatch):
-    """Make the library's only sieve fail, for requests that must be refused before it."""
+    """Make the library's only sieve fail, for requests that must be refused before it.
+
+    The cached gamma(p) moduli are cleared first, so no earlier test's sieve
+    stands in for the one a refused request must not run.
+    """
     def refuse(limit):
         raise AssertionError(f"sieved to {limit} for a request that cannot run")
 
+    from wglab.surface import _local_unit_sum_masks
+
+    _local_unit_sum_masks.cache_clear()
     monkeypatch.setattr("wglab.surface.sieve_primes", refuse)
 
 

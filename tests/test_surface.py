@@ -906,6 +906,30 @@ def test_support_array_runs_where_float_counts_are_refused():
     assert not support.all() and support[-50_000:].sum() > 10_000
 
 
+@pytest.mark.parametrize("k", [2, 3, 16])
+def test_admissible_classes_refuse_an_oversized_range_before_sieving(monkeypatch, k):
+    """Just above the memory figure, the classes and their callers refuse before any sieve or residue table."""
+    lam_max = 100_000
+    need = surface._ARRAY_BYTES * (lam_max + 1)
+    monkeypatch.setattr(surface, "_CGROUP_LIMIT_FILES", ("/nonexistent/memory.max", "/nonexistent/v1"))
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}.__getitem__)
+    _local_unit_sum_masks.cache_clear()
+    with monkeypatch.context() as refused:
+        refused.setattr(surface, "sieve_primes", lambda limit: pytest.fail(f"sieved to {limit}"))
+        refused.setattr(surface, "gamma_member_mask", lambda *args: pytest.fail("built a residue table"))
+        for call in (
+            lambda: surface._admissible_classes(k, 5, lam_max),
+            lambda: admissible_mask(k, 5, lam_max),
+            lambda: weyl_decay_scan(k, 5, (0.1, 0.2, 0, 0, 0), 782, 7),  # lam_max = 782 * 2^7 - 1 = 100 095
+            lambda: delta_scaling_probe(k, 5, 1.2, [2**12, lam_max]),
+        ):
+            with pytest.raises(MemoryError):
+                call()
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need, "SC_PAGE_SIZE": 1}.__getitem__)
+    m, residues = surface._admissible_classes(k, 5, lam_max)
+    assert np.array_equal(residues, np.flatnonzero(gamma_member_mask(k, 5, np.arange(m))))
+
+
 def test_support_array_refuses_oversized_ranges():
     with pytest.raises(MemoryError):
         rep_support_array(2, 5, 2**62)
